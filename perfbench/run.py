@@ -6,7 +6,7 @@ Usage, from the root of the repository:
 
 The workload's inputs are made from ``--seed``.  After set-up and a warm-up
 pass on tiny inputs, passes repeat until ``--seconds`` of timed passes have
-run.  Every
+run.  Times are rescaled to a reference speed (see ``refclock.py``).  Every
 output of every pass is checked and hashed; the last line of standard output
 is one JSON object with ``correct``, ``attempted``, ``failed`` and
 ``metrics``.  With ``--trace 0`` the metrics are the end-to-end ones; with
@@ -97,17 +97,20 @@ def parse_args(argv):
 
 def main(argv=None) -> int:
     sys.path.insert(0, HERE)
+    from refclock import ScaledClock, ref_time, rescale
     from workloads import SIZES, WORKLOADS, grade, run_pass
 
     args = parse_args(argv)
     workload = WORKLOADS[args.workload]
     size = SIZES[args.scale][workload.name]
 
+    ref0 = ref_time()
     t0 = time.perf_counter()
     aw = import_awakesim()
     if args.setup_probe:
         workload.build(aw, size, args.seed)
-        print(json.dumps({"setup_s": time.perf_counter() - t0}))
+        host_s = time.perf_counter() - t0
+        print(json.dumps({"setup_s": rescale(host_s, ref0, ref_time())}))
         return 0
 
     from tracer import Tracer
@@ -117,7 +120,7 @@ def main(argv=None) -> int:
         tracer.install()
         tracer.begin("setup")
     cases = workload.build(aw, size, args.seed)
-    setup_s = [time.perf_counter() - t0]
+    setup_s = [rescale(time.perf_counter() - t0, ref0, ref_time())]
     layer_setup = {}
     if tracer:
         tracer.end()
@@ -135,14 +138,15 @@ def main(argv=None) -> int:
     # inputs is enough to run every code path once before timing.
     run_pass(aw, workload, workload.build(aw, SIZES["tiny"][workload.name], args.seed))
     grades = []
-    walls, traced_walls, layer_passes = [], [], []
+    walls, scaled_walls, traced_walls, layer_passes = [], [], [], []
+    scaled = ScaledClock()
     elapsed = 0.0
     while elapsed < args.seconds or not walls or (tracer and not traced_walls):
         traced = tracer is not None and len(traced_walls) <= len(walls)
         if traced:
             tracer.install()
             tracer.begin("pass")
-        res = run_pass(aw, workload, cases)
+        res = run_pass(aw, workload, cases, None if traced else scaled)
         if traced:
             wall = tracer.end()
             tracer.uninstall()
@@ -150,6 +154,7 @@ def main(argv=None) -> int:
             layer_passes.append(tracer.pass_metrics(wall))
         else:
             walls.append(res.wall)
+            scaled_walls.append(res.scaled)
         elapsed += res.wall
         grades.append(grade(aw, workload, cases, optima, res))
         del res
@@ -161,7 +166,7 @@ def main(argv=None) -> int:
     correct = failed == 0 and len(digests) == 1 and all(g.sim == sim for g in grades)
 
     e2e = {
-        "wall_s": statistics.median(walls),
+        "wall_s": statistics.median(scaled_walls),
         "setup_s": statistics.median(setup_s),
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         "avg_awake": sim["avg_awake"],
@@ -169,8 +174,9 @@ def main(argv=None) -> int:
     print(f"workload {workload.name} seed {args.seed} scale {args.scale} "
           f"trace {args.trace}: {len(walls)} untraced and {len(traced_walls)} "
           f"traced timed passes, {len(setup_s)} set-ups")
-    print("pass_s untraced %s traced %s" % (" ".join(f"{w:.4f}" for w in walls),
-                                           " ".join(f"{w:.4f}" for w in traced_walls)))
+    print("pass_s host untraced %s traced %s" % (
+        " ".join(f"{w:.4f}" for w in walls), " ".join(f"{w:.4f}" for w in traced_walls)))
+    print("pass_s scaled untraced %s" % " ".join(f"{w:.4f}" for w in scaled_walls))
     for name, value in list(e2e.items()) + [(k, v) for k, v in sim.items()
                                             if k != "avg_awake"]:
         print(f"metric {name} {value:.6g} {unit_of(name)}")
@@ -183,7 +189,7 @@ def main(argv=None) -> int:
         metrics.update(layer_setup)
         metrics["oracles.exact_s"] = exact_s
         metrics["trace.wall_s"] = statistics.median(traced_walls)
-        metrics["trace.overhead_s"] = metrics["trace.wall_s"] - e2e["wall_s"]
+        metrics["trace.overhead_s"] = metrics["trace.wall_s"] - statistics.median(walls)
         for name in SIM_EXTRA:
             metrics[name] = sim.get(name, 0.0)
         for name, value in metrics.items():

@@ -18,6 +18,7 @@ BENCH = os.path.dirname(HERE)
 ROOT = os.path.dirname(BENCH)
 sys.path.insert(0, BENCH)
 
+import refclock  # noqa: E402
 import run as bench_run  # noqa: E402
 import workloads as wl  # noqa: E402
 from tracer import Tracer  # noqa: E402
@@ -83,6 +84,14 @@ def test_tiny_runs_report_every_metric_and_one_digest(name):
            if ln.split()[1] not in ("wall_s", "setup_s", "peak_rss_mb")]
     assert sim == [ln for ln in _lines(traced.stdout, "metric ")
                    if ln.split()[1] not in ("wall_s", "setup_s", "peak_rss_mb")]
+
+
+def test_scaled_time_follows_the_reference_loop(aw):
+    assert refclock.rescale(2.0, refclock.REF_S, refclock.REF_S) == 2.0
+    assert refclock.rescale(2.0, 3 * refclock.REF_S, refclock.REF_S) == 1.0
+    workload, cases, _ = _tiny(aw, "pipeline_small")
+    res = wl.run_pass(aw, workload, cases, refclock.ScaledClock())
+    assert res.wall > 0 and res.scaled > 0
 
 
 def test_digest_repeats_and_follows_the_seed(aw):
