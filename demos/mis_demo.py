@@ -42,7 +42,7 @@ def main():
     print("the baseline column is the one-key-per-round MIS, which finishes")
     print("these sparse graphs in a couple of rounds, so its awake average")
     print("barely moves; the staged algorithm pays for the degree-reduction")
-    print("iterations, whose length tracks the clamped degree bound")
+    print("iterations, whose length tracks the residual's max degree")
 
 
 if __name__ == "__main__":

@@ -20,6 +20,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from . import fractional, mis
 from .augmentation import (MatchBox, bipartite_one_plus_eps, full_matching_pipeline,
                            general_one_plus_eps)
+from .engine import AwakeLedger, RunMetrics
 from .errors import OracleTooLarge
 from .graphs import (Graph, complete_graph, cycle_graph, gen_bipartite, gen_gnp,
                      path_graph, star_graph)
@@ -37,6 +38,11 @@ COLUMNS = ("trial", "n", "m", "algorithm", "rounds", "total_awake", "avg_awake",
 
 _SUMMARY_FIELDS = ("rounds", "total_awake", "avg_awake", "max_awake", "size",
                    "ratio")
+
+# every --override key some algorithm reads; anything else is a typo
+OVERRIDE_KEYS = ("participation", "C", "K", "window",            # awake_mis
+                 "estimator_constant", "stop_round",             # sampled, cover
+                 "box", "improve_iterations", "delta_iterations")  # amplify
 
 
 @dataclass
@@ -62,6 +68,10 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if self.n_list is not None and not self.n_list:
             raise ValueError("n_list must be non-empty")
+        unknown = sorted(set(self.overrides) - set(OVERRIDE_KEYS))
+        if unknown:
+            raise ValueError(f"unknown override {unknown[0]!r}; "
+                             f"choose from {', '.join(OVERRIDE_KEYS)}")
 
 
 def build_graph(family: str, n: int, p: Optional[float], seed: int) -> Graph:
@@ -113,13 +123,19 @@ def _mis_params(overrides: Dict[str, str]) -> Optional[mis.MisParams]:
         kwargs["p"] = Fraction(overrides["participation"])
     if "C" in overrides:
         kwargs["C"] = int(overrides["C"])
-    if "d" in overrides:
-        kwargs["d"] = int(overrides["d"])
     if "K" in overrides:
         kwargs["K"] = int(overrides["K"])
     if "window" in overrides:
         kwargs["part1_window"] = int(overrides["window"])
     return mis.MisParams(**kwargs) if kwargs else None
+
+
+def _ledger_columns(led: Optional[AwakeLedger]) -> Dict[str, Any]:
+    """The rounds / total_awake / avg_awake / max_awake columns of a ledger;
+    zeros when no stage ran."""
+    met = RunMetrics.from_ledger(led if led is not None else AwakeLedger(0))
+    return {"rounds": met.rounds, "total_awake": met.total_awake,
+            "avg_awake": met.avg_awake, "max_awake": met.max_awake}
 
 
 def _optimum_matching(g: Graph) -> Optional[int]:
@@ -140,15 +156,12 @@ def run_trial(cfg: ExperimentConfig, t: int) -> Dict[str, Any]:
 
     if cfg.algorithm == "luby":
         s, led = mis.luby_mis(g, seed)
-        row.update(rounds=led.rounds, total_awake=led.total_awake(),
-                   avg_awake=led.node_averaged(), max_awake=led.max_awake(),
-                   size=len(s), validity=verify_mis(g, s))
+        row.update(_ledger_columns(led), size=len(s), validity=verify_mis(g, s))
     elif cfg.algorithm == "awake_mis":
         s, led, met = mis.awake_mis(g, seed, params=_mis_params(ovr))
         parts = ";".join(f"{k}={v}" for k, v in sorted(led.part_totals().items()))
-        row.update(rounds=met.rounds, total_awake=met.total_awake,
-                   avg_awake=met.avg_awake, max_awake=met.max_awake,
-                   parts=parts, size=len(s), validity=met.validity)
+        row.update(_ledger_columns(led), parts=parts, size=len(s),
+                   validity=met.validity)
     elif cfg.algorithm == "vanilla_match":
         asg = fractional.vanilla_fractional(g, _eps_fraction(cfg.eps))
         rounds = 1 + max((j for j in asg.frozen_round.values() if j is not None),
@@ -159,9 +172,7 @@ def run_trial(cfg: ExperimentConfig, t: int) -> Dict[str, Any]:
             optimum = _try_optimum(g)
     elif cfg.algorithm == "sampled_match":
         asg, led, diag = _sampled(cfg, g, seed)
-        row.update(rounds=led.rounds, total_awake=led.total_awake(),
-                   avg_awake=led.node_averaged(), max_awake=led.max_awake(),
-                   size=asg.total_float(), validity=True,
+        row.update(_ledger_columns(led), size=asg.total_float(), validity=True,
                    heavy=diag.heavy_events, light=diag.light_events,
                    spoiled=float(diag.spoiled_value))
         if cfg.oracle:
@@ -169,9 +180,8 @@ def run_trial(cfg: ExperimentConfig, t: int) -> Dict[str, Any]:
     elif cfg.algorithm == "vertex_cover":
         asg, led, diag = _sampled(cfg, g, seed)
         cover = fractional.extract_vertex_cover(asg)
-        row.update(rounds=led.rounds, total_awake=led.total_awake(),
-                   avg_awake=led.node_averaged(), max_awake=led.max_awake(),
-                   size=len(cover), validity=verify_vertex_cover(g, cover),
+        row.update(_ledger_columns(led), size=len(cover),
+                   validity=verify_vertex_cover(g, cover),
                    heavy=diag.heavy_events, light=diag.light_events,
                    spoiled=float(diag.spoiled_value))
         if cfg.oracle:
@@ -197,12 +207,8 @@ def run_trial(cfg: ExperimentConfig, t: int) -> Dict[str, Any]:
                     g, box, cfg.eps, seed,
                     improve_iterations=_ovr(ovr, "improve_iterations", int))
             led = box.ledger
-        if led is not None:
-            row.update(rounds=led.rounds, total_awake=led.total_awake(),
-                       avg_awake=led.node_averaged(), max_awake=led.max_awake())
-        else:
-            row.update(rounds=0, total_awake=0, avg_awake=0.0, max_awake=0)
-        row.update(size=len(m), validity=verify_matching(g, m))
+        row.update(_ledger_columns(led), size=len(m),
+                   validity=verify_matching(g, m))
         if cfg.oracle:
             optimum = _try_optimum(g)
     else:  # pragma: no cover - guarded by ExperimentConfig

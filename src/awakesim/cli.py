@@ -13,7 +13,8 @@ import argparse
 import sys
 from typing import Dict, List, Optional
 
-from .bench import ALGORITHMS, ExperimentConfig, rows_to_csv, run_experiment, sweep
+from .bench import (ALGORITHMS, SWEEP_COLUMNS, ExperimentConfig, _fmt, rows_to_csv,
+                    run_experiment, sweep)
 
 _SUBCOMMAND_ALGOS = {
     "mis": {"awake": "awake_mis", "luby": "luby"},
@@ -165,23 +166,24 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    """Exit 0 on success, 1 if a validity check failed, 2 on bad input
+    (a ``ValueError`` or ``OSError`` while configuring or running)."""
     args = build_parser().parse_args(argv)
     try:
         cfg = config_from_args(args)
+        if args.command == "sweep":
+            table, ok = sweep(cfg)
+            if not cfg.out:
+                print(",".join(SWEEP_COLUMNS))
+                for r in table:
+                    print(",".join(_fmt(r[k]) for k in SWEEP_COLUMNS))
+        else:
+            rows, ok = run_experiment(cfg)
+            if not cfg.out:
+                sys.stdout.write(rows_to_csv(rows))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.command == "sweep":
-        table, ok = sweep(cfg)
-        if not cfg.out:
-            from .bench import SWEEP_COLUMNS, _fmt
-            print(",".join(SWEEP_COLUMNS))
-            for r in table:
-                print(",".join(_fmt(r[k]) for k in SWEEP_COLUMNS))
-    else:
-        rows, ok = run_experiment(cfg)
-        if not cfg.out:
-            sys.stdout.write(rows_to_csv(rows))
     if not ok:
         print("error: a validity check failed", file=sys.stderr)
         return 1

@@ -49,10 +49,10 @@ def payload_bits(payload) -> int:
 class Protocol:
     """Behavior contract executed by :func:`run`.
 
-    Subclasses override the hooks they need.  ``plan_wake`` must depend only
-    on the node's own state and its own coin streams; the engine intersects
-    the requested wake set with the still-alive nodes, so terminated nodes
-    never reappear.
+    Subclasses override the hooks they need.  ``wake_set`` must decide each
+    node's wakefulness only from that node's own state and its own coin
+    streams; the engine intersects the requested wake set with the
+    still-alive nodes, so terminated nodes never reappear.
     """
 
     uses_subround2 = False
@@ -70,12 +70,9 @@ class Protocol:
     def on_round_start(self, rnd: int) -> None:
         pass
 
-    def plan_wake(self, v: int, rnd: int) -> bool:
-        return True
-
     def wake_set(self, rnd: int, alive: np.ndarray):
-        """Nodes awake this round; default asks ``plan_wake`` per alive node."""
-        return [v for v in np.nonzero(alive)[0] if self.plan_wake(int(v), rnd)]
+        """Nodes awake this round; by default every alive node."""
+        return np.nonzero(alive)[0]
 
     def send1(self, v: int, rnd: int):
         return _EMPTY
@@ -250,7 +247,6 @@ def run(
         if check_congest
         else None
     )
-    measure = getattr(protocol, "payload_bits", payload_bits)
 
     rnd = -1
     while alive_count > 0:
@@ -277,7 +273,7 @@ def run(
             awake_mask,
             inbox1,
             congest_bound,
-            measure,
+            payload_bits,
         )
         inbox2: Dict[int, list] = {}
         if protocol.uses_subround2:
@@ -290,7 +286,7 @@ def run(
                 awake_mask,
                 inbox2,
                 congest_bound,
-                measure,
+                payload_bits,
             )
 
         finish = protocol.finish

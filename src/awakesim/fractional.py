@@ -61,17 +61,6 @@ def saturation_phase(n: int) -> int:
     return i
 
 
-def phase_of_round(j: int, n: int, eps, delta: int) -> int:
-    """Smallest phase i whose scale bound admits w_j; saturates at the last phase."""
-    eps = _as_fraction(eps)
-    w = (1 + eps) ** j / delta
-    i_max = saturation_phase(n)
-    for i in range(1, i_max + 1):
-        if w <= Fraction(1, iterated_log(n, i) ** 5):
-            return i
-    return i_max
-
-
 class SampleSchedule:
     """Weight ladder, phase map, sampling probabilities, and the stop round.
 

@@ -114,11 +114,6 @@ class Graph:
         sides = tuple(self.sides[orig] for orig in ids) if self.sides is not None else None
         return Graph(len(ids), sub_edges, sides=sides), ids
 
-    def without_edges(self, removed: Iterable[Edge]) -> "Graph":
-        """Copy of this graph minus the given edges (same node set)."""
-        dropped = {canon(u, v) for u, v in removed}
-        return Graph(self.n, self.edge_set - dropped, sides=self.sides)
-
     # -- serialization ----------------------------------------------------
 
     def to_text(self) -> str:
@@ -129,17 +124,37 @@ class Graph:
 
     @classmethod
     def from_text(cls, text: str) -> "Graph":
-        rows = [ln for ln in text.splitlines() if ln.strip()]
+        """Parse :meth:`to_text` output.  Blank lines are skipped; a line that is
+        not two integers, a repeated edge, or any text after the ``m`` edge
+        lines is an error naming the line."""
+        rows = [(i, ln) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
         if not rows:
             raise ValueError("empty graph text")
-        n, m = (int(x) for x in rows[0].split())
-        edges = []
-        for ln in rows[1 : m + 1]:
-            u, v = (int(x) for x in ln.split())
-            edges.append((u, v))
-        if len(edges) != m:
-            raise ValueError(f"expected {m} edge lines, found {len(edges)}")
-        return cls(n, edges)
+
+        def pair(lineno: int, ln: str, what: str) -> Tuple[int, int]:
+            try:
+                a, b = (int(x) for x in ln.split())
+            except ValueError:
+                raise ValueError(f"line {lineno}: expected {what}, "
+                                 f"got {ln.strip()!r}") from None
+            return a, b
+
+        n, m = pair(*rows[0], "'n m'")
+        if len(rows) - 1 < m:
+            raise ValueError(f"expected {m} edge lines, found {len(rows) - 1}")
+        first_line: Dict[Edge, int] = {}
+        for lineno, ln in rows[1 : m + 1]:
+            u, v = pair(lineno, ln, "'u v'")
+            e = canon(u, v)
+            if e in first_line:
+                raise ValueError(f"line {lineno}: duplicate edge {u} {v} "
+                                 f"(first on line {first_line[e]})")
+            first_line[e] = lineno
+        if len(rows) > m + 1:
+            lineno, ln = rows[m + 1]
+            raise ValueError(f"line {lineno}: unexpected text after the {m} "
+                             f"edge lines: {ln.strip()!r}")
+        return cls(n, list(first_line))
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"

@@ -6,21 +6,25 @@ Three composable stages:
    Only a p-fraction of nodes participate; everyone else sleeps through the
    competition and wakes once for a final announcement round.
 2. ``part2_reduce``, iterated doubling-probability marking on the residual
-   graph.  A node sleeps until the first round it marks itself, then stays
-   awake to the end of the iteration; in-set nodes inform neighbors, which
-   terminate immediately.
+   graph under degree bound ``max(2, residual max degree)``.  A node sleeps
+   until the first round it marks itself, then stays awake to the end of
+   the iteration; in-set nodes inform neighbors, which terminate
+   immediately.
 3. ``luby_mis``, the classic one-fresh-key-per-round protocol, used both as
    a standalone baseline and as the cleanup stage.
 
-``awake_mis`` chains all three and returns a verified MIS together with a
-per-stage awake ledger.
+Stages 1 and 2 return their residual graph together with ``residual_ids``,
+the residual's node ids in their input graph.  ``awake_mis`` is the
+composition of the three stage functions: it maps every stage's output back
+through those id maps and returns a verified MIS together with a per-stage
+awake ledger.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Dict, Optional, Set, Tuple
 
@@ -50,7 +54,6 @@ class MisParams:
 
     p: Optional[Fraction] = None          # participation fraction, default 1/ceil(log2 n)
     C: int = 4                            # phase-length constant in stage 2
-    d: Optional[int] = None               # stage-2 degree bound, default ceil((log2 n)^2)
     K: Optional[int] = None               # stage-2 iterations, default 2*ceil(log2 log2 n)
     luby_round_cap: Optional[int] = None
     part1_window: Optional[int] = None    # fixed competition length of stage 1
@@ -60,8 +63,6 @@ class MisParams:
             raise ValueError("p must lie in (0, 1]")
         if self.C < 1:
             raise ValueError("C must be >= 1")
-        if self.d is not None and self.d < 2:
-            raise ValueError("d must be >= 2")
         if self.K is not None and self.K < 1:
             raise ValueError("K must be >= 1")
 
@@ -76,6 +77,8 @@ def default_part1_window(n: int) -> int:
 
 
 def default_degree_bound(n: int) -> int:
+    """ceil((log2 n)^2); ``awake_mis`` reports ``d_raised`` when the residual
+    max degree exceeds it."""
     return max(2, math.ceil(math.log2(max(2, n)) ** 2))
 
 
@@ -252,33 +255,27 @@ class Part1Protocol(Protocol):
         return None
 
 
-def _run_part1(g: Graph, seed: int, p: Fraction, window: int,
-               record_schedule: bool = False):
-    proto = Part1Protocol(p, window)
-    return run(g, proto, seed, window + 2, part="part1",
-               record_schedule=record_schedule)
-
-
 def greedy_partial_mis(g: Graph, seed: int, p, window: Optional[int] = None,
                        record_schedule: bool = False):
     """Partial greedy MIS at participation fraction ``p``.
 
-    Returns ``(joined, removed, residual_graph, ledger)``.  ``removed`` holds
-    dominated nodes; the residual graph is induced on nodes that neither
-    participated nor have a joined neighbor.
+    Returns ``(joined, removed, residual_graph, residual_ids, ledger)``.
+    ``removed`` holds dominated nodes; the residual graph is induced on nodes
+    that neither participated nor have a joined neighbor, and
+    ``residual_ids[i]`` is the id in ``g`` of residual node ``i``.
     """
     p = p if isinstance(p, Fraction) else Fraction(p).limit_denominator(10 ** 12)
     if not (0 < p <= 1):
         raise ValueError("p must lie in (0, 1]")
     window = window if window is not None else default_part1_window(g.n)
-    outputs, ledger, _ = _run_part1(g, seed, p, window, record_schedule)
+    outputs, ledger, _ = run(g, Part1Protocol(p, window), seed, window + 2,
+                             part="part1", record_schedule=record_schedule)
     joined = {v for v, o in outputs.items() if o == "in"}
     removed = {v for v, o in outputs.items() if o == "out"}
-    residual_nodes = sorted(v for v, o in outputs.items() if o == "residual")
-    residual, _ = g.induced(residual_nodes)
+    residual, residual_ids = g.induced(v for v, o in outputs.items() if o == "residual")
     log.debug("part1: |S|=%d removed=%d residual n=%d max_degree=%d",
               len(joined), len(removed), residual.n, residual.max_degree)
-    return joined, removed, residual, ledger
+    return joined, removed, residual, residual_ids, ledger
 
 
 # ---------------------------------------------------------------------------
@@ -385,31 +382,29 @@ class Part2Protocol(Protocol):
         return None
 
 
+def part2_degree(g: Graph) -> int:
+    """Stage-2 degree bound: the graph's max degree, floored at 2."""
+    return max(2, g.max_degree)
+
+
 def part2_reduce(g: Graph, seed: int, params: Optional[MisParams] = None,
                  record_schedule: bool = False):
     """Run the marking stage on a residual graph.
 
-    Returns ``(added, residual_graph, ledger)``.  If the graph's max degree
-    exceeds the degree bound, the bound is raised to it (logged) so the
-    marking probabilities stay meaningful.
+    Returns ``(added, residual_graph, residual_ids, ledger)``, where
+    ``residual_ids[i]`` is the id in ``g`` of residual node ``i``.  The
+    degree bound is :func:`part2_degree` of ``g``.
     """
     params = params or MisParams()
     if g.n == 0:
-        return set(), g, AwakeLedger(0)
-    d = params.d if params.d is not None else default_degree_bound(g.n)
-    d = max(2, min(d, max(2, g.max_degree)))
-    if g.max_degree > d:
-        log.info("part2: degree bound raised %d -> %d", d, g.max_degree)
-        d = g.max_degree
+        return set(), g, (), AwakeLedger(0)
     K = params.K if params.K is not None else default_iterations(g.n)
-    proto = Part2Protocol(d, K, params.C)
-    cap = K * proto.t_iter + 2
-    outputs, ledger, _ = run(g, proto, seed, cap, part="part2",
+    proto = Part2Protocol(part2_degree(g), K, params.C)
+    outputs, ledger, _ = run(g, proto, seed, K * proto.t_iter + 2, part="part2",
                              record_schedule=record_schedule)
     added = {v for v, o in outputs.items() if o == "in"}
-    residual_nodes = sorted(v for v, o in outputs.items() if o == "residual")
-    residual, _ = g.induced(residual_nodes)
-    return added, residual, ledger
+    residual, residual_ids = g.induced(v for v, o in outputs.items() if o == "residual")
+    return added, residual, residual_ids, ledger
 
 
 # ---------------------------------------------------------------------------
@@ -420,9 +415,11 @@ def awake_mis(g: Graph, seed: int, params: Optional[MisParams] = None,
               record_schedule: bool = False):
     """Three-stage MIS with O(1)-style node-averaged awake time.
 
-    Returns ``(mis_set, ledger, metrics)``; the ledger splits awake rounds
-    into parts "part1", "part2", "luby".  Las Vegas: the output is verified
-    and ``metrics.validity`` records the check.
+    Runs :func:`greedy_partial_mis`, :func:`part2_reduce` on its residual and
+    :func:`luby_mis` on what is left, with every size-derived default taken
+    from ``g.n``.  Returns ``(mis_set, ledger, metrics)``; the ledger splits
+    awake rounds into parts "part1", "part2", "luby".  Las Vegas: the output
+    is verified and ``metrics.validity`` records the check.
     """
     params = params or MisParams()
     n = g.n
@@ -432,49 +429,32 @@ def awake_mis(g: Graph, seed: int, params: Optional[MisParams] = None,
                                                      solution_size=0)
 
     p = params.p if params.p is not None else default_participation(n)
-    window = params.part1_window if params.part1_window is not None \
-        else default_part1_window(n)
-    outputs1, led1, _ = _run_part1(g, seed, p, window, record_schedule)
+    mis, _, res1, ids1, led1 = greedy_partial_mis(g, seed, p, params.part1_window,
+                                                  record_schedule)
     ledger.merge(led1)
-    mis: Set[int] = {v for v, o in outputs1.items() if o == "in"}
-    residual_nodes = sorted(v for v, o in outputs1.items() if o == "residual")
-
-    diags: Dict[str, object] = {
-        "part1_in": len(mis),
-        "residual1_n": len(residual_nodes),
-    }
-
-    res2_nodes_orig = []
-    if residual_nodes:
-        res_g, res_ids = g.induced(residual_nodes)
-        delta_res = res_g.max_degree
-        diags["residual1_max_degree"] = delta_res
-        d_req = params.d if params.d is not None else default_degree_bound(n)
-        d_eff = max(2, min(d_req, max(2, delta_res)))
-        d_raised = delta_res > d_eff
+    diags: Dict[str, object] = {"part1_in": len(mis), "residual1_n": res1.n}
+    if res1.n:
+        d_raised = res1.max_degree > default_degree_bound(n)
         if d_raised:
             # low-probability residual-degree overshoot: keep going, loudly
-            log.info("part2 degree bound raised %d -> %d", d_eff, delta_res)
-            d_eff = delta_res
-        diags.update(d_requested=d_req, d_used=d_eff, d_raised=d_raised)
-        K = params.K if params.K is not None else default_iterations(n)
-        proto2 = Part2Protocol(d_eff, K, params.C)
-        outputs2, led2, _ = run(res_g, proto2, seed, K * proto2.t_iter + 2,
-                                part="part2", record_schedule=record_schedule)
-        ledger.merge(led2, id_map=res_ids)
-        mis.update(res_ids[v] for v, o in outputs2.items() if o == "in")
-        res2_local = sorted(v for v, o in outputs2.items() if o == "residual")
-        res2_nodes_orig = [res_ids[v] for v in res2_local]
-    diags["residual2_n"] = len(res2_nodes_orig)
+            log.info("part2: residual max degree %d exceeds the default bound %d",
+                     res1.max_degree, default_degree_bound(n))
+        diags.update(residual1_max_degree=res1.max_degree,
+                     d_used=part2_degree(res1), d_raised=d_raised)
 
-    if res2_nodes_orig:
-        res2_g, res2_ids = g.induced(res2_nodes_orig)
-        cap = params.luby_round_cap if params.luby_round_cap is not None \
-            else 64 * (_clog2(n) + 2)
-        s3, led3 = luby_mis(res2_g, seed, round_cap=cap,
-                            record_schedule=record_schedule)
-        ledger.merge(led3, id_map=res2_ids)
-        mis.update(res2_ids[v] for v in s3)
+    K = params.K if params.K is not None else default_iterations(n)
+    added, res2, ids2, led2 = part2_reduce(res1, seed, replace(params, K=K),
+                                           record_schedule)
+    ledger.merge(led2, id_map=ids1)
+    mis.update(ids1[v] for v in added)
+    diags["residual2_n"] = res2.n
+
+    host_ids2 = [ids1[v] for v in ids2]
+    cap = params.luby_round_cap if params.luby_round_cap is not None \
+        else 64 * (_clog2(n) + 2)
+    s3, led3 = luby_mis(res2, seed, round_cap=cap, record_schedule=record_schedule)
+    ledger.merge(led3, id_map=host_ids2)
+    mis.update(host_ids2[v] for v in s3)
 
     metrics = RunMetrics.from_ledger(
         ledger,

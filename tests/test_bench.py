@@ -23,6 +23,10 @@ def test_config_validation():
         ExperimentConfig(algorithm="luby", trials=0)
     with pytest.raises(ValueError):
         ExperimentConfig(algorithm="luby", n_list=[])
+    for key in ("dd", "d"):
+        with pytest.raises(ValueError, match=f"unknown override '{key}'"):
+            ExperimentConfig(algorithm="awake_mis", overrides={key: "3"})
+    ExperimentConfig(algorithm="awake_mis", overrides={"K": "2", "window": "5"})
 
 
 def test_build_graph_families():
@@ -128,7 +132,23 @@ def test_cli_rejects_bad_input(tmp_path, capsys):
     bad.write_text("banana = 3\n")
     assert main(["mis", "--config", str(bad)]) == 2
     assert main(["sweep", "--algo", "luby"]) == 2
+    assert main(["mis", "--override", "dd=3"]) == 2
     capsys.readouterr()
+
+
+def test_cli_reports_run_time_input_errors(tmp_path, capsys):
+    out_of_range = tmp_path / "far.txt"
+    out_of_range.write_text("3 1\n0 7\n")
+    cases = [
+        (["mis", "--graph", f"file:{tmp_path / 'missing.txt'}"], "missing.txt"),
+        (["mis", "--graph", f"file:{out_of_range}"], "out of range"),
+        (["amplify", "--mode", "bipartite", "--graph", "gnp", "--n", "10"],
+         "needs a bipartite family"),
+    ]
+    for argv, needle in cases:
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and needle in err
 
 
 def test_cli_sweep_stdout(capsys):

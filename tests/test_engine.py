@@ -20,8 +20,8 @@ class Beacon(Protocol):
     """Node 0 broadcasts every round; node 1 sleeps until round 2 and
     terminates on the first payload it hears."""
 
-    def plan_wake(self, v, rnd):
-        return v == 0 or rnd >= 2
+    def wake_set(self, rnd, alive):
+        return np.nonzero(alive)[0] if rnd >= 2 else [0]
 
     def send1(self, v, rnd):
         return [(BROADCAST, rnd)] if v == 0 else ()

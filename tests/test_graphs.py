@@ -40,18 +40,25 @@ def test_induced_keeps_sides_and_ids():
     assert sub.sides == (1, 0, 0)
 
 
-def test_without_edges():
-    g = cycle_graph(4)
-    h = g.without_edges([(1, 0)])
-    assert h.m == 3 and not h.has_edge(0, 1)
-    assert h.n == g.n
-
-
 def test_text_round_trip():
     g = gen_gnp(17, 0.3, seed=4)
     back = Graph.from_text(g.to_text())
     assert back == g
     assert back.to_text() == g.to_text()
+
+
+def test_text_rejects_duplicates_and_trailing_lines():
+    assert Graph.from_text("3 2\n0 1\n\n1 2\n\n") == path_graph(3)
+    with pytest.raises(ValueError, match="line 3: duplicate edge 1 0"):
+        Graph.from_text("3 2\n0 1\n1 0\n")
+    with pytest.raises(ValueError, match="line 4: unexpected text"):
+        Graph.from_text("3 2\n0 1\n1 2\n0 2\n")
+    with pytest.raises(ValueError, match="expected 2 edge lines, found 1"):
+        Graph.from_text("3 2\n0 1\n")
+    with pytest.raises(ValueError, match="line 3: expected 'u v', got '1 2 0'"):
+        Graph.from_text("3 2\n0 1\n1 2 0\n")
+    with pytest.raises(ValueError, match="line 1: expected 'n m'"):
+        Graph.from_text("three 2\n")
 
 
 def test_gnp_deterministic_and_plausible():

@@ -1,13 +1,16 @@
 """Three-stage MIS: per-stage behavior, wake patterns, validity."""
 
+import hashlib
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from awakesim.graphs import Graph, gen_gnp, path_graph
-from awakesim.mis import (MisParams, awake_mis, default_degree_bound,
-                          default_iterations, greedy_partial_mis, luby_mis,
+from awakesim.graphs import (Graph, complete_graph, cycle_graph, gen_bipartite,
+                             gen_gnp, path_graph, petersen_graph, star_graph)
+from awakesim.mis import (MisParams, awake_mis, greedy_partial_mis, luby_mis,
                           part2_reduce, part2_round_count, part2_schedule)
 from awakesim.oracles import verify_mis
 
@@ -31,8 +34,6 @@ def test_misparams_validation():
     with pytest.raises(ValueError):
         MisParams(p=2)
     with pytest.raises(ValueError):
-        MisParams(d=1)
-    with pytest.raises(ValueError):
         MisParams(K=0)
     with pytest.raises(ValueError):
         MisParams(C=0)
@@ -49,7 +50,7 @@ def test_part2_schedule_shape():
 def test_part1_full_participation_runs_greedy_to_completion():
     for seed in range(6):
         g = gen_gnp(50, 0.15, seed=seed)
-        joined, removed, residual, ledger = greedy_partial_mis(g, seed, p=1)
+        joined, removed, residual, _, ledger = greedy_partial_mis(g, seed, p=1)
         assert joined.isdisjoint(removed)
         assert len(joined) + len(removed) + residual.n == g.n
         # joined is independent, removed nodes are dominated
@@ -63,7 +64,7 @@ def test_part1_full_participation_runs_greedy_to_completion():
 
 def test_part1_window_and_rounds():
     g = gen_gnp(64, 0.1, seed=3)
-    _, _, _, ledger = greedy_partial_mis(g, 1, p=Fraction(1, 6), window=20)
+    _, _, _, _, ledger = greedy_partial_mis(g, 1, p=Fraction(1, 6), window=20)
     assert ledger.rounds == 21  # window rounds plus the global wake round
 
 
@@ -73,13 +74,13 @@ def test_part1_residual_degree_drops():
     bound = 2 * math.ceil(math.log2(n)) ** 2
     for seed in range(5):
         g = gen_gnp(n, 8 / (n - 1), seed=seed)
-        _, _, residual, _ = greedy_partial_mis(g, seed, p=Fraction(1, 12))
+        _, _, residual, _, _ = greedy_partial_mis(g, seed, p=Fraction(1, 12))
         assert residual.max_degree <= bound
 
 
 def test_part2_single_edge():
     g = path_graph(2)
-    added, residual, ledger = part2_reduce(g, seed=5)
+    added, residual, _, ledger = part2_reduce(g, seed=5)
     assert added == {0}  # id tie-break on the always-marked pair
     assert residual.n == 0
     assert ledger.total_awake() >= 2
@@ -87,19 +88,19 @@ def test_part2_single_edge():
 
 def test_part2_edgeless_joins_at_cleanup():
     g = Graph(6)
-    added, residual, ledger = part2_reduce(g, seed=1)
+    added, residual, _, ledger = part2_reduce(g, seed=1)
     assert added == set(range(6))
     assert residual.n == 0
     # isolated nodes wake exactly once, in the cleanup round
     assert list(ledger.counts) == [1] * 6
-    d = max(2, min(default_degree_bound(6), 2))
+    d = max(2, g.max_degree)
     assert ledger.rounds == part2_round_count(d, 1)
 
 
 def test_part2_output_is_consistent():
     for seed in range(8):
         g = gen_gnp(300, 0.02, seed=seed)
-        added, residual, _ = part2_reduce(g, seed=seed)
+        added, residual, _, _ = part2_reduce(g, seed=seed)
         for u, v in g.edges():
             assert not (u in added and v in added)
 
@@ -110,11 +111,9 @@ def test_part2_wake_pattern_is_one_block_per_iteration():
     cleanup round."""
     g = gen_gnp(400, 0.02, seed=11)
     params = MisParams(K=3)
-    added, residual, ledger = part2_reduce(g, seed=11, params=params,
-                                           record_schedule=True)
-    d = max(2, min(default_degree_bound(g.n), max(2, g.max_degree)))
-    if g.max_degree > d:
-        d = g.max_degree
+    added, residual, _, ledger = part2_reduce(g, seed=11, params=params,
+                                              record_schedule=True)
+    d = max(2, g.max_degree)
     t_iter = part2_round_count(d, 1)
     for v, rounds in enumerate(ledger.schedule):
         if not rounds:
@@ -157,3 +156,57 @@ def test_awake_mis_small_and_degenerate():
     assert mis == {0} and metrics.validity
     mis, _, _ = awake_mis(path_graph(2), seed=3)
     assert len(mis) == 1
+
+
+def test_stage_residual_ids_map_back_to_the_input():
+    g = gen_gnp(300, 0.03, seed=2)
+    joined, removed, residual, ids, _ = greedy_partial_mis(g, 2, p=Fraction(1, 4))
+    assert residual == g.induced(ids)[0]
+    assert set(ids).isdisjoint(joined | removed)
+    added, residual2, ids2, _ = part2_reduce(residual, seed=2)
+    assert residual2 == residual.induced(ids2)[0]
+    assert set(ids2).isdisjoint(added)
+
+
+def _awake_mis_digest():
+    graphs = [gen_gnp(n, min(1.0, 10 / max(2, n)), seed=n)
+              for n in (0, 1, 2, 16, 64, 256, 1024)]
+    graphs += [Graph(5), cycle_graph(9), complete_graph(6), star_graph(12),
+               petersen_graph(), gen_bipartite(20, 20, 0.2, seed=4)]
+    params = (None, MisParams(K=1), MisParams(C=2), MisParams(p=Fraction(1, 2)),
+              MisParams(part1_window=5))
+    h = hashlib.sha256()
+    for g in graphs:
+        for prm in params:
+            for seed in (1, 2):
+                mis, ledger, _ = awake_mis(g, seed, params=prm)
+                h.update(repr((sorted(mis), ledger.rounds)).encode())
+                for label, arr in ledger.parts.items():
+                    h.update(repr((label, arr.tolist())).encode())
+    return h.hexdigest()
+
+
+def test_awake_mis_golden_digest():
+    """Sets, ledger parts and rounds on a fixed corpus, as computed by the
+    stage-by-stage implementation this composition replaced."""
+    assert _awake_mis_digest() == (
+        "794bbf9c486f8838711f164e9e23a22ef7162eb81857aedf5676e2cd6e8bfebf")
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(0, 30))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, [e for e, keep in zip(pairs, chosen) if keep])
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=small_graphs(), seed=st.integers(0, 2 ** 32))
+def test_mis_validity_and_ledger_totals_on_arbitrary_graphs(g, seed):
+    mis, ledger, metrics = awake_mis(g, seed)
+    assert verify_mis(g, mis) and metrics.validity
+    assert ledger.total_awake() == sum(ledger.part_totals().values())
+    s, lled = luby_mis(g, seed)
+    assert verify_mis(g, s)
+    assert lled.total_awake() == sum(lled.part_totals().values())
