@@ -1,11 +1,25 @@
 """Round-synchronous message-passing engine with sleeping semantics.
 
-A :class:`Protocol` describes per-node behavior; :func:`run` executes it.
-Each round has two subrounds.  Only awake nodes act: the engine never calls a
-sleeping node, and envelopes addressed to sleeping or terminated nodes are
-dropped, not queued.  Every awake round is charged to the node on an
-:class:`AwakeLedger`; sleeping is free.  A node terminates by returning an
-output from ``finish``, after which it is removed and never charged again.
+A :class:`Protocol` describes node behavior; :func:`run` executes it.  Each
+round the engine asks ``wake_set`` which nodes are awake, charges them on an
+:class:`AwakeLedger` (sleeping is free), and calls the protocol's ``round``
+once with the awake nodes.  ``round`` returns the nodes that terminate and
+their outputs; a terminated node is removed and never charged again.
+
+There are two ways to write ``round``:
+
+* the default, per node: ``send1``/``send2``/``finish`` hooks, with envelopes
+  delivered into inbox lists by :func:`_deliver`.  Envelopes addressed to
+  sleeping or terminated nodes are dropped, not queued;
+* whole-round array work over the graph's CSR adjacency with the
+  neighbourhood primitives :func:`heard` ("some awake neighbour sent") and
+  :func:`least_heard` ("least ``(key, id)`` over awake sending
+  neighbours").  They have the same drop rule: only awake nodes hear, and
+  only awake nodes send.
+
+Both paths check the CONGEST width of every payload against
+``congest_factor * max(8, ceil(log2 n))`` bits unless ``check_congest`` is
+off.
 
 Determinism: protocols draw all randomness through ``node_rng`` streams keyed
 by the master seed, so a fixed (graph, protocol, seed) triple replays
@@ -49,8 +63,9 @@ def payload_bits(payload) -> int:
 class Protocol:
     """Behavior contract executed by :func:`run`.
 
-    Subclasses override the hooks they need.  ``wake_set`` must decide each
-    node's wakefulness only from that node's own state and its own coin
+    Subclasses override either ``round``, doing a whole round at once, or
+    the per-node hooks the default ``round`` calls.  ``wake_set`` must decide
+    each node's wakefulness only from that node's own state and its own coin
     streams; the engine intersects the requested wake set with the
     still-alive nodes, so terminated nodes never reappear.
     """
@@ -67,12 +82,38 @@ class Protocol:
         """Outputs decided before any round runs (those nodes are never awake)."""
         return None
 
-    def on_round_start(self, rnd: int) -> None:
-        pass
-
     def wake_set(self, rnd: int, alive: np.ndarray):
         """Nodes awake this round; by default every alive node."""
         return np.nonzero(alive)[0]
+
+    def round(self, rnd: int, awake: np.ndarray, awake_mask: np.ndarray,
+              congest_bound: Optional[int]):
+        """Run round ``rnd`` for the sorted ``awake`` ids (``awake_mask`` marks
+        them); return ``(done, outputs)``, the ids that terminate and their
+        outputs.  ``congest_bound`` is the payload width limit in bits, or
+        ``None`` when unchecked.
+
+        The default runs the per-node hooks: every awake node's ``send1``
+        envelopes are delivered, then (if ``uses_subround2``) its ``send2``
+        envelopes, then ``finish`` sees both inboxes.
+        """
+        adj_np = self.graph.adj_arrays()
+        inbox1: Dict[int, list] = {}
+        _deliver(((int(v), self.send1(int(v), rnd)) for v in awake),
+                 adj_np, awake_mask, inbox1, congest_bound, payload_bits)
+        inbox2: Dict[int, list] = {}
+        if self.uses_subround2:
+            _deliver(((int(v), self.send2(int(v), rnd, inbox1.get(int(v), _EMPTY)))
+                      for v in awake),
+                     adj_np, awake_mask, inbox2, congest_bound, payload_bits)
+        done: List[int] = []
+        outs: List[Any] = []
+        for v in awake.tolist():
+            out = self.finish(v, rnd, inbox1.get(v, _EMPTY), inbox2.get(v, _EMPTY))
+            if out is not None:
+                done.append(v)
+                outs.append(out)
+        return done, outs
 
     def send1(self, v: int, rnd: int):
         return _EMPTY
@@ -211,6 +252,74 @@ def _deliver(msgs_by_sender, adj_np, awake_mask, inboxes, congest_bound, measure
                     box.append((v, payload))
 
 
+def _check_width(bits: int, congest_bound: Optional[int], what: str) -> None:
+    if congest_bound is not None:
+        assert bits <= congest_bound, (
+            f"payload of {bits} bits in {what} exceeds the "
+            f"{congest_bound}-bit message bound"
+        )
+
+
+def gather_neighbours(csr, nodes: np.ndarray):
+    """Neighbour lists of ``nodes`` laid end to end.
+
+    Returns ``(owners, starts, nbrs)``: ``owners`` are the nodes of ``nodes``
+    with at least one neighbour, and the neighbours of ``owners[i]`` are
+    ``nbrs[starts[i]:starts[i + 1]]``.  Dropping degree-0 nodes keeps every
+    segment non-empty, as ``np.ufunc.reduceat`` needs.
+    """
+    indptr, indices = csr
+    first = indptr[nodes]
+    lens = indptr[nodes + 1] - first
+    keep = lens > 0
+    owners, first, lens = nodes[keep], first[keep], lens[keep]
+    starts = np.cumsum(lens) - lens
+    pos = np.arange(int(lens.sum()), dtype=np.int64) + np.repeat(first - starts, lens)
+    return owners, starts, indices[pos]
+
+
+def heard(csr, awake_mask: np.ndarray, sent: np.ndarray, bits: int,
+          congest_bound: Optional[int]) -> np.ndarray:
+    """Mask of awake nodes with an awake neighbour in the mask ``sent``.
+
+    Each awake sender broadcasts one ``bits``-wide token; sleepers neither
+    send nor hear.
+    """
+    _check_width(bits, congest_bound, "a broadcast token")
+    out = np.zeros(awake_mask.size, dtype=bool)
+    owners, starts, nbrs = gather_neighbours(csr, np.flatnonzero(awake_mask))
+    if owners.size:
+        out[owners] = np.logical_or.reduceat((sent & awake_mask)[nbrs], starts)
+    return out
+
+
+def least_heard(csr, awake_mask: np.ndarray, sent: np.ndarray, keys: np.ndarray,
+                congest_bound: Optional[int]):
+    """Least ``(keys[w], w)`` over the awake neighbours ``w`` in ``sent``.
+
+    Each awake sender broadcasts its key.  Returns ``(rank, best)``: ``rank``
+    is each sender's position in the strict ``(key, id)`` order of the awake
+    senders, and ``best[v]`` the least rank awake node ``v`` heard.  Both
+    read ``n`` where there is nothing (non-senders; sleepers and nodes that
+    heard no key), so ``rank < best`` marks the senders that beat every
+    sending neighbour.
+    """
+    n = awake_mask.size
+    src = np.flatnonzero(sent & awake_mask)
+    rank = np.full(n, n, dtype=np.int64)
+    best = np.full(n, n, dtype=np.int64)
+    if src.size == 0:
+        return rank, best
+    sent_keys = keys[src]
+    _check_width(max(1, int(sent_keys.max()).bit_length()), congest_bound,
+                 "a broadcast key")
+    rank[src[np.lexsort((src, sent_keys))]] = np.arange(src.size)
+    owners, starts, nbrs = gather_neighbours(csr, np.flatnonzero(awake_mask))
+    if owners.size:
+        best[owners] = np.minimum.reduceat(rank[nbrs], starts)
+    return rank, best
+
+
 def run(
     g: Graph,
     protocol: Protocol,
@@ -240,7 +349,6 @@ def run(
             alive[v] = False
     alive_count = int(alive.sum())
 
-    adj_np = g.adj_arrays()
     awake_mask = np.zeros(n, dtype=bool)
     congest_bound = (
         protocol.congest_factor * max(8, (max(n, 2) - 1).bit_length())
@@ -256,48 +364,17 @@ def run(
             raise RoundCapExceeded(
                 f"{alive_count} nodes still alive after {round_cap} rounds", ledger
             )
-        protocol.on_round_start(rnd)
-        req = protocol.wake_set(rnd, alive)
-        req = np.asarray(req, dtype=np.int64)
-        if req.size:
-            awake = req[alive[req]]
-        else:
-            awake = req
+        req = np.asarray(protocol.wake_set(rnd, alive), dtype=np.int64)
+        awake = req[alive[req]] if req.size else req
         ledger.charge(part, awake, rnd)
         awake_mask[awake] = True
-
-        inbox1: Dict[int, list] = {}
-        _deliver(
-            ((int(v), protocol.send1(int(v), rnd)) for v in awake),
-            adj_np,
-            awake_mask,
-            inbox1,
-            congest_bound,
-            payload_bits,
-        )
-        inbox2: Dict[int, list] = {}
-        if protocol.uses_subround2:
-            _deliver(
-                (
-                    (int(v), protocol.send2(int(v), rnd, inbox1.get(int(v), _EMPTY)))
-                    for v in awake
-                ),
-                adj_np,
-                awake_mask,
-                inbox2,
-                congest_bound,
-                payload_bits,
-            )
-
-        finish = protocol.finish
-        for v in awake:
-            v = int(v)
-            out = finish(v, rnd, inbox1.get(v, _EMPTY), inbox2.get(v, _EMPTY))
-            if out is not None:
-                outputs[v] = out
-                alive[v] = False
-                alive_count -= 1
+        done, outs = protocol.round(rnd, awake, awake_mask, congest_bound)
         awake_mask[awake] = False
+        if len(done):
+            done = np.asarray(done, dtype=np.int64)
+            outputs.update(zip(done.tolist(), outs))
+            alive[done] = False
+            alive_count -= done.size
 
     ledger.rounds = rnd + 1
     metrics = RunMetrics.from_ledger(ledger)

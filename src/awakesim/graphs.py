@@ -8,6 +8,7 @@ shrink a graph work on induced subgraphs and map node ids back at the end.
 from __future__ import annotations
 
 import math
+from itertools import chain
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -37,7 +38,7 @@ class Graph:
         algorithms that build two-sided instances.
     """
 
-    __slots__ = ("n", "edge_set", "adj", "sides", "_adj_np", "_max_degree")
+    __slots__ = ("n", "edge_set", "adj", "sides", "_adj_np", "_csr", "_max_degree")
 
     def __init__(self, n: int, edges: Iterable[Edge] = (), sides: Optional[Sequence[int]] = None):
         if n < 0:
@@ -62,6 +63,7 @@ class Graph:
                 raise ValueError("sides must assign 0 or 1 to every node")
         self.sides = sides
         self._adj_np = None
+        self._csr = None
         self._max_degree = max((len(a) for a in self.adj), default=0)
 
     # -- basic accessors -------------------------------------------------
@@ -95,6 +97,17 @@ class Graph:
         if self._adj_np is None:
             self._adj_np = [np.array(a, dtype=np.int64) for a in self.adj]
         return self._adj_np
+
+    def csr(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Compressed adjacency ``(indptr, indices)`` (int64), built lazily:
+        node ``v``'s sorted neighbours are ``indices[indptr[v]:indptr[v + 1]]``."""
+        if self._csr is None:
+            indptr = np.zeros(self.n + 1, dtype=np.int64)
+            np.cumsum([len(a) for a in self.adj], out=indptr[1:])
+            indices = np.fromiter(chain.from_iterable(self.adj), dtype=np.int64,
+                                  count=int(indptr[-1]))
+            self._csr = (indptr, indices)
+        return self._csr
 
     # -- derived graphs ---------------------------------------------------
 

@@ -13,6 +13,10 @@ Three composable stages:
 3. ``luby_mis``, the classic one-fresh-key-per-round protocol, used both as
    a standalone baseline and as the cleanup stage.
 
+All three protocols run on the engine's array path: each round is a few
+mask operations over the CSR adjacency (``engine.heard`` for announcements,
+``engine.least_heard`` for key and id competitions), not per-node hooks.
+
 Stages 1 and 2 return their residual graph together with ``residual_ids``,
 the residual's node ids in their input graph.  ``awake_mis`` is the
 composition of the three stage functions: it maps every stage's output back
@@ -30,7 +34,8 @@ from typing import Dict, Optional, Set, Tuple
 
 import numpy as np
 
-from .engine import BROADCAST, AwakeLedger, Protocol, RunMetrics, run
+from .engine import (AwakeLedger, Protocol, RunMetrics, gather_neighbours, heard,
+                     least_heard, run)
 from .graphs import Graph
 from .oracles import verify_mis
 from .rng import TWO64, coin_threshold, node_rng_array
@@ -116,47 +121,49 @@ def part2_round_count(d: int, K: int, C: int = 4) -> int:
 # Luby baseline / cleanup
 
 
+# Width of a one-character announcement ("I", "S", "A"), as ``payload_bits``
+# measures it.
+_TOKEN_BITS = 8
+
+
+def _decided(*groups):
+    """``round``'s ``(done, outputs)`` from ``(mask, output)`` pairs."""
+    ids = [np.flatnonzero(mask) for mask, _ in groups]
+    outs = [out for (_, out), sel in zip(groups, ids) for _ in range(sel.size)]
+    return np.concatenate(ids), outs
+
+
+def _assert_independent(csr, in_s: np.ndarray, join: np.ndarray) -> None:
+    """No joiner may neighbour the set or another joiner of the same round."""
+    _, _, nbrs = gather_neighbours(csr, np.flatnonzero(join))
+    assert not (in_s | join)[nbrs].any(), "independence violated"
+
+
 class LubyProtocol(Protocol):
     """Fresh random key each round; strictly-smallest key in the closed
     undecided neighborhood joins, neighbors of joiners leave.  Every undecided
-    node is awake every round until it decides."""
+    node is awake every round until it decides.
 
-    uses_subround2 = True
+    Subround 1: every node broadcasts its key.  Subround 2: the strict
+    ``(key, id)`` minima join and announce "I"; hearers terminate.
+    """
 
     def bind(self, graph, seed):
         super().bind(graph, seed)
-        self._adj = graph.adj_arrays()
+        self._csr = graph.csr()
         self._keys = np.zeros(self.n, dtype=np.uint64)
         self._in_s = np.zeros(self.n, dtype=bool)
-        self._joined: Set[int] = set()
 
-    def wake_set(self, rnd, alive):
-        ids = np.nonzero(alive)[0]
-        if ids.size:
-            self._keys[ids] = node_rng_array(self.seed, ids, "luby", rnd)
-        self._joined.clear()
-        return ids
-
-    def send1(self, v, rnd):
-        return ((BROADCAST, int(self._keys[v])),)
-
-    def send2(self, v, rnd, inbox1):
-        mine = (int(self._keys[v]), v)
-        for w, key in inbox1:
-            if (key, w) < mine:
-                return ()
-        self._joined.add(v)
-        return ((BROADCAST, "I"),)
-
-    def finish(self, v, rnd, inbox1, inbox2):
-        if v in self._joined:
-            nbrs = self._adj[v]
-            assert not self._in_s[nbrs].any(), "independence violated"
-            self._in_s[v] = True
-            return True
-        if inbox2:
-            return False
-        return None
+    def round(self, rnd, awake, awake_mask, congest_bound):
+        csr = self._csr
+        self._keys[awake] = node_rng_array(self.seed, awake, "luby", rnd)
+        rank, best = least_heard(csr, awake_mask, awake_mask, self._keys,
+                                 congest_bound)
+        join = rank < best
+        _assert_independent(csr, self._in_s, join)
+        self._in_s |= join
+        out = heard(csr, awake_mask, join, _TOKEN_BITS, congest_bound) & ~join
+        return _decided((join, True), (out, False))
 
 
 def luby_mis(g: Graph, seed: int, round_cap: Optional[int] = None,
@@ -187,8 +194,6 @@ class Part1Protocol(Protocol):
     "in" / "out" / "residual".
     """
 
-    uses_subround2 = True
-
     def __init__(self, p: Fraction, window: int):
         self.p = p
         self.window = window
@@ -206,53 +211,31 @@ class Part1Protocol(Protocol):
         else:
             part = self._keys < np.uint64(thr)
         self._status = np.where(part, _P1_COMPETING, _P1_NONPART).astype(np.int8)
-        self._adj = graph.adj_arrays()
-        self._in_s = np.zeros(n, dtype=bool)
-        self._pending: Set[int] = set()
-
-    def on_round_start(self, rnd):
-        self._pending.clear()
+        self._csr = graph.csr()
 
     def wake_set(self, rnd, alive):
         if rnd >= self.window:
             return np.nonzero(alive)[0]
         return np.nonzero(self._status == _P1_COMPETING)[0]
 
-    def send1(self, v, rnd):
+    def round(self, rnd, awake, awake_mask, congest_bound):
+        csr, status = self._csr, self._status
+        joined = status == _P1_JOINED
         if rnd >= self.window:
-            if self._status[v] == _P1_JOINED:
-                return ((BROADCAST, "I"),)
-            return ()
-        return ((BROADCAST, int(self._keys[v])),)
-
-    def send2(self, v, rnd, inbox1):
-        if rnd >= self.window or self._status[v] != _P1_COMPETING:
-            return ()
-        mine = (int(self._keys[v]), v)
-        for w, key in inbox1:
-            if (key, w) < mine:
-                return ()
-        self._pending.add(v)
-        return ((BROADCAST, "I"),)
-
-    def finish(self, v, rnd, inbox1, inbox2):
-        if rnd >= self.window:
-            st = self._status[v]
-            if st == _P1_JOINED:
-                return "in"
-            if st == _P1_DOMINATED:
-                return "out"
-            if any(p == "I" for _, p in inbox1):
-                return "out"
-            return "residual"
-        if v in self._pending:
-            nbrs = self._adj[v]
-            assert not self._in_s[nbrs].any(), "independence violated"
-            self._in_s[v] = True
-            self._status[v] = _P1_JOINED
-        elif inbox2:
-            self._status[v] = _P1_DOMINATED
-        return None
+            # announcement: joined nodes say "I", every node decides
+            told = heard(csr, awake_mask, joined, _TOKEN_BITS, congest_bound)
+            out = ~joined & ((status == _P1_DOMINATED) | told)
+            return _decided((awake_mask & joined, "in"), (awake_mask & out, "out"),
+                            (awake_mask & ~joined & ~out, "residual"))
+        # the awake nodes are the competitors: keys, then the minima say "I"
+        rank, best = least_heard(csr, awake_mask, awake_mask, self._keys,
+                                 congest_bound)
+        join = rank < best
+        _assert_independent(csr, joined, join)
+        dominated = heard(csr, awake_mask, join, _TOKEN_BITS, congest_bound) & ~join
+        status[join] = _P1_JOINED
+        status[dominated] = _P1_DOMINATED
+        return (), ()
 
 
 def greedy_partial_mis(g: Graph, seed: int, p, window: Optional[int] = None,
@@ -297,8 +280,6 @@ class Part2Protocol(Protocol):
     awake round per iteration.
     """
 
-    uses_subround2 = True
-
     def __init__(self, d: int, iterations: int, phase_constant: int = 4):
         self.d = max(2, int(d))
         self.K = int(iterations)
@@ -312,13 +293,14 @@ class Part2Protocol(Protocol):
     def bind(self, graph, seed):
         super().bind(graph, seed)
         n = self.n
-        self._adj = graph.adj_arrays()
-        self._deg = np.array([graph.degree(v) for v in range(n)], dtype=np.int64)
+        self._csr = graph.csr()
+        self._ids = np.arange(n, dtype=np.int64)
+        self._deg = np.diff(self._csr[0])
         self._status = np.full(n, _P2_UNDECIDED, dtype=np.int8)
-        self._in_s = np.zeros(n, dtype=bool)
         self._awake = np.zeros(n, dtype=bool)
         self._first = np.full(n, -1, dtype=np.int64)
-        self._marks = np.zeros((n, self._marking), dtype=bool)
+        # _marks[o, v]: node v marks itself at offset o of the current iteration
+        self._marks = np.zeros((self._marking, n), dtype=bool)
 
     def _begin_iteration(self, k: int, alive: np.ndarray):
         self._awake[:] = False
@@ -329,11 +311,11 @@ class Part2Protocol(Protocol):
         # marking coins for the whole iteration, keyed by global round index
         base = k * self.t_iter
         idx = base + np.arange(self._marking, dtype=np.uint64)
-        draws = node_rng_array(self.seed, ids[:, None], "p2mark", idx[None, :])
-        marks = (draws < self._thr[None, :]) | self._always[None, :]
-        self._marks[ids] = marks
-        any_mark = marks.any(axis=1)
-        firsts = marks.argmax(axis=1)
+        draws = node_rng_array(self.seed, ids[None, :], "p2mark", idx[:, None])
+        marks = (draws < self._thr[:, None]) | self._always[:, None]
+        self._marks[:, ids] = marks
+        any_mark = marks.any(axis=0)
+        firsts = marks.argmax(axis=0)
         self._first[ids[any_mark]] = firsts[any_mark]
 
     def wake_set(self, rnd, alive):
@@ -345,41 +327,30 @@ class Part2Protocol(Protocol):
         self._awake |= self._first == o
         return np.nonzero(alive & self._awake)[0]
 
-    def send1(self, v, rnd):
-        if self._status[v] == _P2_IN:
-            return ((BROADCAST, "S"),)
-        return ()
-
-    def send2(self, v, rnd, inbox1):
-        if self._status[v] != _P2_UNDECIDED or any(p == "S" for _, p in inbox1):
-            return ()
-        o = rnd % self.t_iter
-        if o == self._marking:
-            return ((BROADCAST, "A"),)
-        if self._marks[v, o]:
-            return ((BROADCAST, v),)
-        return ()
-
-    def finish(self, v, rnd, inbox1, inbox2):
+    def round(self, rnd, awake, awake_mask, congest_bound):
         k, o = divmod(rnd, self.t_iter)
-        st = self._status[v]
-        cleanup = o == self._marking
-        if st == _P2_IN:
-            return "in" if cleanup else None
-        if any(p == "S" for _, p in inbox1):
-            return "out"
-        if cleanup:
-            if not inbox2:
-                # no surviving competitor in the neighborhood: join
-                assert not self._in_s[self._adj[v]].any(), "independence violated"
-                self._in_s[v] = True
-                return "in"
-            return "residual" if k == self.K - 1 else None
-        if self._marks[v, o] and all(v < wid for _, wid in inbox2):
-            assert not self._in_s[self._adj[v]].any(), "independence violated"
-            self._in_s[v] = True
-            self._status[v] = _P2_IN
-        return None
+        csr, status = self._csr, self._status
+        is_in = status == _P2_IN
+        # subround 1: in-set nodes say "S"; undecided hearers leave
+        out = heard(csr, awake_mask, is_in, _TOKEN_BITS, congest_bound) & ~is_in
+        live = awake_mask & ~is_in & ~out
+        if o == self._marking:
+            # cleanup, every alive node awake: the live ones say "A", and
+            # those that hear none join
+            join = live & ~heard(csr, awake_mask, live, _TOKEN_BITS, congest_bound)
+            _assert_independent(csr, is_in, join)
+            status[join] = _P2_IN
+            groups = [(awake_mask & (is_in | join), "in"), (out, "out")]
+            if k == self.K - 1:
+                groups.append((live & ~join, "residual"))
+            return _decided(*groups)
+        # subround 2: marked live nodes send their ids; the least joins
+        rank, best = least_heard(csr, awake_mask, live & self._marks[o], self._ids,
+                                 congest_bound)
+        join = rank < best
+        _assert_independent(csr, is_in, join)
+        status[join] = _P2_IN
+        return _decided((out, "out"))
 
 
 def part2_degree(g: Graph) -> int:

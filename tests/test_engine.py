@@ -1,12 +1,15 @@
-"""Engine semantics: awake accounting, sleeping drops, caps, congest bound."""
+"""Engine semantics: awake accounting, sleeping drops, caps, congest bound,
+and the neighbourhood primitives of the array path."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from awakesim.engine import (BROADCAST, AwakeLedger, Protocol, payload_bits,
-                             run)
+from awakesim.engine import (BROADCAST, AwakeLedger, Protocol, heard,
+                             least_heard, payload_bits, run)
 from awakesim.errors import RoundCapExceeded
-from awakesim.graphs import Graph, path_graph
+from awakesim.graphs import Graph, path_graph, star_graph
 
 
 class CountDown(Protocol):
@@ -84,6 +87,104 @@ def test_congest_bound_enforced():
         run(g, BigMouth(), 0, round_cap=3)
     outputs, _, _ = run(g, BigMouth(), 0, round_cap=3, check_congest=False)
     assert len(outputs) == 3
+
+
+class WideKeys(Protocol):
+    """Array path: every node broadcasts a 64-bit key and a token of
+    ``token_bits``, then terminates."""
+
+    def __init__(self, token_bits=8):
+        self.token_bits = token_bits
+
+    def round(self, rnd, awake, awake_mask, congest_bound):
+        csr = self.graph.csr()
+        keys = np.full(self.n, 2 ** 64 - 1, dtype=np.uint64)
+        least_heard(csr, awake_mask, awake_mask, keys, congest_bound)
+        heard(csr, awake_mask, awake_mask, self.token_bits, congest_bound)
+        return awake, [rnd] * awake.size
+
+
+def test_congest_bound_enforced_on_the_array_path():
+    g = path_graph(3)
+    # the bound is 64 * max(8, log2 n) = 512 bits: 64-bit keys fit
+    outputs, _, _ = run(g, WideKeys(), 0, round_cap=3)
+    assert outputs == {0: 0, 1: 0, 2: 0}
+    narrow = WideKeys()
+    narrow.congest_factor = 1
+    with pytest.raises(AssertionError, match="bit message bound"):
+        run(g, narrow, 0, round_cap=3)
+    with pytest.raises(AssertionError, match="bit message bound"):
+        run(g, WideKeys(token_bits=4096), 0, round_cap=3)
+    for proto in (narrow, WideKeys(token_bits=4096)):
+        outputs, _, _ = run(g, proto, 0, round_cap=3, check_congest=False)
+        assert len(outputs) == 3
+
+
+@st.composite
+def graphs_with_masks(draw):
+    n = draw(st.integers(0, 25))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    density = draw(st.sampled_from((0.0, 0.1, 0.3, 1.0)))
+    coins = draw(st.lists(st.floats(0, 1, exclude_max=True),
+                          min_size=len(pairs), max_size=len(pairs)))
+    g = Graph(n, [e for e, c in zip(pairs, coins) if c < density])
+    masks = st.lists(st.booleans(), min_size=n, max_size=n)
+    # few distinct keys force (key, id) ties; the top of the range checks
+    # that keys stay unsigned 64-bit
+    key = st.one_of(st.integers(0, 2), st.integers(2 ** 64 - 3, 2 ** 64 - 1))
+    keys = draw(st.lists(key, min_size=n, max_size=n))
+    return (g, np.array(draw(masks), dtype=bool), np.array(draw(masks), dtype=bool),
+            np.array(keys, dtype=np.uint64))
+
+
+def _recount(g, awake, sent, keys):
+    """Brute force over ``g.adj``: what each node hears, and the least
+    ``(key, id)`` it hears."""
+    n = g.n
+    senders = sorted((int(keys[w]), w) for w in range(n) if sent[w] and awake[w])
+    rank = [n] * n
+    for r, (_, w) in enumerate(senders):
+        rank[w] = r
+    hears, best = [False] * n, [n] * n
+    for v in range(n):
+        if not awake[v]:
+            continue
+        got = [(int(keys[w]), w) for w in g.adj[v] if sent[w] and awake[w]]
+        hears[v] = bool(got)
+        if got:
+            best[v] = rank[min(got)[1]]
+    return hears, rank, best
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=graphs_with_masks())
+def test_primitives_match_a_recount_over_adj(case):
+    g, awake, sent, keys = case
+    hears, rank, best = _recount(g, awake, sent, keys)
+    assert heard(g.csr(), awake, sent, 8, 512).tolist() == hears
+    got_rank, got_best = least_heard(g.csr(), awake, sent, keys, 512)
+    assert got_rank.tolist() == rank
+    assert got_best.tolist() == best
+
+
+def test_primitives_edge_cases():
+    # edgeless: every segment is empty, nothing is heard
+    g = Graph(4)
+    every = np.ones(4, dtype=bool)
+    assert not heard(g.csr(), every, every, 8, None).any()
+    rank, best = least_heard(g.csr(), every, every, np.arange(4), None)
+    assert rank.tolist() == [0, 1, 2, 3] and best.tolist() == [4] * 4
+    # a sleeping centre hears nothing and its broadcast reaches no one;
+    # degree-0 node 6 is awake and hears nothing
+    g = Graph(7, star_graph(4).edges())
+    awake = np.array([False, True, True, False, True, False, True])
+    sent = np.ones(7, dtype=bool)
+    assert heard(g.csr(), awake, sent, 8, None).tolist() == [False] * 7
+    leaves = np.array([False, True, True, True, True, False, False])
+    rank, best = least_heard(g.csr(), np.ones(7, dtype=bool), leaves,
+                             np.zeros(7, dtype=np.uint64), None)
+    assert best.tolist() == [0, 7, 7, 7, 7, 7, 7]
+    assert rank.tolist() == [7, 0, 1, 2, 3, 7, 7]
 
 
 def test_payload_bits():

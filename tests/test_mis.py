@@ -4,14 +4,18 @@ import hashlib
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from awakesim.graphs import (Graph, complete_graph, cycle_graph, gen_bipartite,
                              gen_gnp, path_graph, petersen_graph, star_graph)
-from awakesim.mis import (MisParams, awake_mis, greedy_partial_mis, luby_mis,
-                          part2_reduce, part2_round_count, part2_schedule)
+from awakesim.engine import run
+from awakesim.mis import (LubyProtocol, MisParams, _assert_independent,
+                          awake_mis, default_participation, greedy_partial_mis,
+                          luby_mis, part2_reduce, part2_round_count,
+                          part2_schedule)
 from awakesim.oracles import verify_mis
 
 
@@ -28,6 +32,27 @@ def test_luby_edgeless():
     assert s == set(range(7))
     assert ledger.rounds == 1
     assert ledger.total_awake() == 7
+
+
+def test_independence_assertion_fires():
+    csr = path_graph(3).csr()
+    none = np.zeros(3, dtype=bool)
+    _assert_independent(csr, none, np.array([True, False, True]))
+    # two adjacent nodes joining in the same round
+    with pytest.raises(AssertionError, match="independence violated"):
+        _assert_independent(csr, none, np.array([True, True, False]))
+    # a joiner next to a node already in the set
+    with pytest.raises(AssertionError, match="independence violated"):
+        _assert_independent(csr, np.array([False, False, True]),
+                            np.array([False, True, False]))
+
+    class Rigged(LubyProtocol):
+        def bind(self, graph, seed):
+            super().bind(graph, seed)
+            self._in_s[:] = True
+
+    with pytest.raises(AssertionError, match="independence violated"):
+        run(path_graph(3), Rigged(), 0, round_cap=5)
 
 
 def test_misparams_validation():
@@ -168,11 +193,15 @@ def test_stage_residual_ids_map_back_to_the_input():
     assert set(ids2).isdisjoint(added)
 
 
-def _awake_mis_digest():
+def _digest_corpus():
     graphs = [gen_gnp(n, min(1.0, 10 / max(2, n)), seed=n)
               for n in (0, 1, 2, 16, 64, 256, 1024)]
-    graphs += [Graph(5), cycle_graph(9), complete_graph(6), star_graph(12),
-               petersen_graph(), gen_bipartite(20, 20, 0.2, seed=4)]
+    return graphs + [Graph(5), cycle_graph(9), complete_graph(6), star_graph(12),
+                     petersen_graph(), gen_bipartite(20, 20, 0.2, seed=4)]
+
+
+def _awake_mis_digest():
+    graphs = _digest_corpus()
     params = (None, MisParams(K=1), MisParams(C=2), MisParams(p=Fraction(1, 2)),
               MisParams(part1_window=5))
     h = hashlib.sha256()
@@ -191,6 +220,41 @@ def test_awake_mis_golden_digest():
     stage-by-stage implementation this composition replaced."""
     assert _awake_mis_digest() == (
         "794bbf9c486f8838711f164e9e23a22ef7162eb81857aedf5676e2cd6e8bfebf")
+
+
+def _hash_ledger(h, ledger):
+    h.update(repr(ledger.rounds).encode())
+    for label, arr in ledger.parts.items():
+        h.update(repr((label, arr.tolist())).encode())
+    h.update(repr(ledger.schedule).encode())
+
+
+def _stage_schedule_digest():
+    h = hashlib.sha256()
+    for g in _digest_corpus():
+        for seed in (1, 2):
+            s, ledger = luby_mis(g, seed, record_schedule=True)
+            h.update(repr(sorted(s)).encode())
+            _hash_ledger(h, ledger)
+            for p in (default_participation(g.n), Fraction(1, 2)):
+                joined, removed, _, ids, ledger = greedy_partial_mis(
+                    g, seed, p, record_schedule=True)
+                h.update(repr((sorted(joined), sorted(removed), ids)).encode())
+                _hash_ledger(h, ledger)
+            for prm in (None, MisParams(K=1), MisParams(C=2)):
+                added, _, ids, ledger = part2_reduce(g, seed, prm,
+                                                     record_schedule=True)
+                h.update(repr((sorted(added), tuple(ids))).encode())
+                _hash_ledger(h, ledger)
+    return h.hexdigest()
+
+
+def test_stage_schedule_golden_digest():
+    """Standalone Luby, stage 1 and stage 2 on the golden corpus: sets,
+    residual ids, ledger parts, rounds and per-node awake schedules, as
+    computed by the per-node hook implementation of the three protocols."""
+    assert _stage_schedule_digest() == (
+        "31e09c4855a95232fa9cdfc1b636de55f81d8ffc143b0e70fff93a9d9eeeb29b")
 
 
 @st.composite
