@@ -144,6 +144,10 @@ def test_cli_reports_run_time_input_errors(tmp_path, capsys):
         (["mis", "--graph", f"file:{out_of_range}"], "out of range"),
         (["amplify", "--mode", "bipartite", "--graph", "gnp", "--n", "10"],
          "needs a bipartite family"),
+        (["match", "--n", "10", "--override", "stop_round=-1"],
+         "force_stop_round"),
+        (["vc", "--n", "10", "--override", "estimator_constant=0"],
+         "estimator_constant"),
     ]
     for argv, needle in cases:
         assert main(argv) == 2

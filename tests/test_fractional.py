@@ -1,16 +1,24 @@
 """Fractional matching: ladder growth, schedules, sampled variant."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from awakesim import fractional
+from awakesim.errors import InvalidAssignment
 from awakesim.fractional import (FractionalAssignment, SampleSchedule,
                                  extract_vertex_cover, iterated_log,
-                                 sampled_fractional, saturation_phase,
-                                 vanilla_fractional)
-from awakesim.graphs import (Graph, canon, cycle_graph, gen_bipartite,
-                             gen_gnp, path_graph, star_graph)
+                                 round_matching, sampled_fractional,
+                                 saturation_phase, vanilla_fractional)
+from awakesim.graphs import (Graph, Matching, canon, complete_graph,
+                             cycle_graph, gen_bipartite, gen_gnp, path_graph,
+                             petersen_graph, star_graph)
 from awakesim.oracles import verify_vertex_cover
+from awakesim.rng import TWO64, node_rng
+from test_mis import small_graphs
 
 
 def ref_vanilla(g, eps):
@@ -41,6 +49,37 @@ def ref_vanilla(g, eps):
         j += 1
         assert j < 10_000
     return x, edge_frozen, node_frozen
+
+
+def ref_round_matching(assignment, seed):
+    """Independent reference: the rounding rule in Fraction arithmetic."""
+    x = assignment.x
+    load = {}
+    for (u, v), w in x.items():
+        load[u] = load.get(u, Fraction(0)) + w
+        load[v] = load.get(v, Fraction(0)) + w
+    for v, c in load.items():
+        if c > 1:
+            raise InvalidAssignment(f"node {v} carries value > 1")
+    incident = {}
+    for e, w in x.items():
+        if w > 0:
+            incident.setdefault(e[0], []).append(e)
+            incident.setdefault(e[1], []).append(e)
+    marked = set()
+    for v, edges in incident.items():
+        u01 = Fraction(node_rng(seed, v, "propose", 0), TWO64)
+        acc = Fraction(0)
+        for e in sorted(edges):
+            acc += x[e] / 10
+            if u01 < acc:
+                marked.add(e)
+                break
+    deg = {}
+    for u, v in marked:
+        deg[u] = deg.get(u, 0) + 1
+        deg[v] = deg.get(v, 0) + 1
+    return Matching([e for e in marked if deg[e[0]] == 1 and deg[e[1]] == 1])
 
 
 def test_iterated_log_values():
@@ -167,6 +206,25 @@ def test_sampled_forced_sampling_path():
     assert l1.rounds > 6  # sampling rounds happened before the growth stage
 
 
+def test_sample_coins_drawn_in_blocks(monkeypatch):
+    g = gen_gnp(80, 0.08, seed=21)
+    kw = dict(force_stop_round=6, force_phase_probabilities=Fraction(1, 3))
+    whole = sampled_fractional(g, Fraction(1, 25), seed=9, **kw)
+    monkeypatch.setattr(fractional, "_COIN_BLOCK", 5)
+    assert sampled_fractional(g, Fraction(1, 25), seed=9, **kw) == whole
+
+
+def test_light_event_at_the_cut():
+    # node 4 carries exactly 1 - 20eps = 1/2 until the edge to its heavy
+    # neighbour is zeroed; the Fraction implementation counted it as light
+    g = gen_gnp(21, 0.05, seed=152)
+    _, _, diag = sampled_fractional(g, Fraction(1, 40), seed=24,
+                                    force_stop_round=3,
+                                    force_phase_probabilities=Fraction(1, 7))
+    assert (diag.heavy_events, diag.light_events) == (5, 1)
+    assert diag.spoiled_value == Fraction(167331, 32000)
+
+
 def test_sampled_empty_and_tiny():
     asg, ledger, diag = sampled_fractional(Graph(0), Fraction(1, 10), seed=1)
     assert asg.n == 0 and ledger.n == 0
@@ -196,3 +254,131 @@ def test_eps_validation():
         vanilla_fractional(path_graph(2), Fraction(1, 2))
     with pytest.raises(ValueError):
         vanilla_fractional(path_graph(2), 0)
+
+
+_DIGEST_EPS = (Fraction(1, 20), Fraction(1, 10), Fraction(1, 4), Fraction(2, 5),
+               Fraction(3, 7), 0.1)
+_DIGEST_FORCED = [(stop, p) for stop in (4, 6)
+                  for p in (0, Fraction(1, 3), Fraction(1, 2), {1: Fraction(1, 3)})]
+
+
+def _fractional_digest():
+    graphs = [gen_gnp(n, p, seed=n) for n, p in
+              ((2, 1.0), (12, 0.3), (40, 0.15), (120, 0.05), (300, 0.02))]
+    graphs += [gen_bipartite(20, 20, 0.2, seed=4), gen_bipartite(60, 60, 0.05, seed=5),
+               star_graph(9), path_graph(7), cycle_graph(10), complete_graph(7),
+               petersen_graph(), Graph(4)]
+    h = hashlib.sha256()
+
+    def put(*parts):
+        for part in parts:
+            h.update(repr(part).encode())
+
+    def put_run(asg, ledger, diag):
+        put(asg.dump(), sorted(asg.node_freeze.items()), ledger.rounds,
+            sorted((k, v.tolist()) for k, v in ledger.parts.items()),
+            (diag.heavy_events, diag.light_events, diag.spoiled_value))
+
+    pair = 0
+    for i, g in enumerate(graphs):
+        for k in (0, 3):
+            eps = _DIGEST_EPS[(i + k) % len(_DIGEST_EPS)]
+            put(vanilla_fractional(g, eps).dump())
+            asg, ledger, diag = sampled_fractional(g, eps, seed=i)
+            put_run(asg, ledger, diag)
+            for seed in (1, 2):
+                put(sorted(round_matching(asg, seed).edge_set))
+            for c in (pair, pair + 1):
+                stop, p = _DIGEST_FORCED[c % len(_DIGEST_FORCED)]
+                asg, ledger, diag = sampled_fractional(
+                    g, eps, seed=i, force_stop_round=stop,
+                    force_phase_probabilities=p)
+                put_run(asg, ledger, diag)
+                put(sorted(round_matching(asg, 3).edge_set))
+            pair += 2
+    return h.hexdigest()
+
+
+def test_fractional_golden_digest():
+    """Vanilla, analytic and forced sampled runs (assignments, ledgers,
+    diagnostics) and their roundings on a fixed corpus, as computed by the
+    Fraction-arithmetic implementation the integer ladder replaced."""
+    assert _fractional_digest() == (
+        "4a1580142be6032971e28817f87e8a4a0ba92a67d54797229db34bfcbcecd896")
+
+
+@st.composite
+def eps_fractions(draw):
+    b = draw(st.integers(3, 60))
+    return Fraction(draw(st.integers(1, (b - 1) // 2)), b)
+
+
+@st.composite
+def hand_assignments(draw):
+    """Mixed denominators, zero-weight edges, and sometimes overfull nodes."""
+    g = draw(small_graphs())
+    delta = max(1, g.max_degree)
+    boost = draw(st.sampled_from((1, 1, 1, 3)))
+    x = {}
+    for e in g.edges():
+        den = draw(st.integers(1, 50))
+        x[e] = Fraction(draw(st.integers(0, den)), den * delta) * boost
+    return FractionalAssignment(g.n, x, {e: 0 for e in x},
+                                {v: None for v in range(g.n)})
+
+
+def _rounding_outcome(fn, asg, seed):
+    try:
+        return fn(asg, seed)
+    except InvalidAssignment:
+        return InvalidAssignment
+
+
+@settings(max_examples=80, deadline=None)
+@given(g=small_graphs(), eps=eps_fractions(), seed=st.integers(0, 2 ** 32))
+def test_integer_ladder_matches_fraction_references(g, eps, seed):
+    asg = vanilla_fractional(g, eps)
+    x, edge_frozen, node_frozen = ref_vanilla(g, eps)
+    assert asg.x == x and asg.frozen_round == edge_frozen
+    assert {v: f for v, f in asg.node_freeze.items() if f is not None} == node_frozen
+    assert round_matching(asg, seed) == ref_round_matching(asg, seed)
+
+
+@settings(max_examples=80, deadline=None)
+@given(asg=hand_assignments(), seed=st.integers(0, 2 ** 32))
+def test_rounding_matches_fraction_reference(asg, seed):
+    assert (_rounding_outcome(round_matching, asg, seed)
+            == _rounding_outcome(ref_round_matching, asg, seed))
+
+
+@pytest.mark.parametrize("kwargs, knob", [
+    (dict(force_stop_round=-3), "force_stop_round"),
+    (dict(force_stop_round=2.7), "force_stop_round"),
+    (dict(estimator_constant=0), "estimator_constant"),
+    (dict(estimator_constant=-64), "estimator_constant"),
+    (dict(force_phase_probabilities=Fraction(3, 2)), "force_phase_probabilities"),
+    (dict(force_phase_probabilities={1: -0.5}), "force_phase_probabilities"),
+    (dict(force_phase_probabilities=[None, 2]), "force_phase_probabilities"),
+])
+def test_schedule_rejects_bad_knobs(kwargs, knob):
+    with pytest.raises(ValueError, match=knob):
+        SampleSchedule(64, 5, Fraction(1, 10), **kwargs)
+    with pytest.raises(ValueError, match=knob):
+        sampled_fractional(Graph(0), Fraction(1, 10), seed=1, **kwargs)
+    SampleSchedule(64, 5, Fraction(1, 10), force_stop_round=0,
+                   force_phase_probabilities={1: 0, 2: 1})
+
+
+@settings(max_examples=40, deadline=None)
+@given(g=small_graphs(), eps=eps_fractions(), seed=st.integers(0, 2 ** 32),
+       stop=st.one_of(st.none(), st.integers(0, 6)),
+       p=st.sampled_from((0, Fraction(1, 3), Fraction(1, 2), 1, {1: Fraction(1, 3)})))
+def test_sampled_ledger_matches_its_recorded_schedule(g, eps, seed, stop, p):
+    kw = {} if stop is None else dict(force_stop_round=stop,
+                                      force_phase_probabilities=p)
+    asg, ledger, _ = sampled_fractional(g, eps, seed, record_schedule=True, **kw)
+    assert ledger.counts.tolist() == [len(rs) for rs in ledger.schedule]
+    for rs in ledger.schedule:
+        assert all(a < b for a, b in zip(rs, rs[1:]))
+        assert all(0 <= r < ledger.rounds for r in rs)
+    assert all(c <= 1 for c in asg.node_values().values())
