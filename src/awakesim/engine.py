@@ -8,18 +8,23 @@ their outputs; a terminated node is removed and never charged again.
 
 There are two ways to write ``round``:
 
+* whole-round work, the way every protocol in the package does it.  The MIS
+  protocols use masks over the graph's CSR adjacency and the neighbourhood
+  primitives :func:`heard` ("some awake neighbour sent") and
+  :func:`least_heard` ("least ``(key, id)`` over awake sending
+  neighbours"); ``SampledMatchingProtocol`` reduces its sampled reports
+  over the CSR and then walks only the edges of nodes that froze.  Only
+  awake nodes send, and only awake nodes hear;
 * the default, per node: ``send1``/``send2``/``finish`` hooks, with envelopes
   delivered into inbox lists by :func:`_deliver`.  Envelopes addressed to
-  sleeping or terminated nodes are dropped, not queued;
-* whole-round array work over the graph's CSR adjacency with the
-  neighbourhood primitives :func:`heard` ("some awake neighbour sent") and
-  :func:`least_heard` ("least ``(key, id)`` over awake sending
-  neighbours").  They have the same drop rule: only awake nodes hear, and
-  only awake nodes send.
+  sleeping or terminated nodes are dropped, not queued.  Only small test
+  protocols and the test reference of the sampled matcher use it.
 
-Both paths check the CONGEST width of every payload against
+Both paths check the CONGEST width of payloads against
 ``congest_factor * max(8, ceil(log2 n))`` bits unless ``check_congest`` is
-off.
+off: the hook path measures every envelope with :func:`payload_bits`; a
+whole-round protocol checks the widest message of each round once with
+:func:`check_width`.
 
 Determinism: protocols draw all randomness through ``node_rng`` streams keyed
 by the master seed, so a fixed (graph, protocol, seed) triple replays
@@ -252,7 +257,8 @@ def _deliver(msgs_by_sender, adj_np, awake_mask, inboxes, congest_bound, measure
                     box.append((v, payload))
 
 
-def _check_width(bits: int, congest_bound: Optional[int], what: str) -> None:
+def check_width(bits: int, congest_bound: Optional[int], what: str) -> None:
+    """Assert that a ``bits``-wide payload fits the CONGEST bound, if any."""
     if congest_bound is not None:
         assert bits <= congest_bound, (
             f"payload of {bits} bits in {what} exceeds the "
@@ -285,7 +291,7 @@ def heard(csr, awake_mask: np.ndarray, sent: np.ndarray, bits: int,
     Each awake sender broadcasts one ``bits``-wide token; sleepers neither
     send nor hear.
     """
-    _check_width(bits, congest_bound, "a broadcast token")
+    check_width(bits, congest_bound, "a broadcast token")
     out = np.zeros(awake_mask.size, dtype=bool)
     owners, starts, nbrs = gather_neighbours(csr, np.flatnonzero(awake_mask))
     if owners.size:
@@ -311,8 +317,8 @@ def least_heard(csr, awake_mask: np.ndarray, sent: np.ndarray, keys: np.ndarray,
     if src.size == 0:
         return rank, best
     sent_keys = keys[src]
-    _check_width(max(1, int(sent_keys.max()).bit_length()), congest_bound,
-                 "a broadcast key")
+    check_width(max(1, int(sent_keys.max()).bit_length()), congest_bound,
+                "a broadcast key")
     rank[src[np.lexsort((src, sent_keys))]] = np.arange(src.size)
     owners, starts, nbrs = gather_neighbours(csr, np.flatnonzero(awake_mask))
     if owners.size:

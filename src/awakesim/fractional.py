@@ -21,7 +21,7 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 
-from .engine import BROADCAST, AwakeLedger, Protocol, run
+from .engine import AwakeLedger, Protocol, check_width, gather_neighbours, run
 from .errors import InvalidAssignment
 from .graphs import Graph, Matching, canon
 from .rng import TWO64, coin_threshold, node_rng, node_rng_array
@@ -310,19 +310,34 @@ def vanilla_fractional(g: Graph, eps) -> FractionalAssignment:
 class SampledMatchingProtocol(Protocol):
     """Distributed fractional matching with sampled congestion estimates.
 
-    Rounds before ``schedule.stop_round`` are sampled: members of any S_h^j
-    wake at round h-1, stay awake, and at round j report which rounds h they
-    were sampled for while still active; awake unfrozen nodes freeze on the
-    estimate c~_v > 1-10eps.  From the stop round on, everyone wakes, a
-    one-shot reconciliation broadcast distributes freeze rounds, and the
-    vanilla tight rule c_v >= 1-eps takes over.  A node terminates once all
-    its incident edges are frozen (never before the stop round).
+    Each call of :meth:`round` runs one whole round:
+
+    * Rounds before ``schedule.stop_round`` are sampled.  Members of any
+      S_h^j wake at round h-1 and stay awake.  At round j each member
+      reports the rounds h it was sampled for, keeping only h up to its own
+      freeze round once it has frozen.  Every awake unfrozen node sums the
+      reports it hears into the estimate c~_v and freezes silently when
+      c~_v > 1-10eps.
+    * At the stop round everyone wakes and broadcasts its freeze round once
+      (reconciliation); each node rebuilds its frozen mass and its count of
+      unfrozen edges from its frozen neighbours.
+    * From the stop round on, the vanilla tight rule c_v >= 1-eps runs on the
+      nodes that still have an unfrozen edge.  A node that freezes at rung r
+      tells its neighbours, and an unfrozen neighbour gains k * W_r from k
+      such neighbours.  A node terminates once all its incident edges are
+      frozen (never before the stop round).
+
+    Only awake nodes send or hear.  Each round checks its widest message
+    against the CONGEST bound once.  A message is a ``(tag, field)`` pair
+    with a three-letter tag, measured as the engine measures envelopes: a
+    report of rounds ``hs`` is 26 + len(hs) + sum(max(1, h.bit_length()))
+    bits, a reconciliation or freeze message 26 + max(1, r.bit_length())
+    for its round r.
 
     Masses are integers on the ladder whose top rung is ``round_cap``, the
     last round a run can reach.
     """
 
-    uses_subround2 = True
     congest_factor = 256  # report payloads carry one round index per phase
 
     def __init__(self, schedule: SampleSchedule):
@@ -332,16 +347,17 @@ class SampledMatchingProtocol(Protocol):
     def bind(self, graph, seed):
         super().bind(graph, seed)
         s = self.sched
-        n = self.n
         stop = self._stop = s.stop_round
         self._one, self._tight, rungs = s.ladder(self.round_cap)
         self._rungs = list(rungs)
-        self._f = [-1] * n
-        self._unfrozen = [graph.degree(v) for v in range(n)]
-        self._mass = [0] * n
-        self._wake = np.full(n, stop, dtype=np.int64)
-        self._memb: List[Dict[int, List[int]]] = [{} for _ in range(n)]
-        if stop > 0:
+        self._f = [-1] * self.n
+        # rebuilt by _reconcile at the stop round
+        self._unfrozen: List[int] = []
+        self._mass: List[int] = []
+        self._wake = np.full(self.n, stop, dtype=np.int64)
+        # _memb[j] = (v, h): the members v of each S_h^j, as two arrays
+        self._memb: List[Tuple[np.ndarray, np.ndarray]] = []
+        if stop > 0 and self.n > 0:
             self._sample(seed, stop)
 
     def _sample(self, seed, stop):
@@ -355,95 +371,119 @@ class SampledMatchingProtocol(Protocol):
         s, w = self.sched, self._rungs
         ps = [s.p_of_phase(s.phase(h)) for h in range(stop)]
         lcm = math.lcm(*{p.numerator for p in ps if p})
-        self._coef = [(w[h] - (w[h - 1] if h else 0)) * p.denominator
-                      * (lcm // p.numerator) if p else 0
-                      for h, p in enumerate(ps)]
+        self._coef = np.array([(w[h] - (w[h - 1] if h else 0)) * p.denominator
+                               * (lcm // p.numerator) if p else 0
+                               for h, p in enumerate(ps)], dtype=object)
         self._est_cut = (s.b - 10 * s.a) * self._one * lcm
-        # coin of (v, h, j) is node_rng(seed, v, "sample", h * stop + j);
-        # pairs (j, h) run j-major, so each member list is sorted by h
+        self._hbits = np.array([max(1, h.bit_length()) for h in range(stop)])
+        # coin of (v, h, j) is node_rng(seed, v, "sample", h * stop + j)
         jj, hh = np.tril_indices(stop)
         thr = [coin_threshold(p) for p in ps]
         always = np.array([t >= TWO64 for t in thr])[hh]
         cut = np.array([min(t, TWO64 - 1) for t in thr], dtype=np.uint64)[hh]
         idx = (hh * stop + jj)[None, :]
-        memb = self._memb
+        vs, ts = [], []
         rows = max(1, _COIN_BLOCK // hh.size)  # bounds the coin matrix
         for lo in range(0, self.n, rows):
             ids = np.arange(lo, min(self.n, lo + rows))
             hit = (node_rng_array(seed, ids[:, None], "sample", idx) < cut) | always
-            vs, ts = np.nonzero(hit)
-            for v, j, h in zip((vs + lo).tolist(), jj[ts].tolist(), hh[ts].tolist()):
-                memb[v].setdefault(j, []).append(h)
+            v, t = np.nonzero(hit)
+            vs.append(v + lo)
+            ts.append(t)
             # a member of S_h^j first wakes at round h-1
             first = np.where(hit, hh, stop).min(axis=1)
             self._wake[ids] = np.where(first < stop, np.maximum(first - 1, 0), stop)
+        vs, ts = np.concatenate(vs), np.concatenate(ts)
+        jt = jj[ts]
+        self._memb = [(vs[jt == j], hh[ts[jt == j]]) for j in range(stop)]
 
     def wake_set(self, rnd, alive):
         if rnd >= self._stop:
             return np.nonzero(alive)[0]
         return np.nonzero(alive & (self._wake <= rnd))[0]
 
-    def send1(self, v, rnd):
+    def round(self, rnd, awake, awake_mask, congest_bound):
         if rnd < self._stop:
-            fv = self._f[v]
-            hs = [h for h in self._memb[v].get(rnd, ())
-                  if fv < 0 or fv >= h]
-            if hs:
-                return ((BROADCAST, ("rep", tuple(hs))),)
-            return ()
+            self._sampled_round(rnd, awake, congest_bound)
+            return (), ()
+        ids = awake.tolist()
+        done: List[int] = []
         if rnd == self._stop:
-            return ((BROADCAST, ("rec", self._f[v])),)
-        return ()
+            self._reconcile(congest_bound)
+            # nodes already frozen, and those with no unfrozen edge, are done;
+            # every node alive after the stop round has an unfrozen edge
+            done = [v for v in ids if not self._unfrozen[v]]
+            ids = [v for v in ids if self._unfrozen[v]]
+        f, unf, mass = self._f, self._unfrozen, self._mass
+        froze = self._is_tight(ids, rnd)
+        if froze:
+            check_width(26 + max(1, rnd.bit_length()), congest_bound,
+                        "a freeze message")
+            for v in froze:
+                f[v] = rnd
+                unf[v] = 0
+            gained: Dict[int, int] = {}
+            adj = self.graph.adj
+            for v in froze:
+                for u in adj[v]:
+                    if f[u] < 0:
+                        gained[u] = gained.get(u, 0) + 1
+            w = self._rungs[rnd]
+            for u, k in gained.items():
+                unf[u] -= k
+                mass[u] += k * w
+            done += froze
+            done += [u for u in gained if not unf[u]]
+            done.sort()
+        return done, [f[v] for v in done]
 
-    def _is_tight(self, v, rnd) -> bool:
-        return self._mass[v] + self._unfrozen[v] * self._rungs[rnd] >= self._tight
-
-    def send2(self, v, rnd, inbox1):
-        if rnd < self._stop:
-            return ()
-        if rnd == self._stop:
-            # reconciliation: rebuild freeze bookkeeping from scratch
-            if self._f[v] < 0:
-                mass = unf = 0
-                for _, (kind, fu) in inbox1:
-                    if kind != "rec":
-                        continue
-                    if fu >= 0:
-                        mass += self._rungs[fu]
-                    else:
-                        unf += 1
-                self._mass[v] = mass
-                self._unfrozen[v] = unf
-            else:
-                self._unfrozen[v] = 0
-        if self._f[v] < 0 and self._unfrozen[v] > 0 and self._is_tight(v, rnd):
+    def _sampled_round(self, rnd, awake, congest_bound):
+        """Reports of round ``rnd`` and the silent freezes they cause."""
+        f = np.array(self._f)
+        # every member of S_h^rnd is awake: it woke by round max(h-1, 0) <= rnd
+        vs, hs = self._memb[rnd]
+        keep = (f[vs] < 0) | (f[vs] >= hs)
+        vs, hs = vs[keep], hs[keep]
+        if vs.size == 0:
+            return
+        if congest_bound is not None:
+            widest = np.bincount(vs, weights=self._hbits[hs] + 1).max()
+            check_width(26 + int(widest), congest_bound, "a report")
+        sent = np.zeros((self.n, rnd + 1), dtype=np.int64)
+        sent[vs, hs] = 1
+        owners, starts, nbrs = gather_neighbours(self.graph.csr(),
+                                                 awake[f[awake] < 0])
+        if owners.size == 0:
+            return
+        # k[i, h]: reports of round h that owners[i] heard
+        k = np.add.reduceat(sent[nbrs], starts, axis=0)
+        some = k.any(axis=1)
+        # every reported h has E_h > 0, so a node that heard a report has a
+        # positive estimate, and one that heard none has no estimate at all
+        est = k[some].astype(object) @ self._coef[:rnd + 1]
+        for v in owners[some][self.sched.b * est > self._est_cut].tolist():
             self._f[v] = rnd
-            self._unfrozen[v] = 0
-            return ((BROADCAST, ("frz", rnd)),)
-        return ()
 
-    def finish(self, v, rnd, inbox1, inbox2):
-        if rnd < self._stop:
-            if self._f[v] < 0:
-                est = 0
-                for _, (kind, hs) in inbox1:
-                    if kind == "rep":
-                        for h in hs:
-                            est += self._coef[h]
-                # no report, no estimate: the cut is below 0 for eps > 1/10
-                if est and self.sched.b * est > self._est_cut:
-                    # silent freeze; neighbors learn at reconciliation
-                    self._f[v] = rnd
-                    self._unfrozen[v] = 0
-            return None
-        if self._f[v] < 0:
-            for _, (kind, r) in inbox2:
-                if kind == "frz":
-                    self._unfrozen[v] -= 1
-                    self._mass[v] += self._rungs[r]
-        if self._unfrozen[v] == 0:
-            return self._f[v]
-        return None
+    def _reconcile(self, congest_bound):
+        """Stop round: rebuild ``_unfrozen`` and ``_mass`` from the freeze
+        rounds every node broadcasts, walking the frozen nodes' edges."""
+        f, rungs, adj = self._f, self._rungs, self.graph.adj
+        check_width(26 + max(1, max(f).bit_length()), congest_bound,
+                    "a reconciliation message")
+        unf = self._unfrozen = [len(a) for a in adj]
+        mass = self._mass = [0] * self.n
+        for v, fv in enumerate(f):
+            if fv >= 0:
+                unf[v] = 0
+                for u in adj[v]:
+                    if f[u] < 0:
+                        unf[u] -= 1
+                        mass[u] += rungs[fv]
+
+    def _is_tight(self, cands, rnd) -> List[int]:
+        """The nodes of ``cands`` with c_v >= 1-eps at rung ``rnd``."""
+        w, tight, mass, unf = self._rungs[rnd], self._tight, self._mass, self._unfrozen
+        return [v for v in cands if mass[v] + unf[v] * w >= tight]
 
 
 def sampled_fractional(g: Graph, eps, seed: int, *, estimator_constant: int = 64,

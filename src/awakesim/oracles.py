@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Set
 
+import numpy as np
+
 from .errors import OracleTooLarge
 from .graphs import Edge, Graph, Matching, canon
 
@@ -21,14 +23,15 @@ def verify_mis(g: Graph, s: Iterable[int]) -> bool:
     ss = set(s)
     if not all(0 <= v < g.n for v in ss):
         return False
-    for v in ss:
-        for w in g.adj[v]:
-            if w in ss:
-                return False
-    for v in range(g.n):
-        if v not in ss and not any(w in ss for w in g.adj[v]):
-            return False
-    return True
+    in_s = np.zeros(g.n, dtype=bool)
+    in_s[np.fromiter(ss, dtype=np.int64, count=len(ss))] = True
+    indptr, indices = g.csr()
+    owner = np.repeat(np.arange(g.n), np.diff(indptr))
+    if (in_s[owner] & in_s[indices]).any():
+        return False
+    covered = in_s.copy()
+    covered[owner[in_s[indices]]] = True
+    return bool(covered.all())
 
 
 def verify_matching(g: Graph, m) -> bool:

@@ -1,15 +1,20 @@
 """Fractional matching: ladder growth, schedules, sampled variant."""
 
 import hashlib
+import math
 from fractions import Fraction
+from typing import Dict, List
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from awakesim import fractional
+from awakesim.engine import BROADCAST, Protocol, run
 from awakesim.errors import InvalidAssignment
-from awakesim.fractional import (FractionalAssignment, SampleSchedule,
+from awakesim.fractional import (_COIN_BLOCK, FractionalAssignment,
+                                 SampledMatchingProtocol, SampleSchedule,
                                  extract_vertex_cover, iterated_log,
                                  round_matching, sampled_fractional,
                                  saturation_phase, vanilla_fractional)
@@ -17,7 +22,7 @@ from awakesim.graphs import (Graph, Matching, canon, complete_graph,
                              cycle_graph, gen_bipartite, gen_gnp, path_graph,
                              petersen_graph, star_graph)
 from awakesim.oracles import verify_vertex_cover
-from awakesim.rng import TWO64, node_rng
+from awakesim.rng import TWO64, coin_threshold, node_rng, node_rng_array
 from test_mis import small_graphs
 
 
@@ -80,6 +85,148 @@ def ref_round_matching(assignment, seed):
         deg[u] = deg.get(u, 0) + 1
         deg[v] = deg.get(v, 0) + 1
     return Matching([e for e in marked if deg[e[0]] == 1 and deg[e[1]] == 1])
+
+
+class RefSampledProtocol(Protocol):
+    """Reference: the per-node hook version of SampledMatchingProtocol,
+    which the whole-round protocol must match output for output.
+
+    Distributed fractional matching with sampled congestion estimates.
+
+    Rounds before ``schedule.stop_round`` are sampled: members of any S_h^j
+    wake at round h-1, stay awake, and at round j report which rounds h they
+    were sampled for while still active; awake unfrozen nodes freeze on the
+    estimate c~_v > 1-10eps.  From the stop round on, everyone wakes, a
+    one-shot reconciliation broadcast distributes freeze rounds, and the
+    vanilla tight rule c_v >= 1-eps takes over.  A node terminates once all
+    its incident edges are frozen (never before the stop round).
+
+    Masses are integers on the ladder whose top rung is ``round_cap``, the
+    last round a run can reach.
+    """
+
+    uses_subround2 = True
+    congest_factor = 256  # report payloads carry one round index per phase
+
+    def __init__(self, schedule: SampleSchedule):
+        self.sched = schedule
+        self.round_cap = schedule.stop_round + schedule.growth_rounds() + 4
+
+    def bind(self, graph, seed):
+        super().bind(graph, seed)
+        s = self.sched
+        n = self.n
+        stop = self._stop = s.stop_round
+        self._one, self._tight, rungs = s.ladder(self.round_cap)
+        self._rungs = list(rungs)
+        self._f = [-1] * n
+        self._unfrozen = [graph.degree(v) for v in range(n)]
+        self._mass = [0] * n
+        self._wake = np.full(n, stop, dtype=np.int64)
+        self._memb: List[Dict[int, List[int]]] = [{} for _ in range(n)]
+        if stop > 0:
+            self._sample(seed, stop)
+
+    def _sample(self, seed, stop):
+        """Draw the sample sets S_h^j (h <= j < stop) and scale the estimator.
+
+        The estimate sum_h (w_h - w_{h-1}) k_h / p_h > 1 - 10 eps, where k_h
+        counts reports of h, becomes b * sum_h k_h E_h > (b - 10a) * one * L,
+        with L the lcm of the nonzero p_h numerators.  A p = 0 round is never
+        sampled, so it is never reported and gets no coefficient.
+        """
+        s, w = self.sched, self._rungs
+        ps = [s.p_of_phase(s.phase(h)) for h in range(stop)]
+        lcm = math.lcm(*{p.numerator for p in ps if p})
+        self._coef = [(w[h] - (w[h - 1] if h else 0)) * p.denominator
+                      * (lcm // p.numerator) if p else 0
+                      for h, p in enumerate(ps)]
+        self._est_cut = (s.b - 10 * s.a) * self._one * lcm
+        # coin of (v, h, j) is node_rng(seed, v, "sample", h * stop + j);
+        # pairs (j, h) run j-major, so each member list is sorted by h
+        jj, hh = np.tril_indices(stop)
+        thr = [coin_threshold(p) for p in ps]
+        always = np.array([t >= TWO64 for t in thr])[hh]
+        cut = np.array([min(t, TWO64 - 1) for t in thr], dtype=np.uint64)[hh]
+        idx = (hh * stop + jj)[None, :]
+        memb = self._memb
+        rows = max(1, _COIN_BLOCK // hh.size)  # bounds the coin matrix
+        for lo in range(0, self.n, rows):
+            ids = np.arange(lo, min(self.n, lo + rows))
+            hit = (node_rng_array(seed, ids[:, None], "sample", idx) < cut) | always
+            vs, ts = np.nonzero(hit)
+            for v, j, h in zip((vs + lo).tolist(), jj[ts].tolist(), hh[ts].tolist()):
+                memb[v].setdefault(j, []).append(h)
+            # a member of S_h^j first wakes at round h-1
+            first = np.where(hit, hh, stop).min(axis=1)
+            self._wake[ids] = np.where(first < stop, np.maximum(first - 1, 0), stop)
+
+    def wake_set(self, rnd, alive):
+        if rnd >= self._stop:
+            return np.nonzero(alive)[0]
+        return np.nonzero(alive & (self._wake <= rnd))[0]
+
+    def send1(self, v, rnd):
+        if rnd < self._stop:
+            fv = self._f[v]
+            hs = [h for h in self._memb[v].get(rnd, ())
+                  if fv < 0 or fv >= h]
+            if hs:
+                return ((BROADCAST, ("rep", tuple(hs))),)
+            return ()
+        if rnd == self._stop:
+            return ((BROADCAST, ("rec", self._f[v])),)
+        return ()
+
+    def _is_tight(self, v, rnd) -> bool:
+        return self._mass[v] + self._unfrozen[v] * self._rungs[rnd] >= self._tight
+
+    def send2(self, v, rnd, inbox1):
+        if rnd < self._stop:
+            return ()
+        if rnd == self._stop:
+            # reconciliation: rebuild freeze bookkeeping from scratch
+            if self._f[v] < 0:
+                mass = unf = 0
+                for _, (kind, fu) in inbox1:
+                    if kind != "rec":
+                        continue
+                    if fu >= 0:
+                        mass += self._rungs[fu]
+                    else:
+                        unf += 1
+                self._mass[v] = mass
+                self._unfrozen[v] = unf
+            else:
+                self._unfrozen[v] = 0
+        if self._f[v] < 0 and self._unfrozen[v] > 0 and self._is_tight(v, rnd):
+            self._f[v] = rnd
+            self._unfrozen[v] = 0
+            return ((BROADCAST, ("frz", rnd)),)
+        return ()
+
+    def finish(self, v, rnd, inbox1, inbox2):
+        if rnd < self._stop:
+            if self._f[v] < 0:
+                est = 0
+                for _, (kind, hs) in inbox1:
+                    if kind == "rep":
+                        for h in hs:
+                            est += self._coef[h]
+                # no report, no estimate: the cut is below 0 for eps > 1/10
+                if est and self.sched.b * est > self._est_cut:
+                    # silent freeze; neighbors learn at reconciliation
+                    self._f[v] = rnd
+                    self._unfrozen[v] = 0
+            return None
+        if self._f[v] < 0:
+            for _, (kind, r) in inbox2:
+                if kind == "frz":
+                    self._unfrozen[v] -= 1
+                    self._mass[v] += self._rungs[r]
+        if self._unfrozen[v] == 0:
+            return self._f[v]
+        return None
 
 
 def test_iterated_log_values():
@@ -382,3 +529,74 @@ def test_sampled_ledger_matches_its_recorded_schedule(g, eps, seed, stop, p):
         assert all(a < b for a, b in zip(rs, rs[1:]))
         assert all(0 <= r < ledger.rounds for r in rs)
     assert all(c <= 1 for c in asg.node_values().values())
+
+
+@st.composite
+def graphs_with_isolated_nodes(draw):
+    """Up to 30 nodes, the nodes from ``live`` on without edges."""
+    n = draw(st.integers(0, 30))
+    live = n - draw(st.integers(0, n))
+    pairs = [(u, v) for u in range(live) for v in range(u + 1, live)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, [e for e, k in zip(pairs, keep) if k])
+
+
+def _protocol_outcome(cls, g, sched, seed, congest_factor):
+    proto = cls(sched)
+    if congest_factor is not None:
+        proto.congest_factor = congest_factor
+    try:
+        outputs, ledger, _ = run(g, proto, seed, proto.round_cap, part="frac",
+                                 record_schedule=True)
+    except AssertionError:
+        return AssertionError
+    return list(outputs.items()), ledger, ledger.schedule
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=graphs_with_isolated_nodes(), eps=eps_fractions(),
+       seed=st.integers(0, 2 ** 32), c=st.sampled_from((64, 5)),
+       stop=st.one_of(st.none(), st.integers(0, 8)),
+       p=st.sampled_from((0, Fraction(1, 3), Fraction(1, 2), 1, {1: Fraction(1, 3)},
+                          [None, Fraction(2, 3), 0])),
+       congest_bits=st.one_of(st.none(), st.integers(26, 40)))
+def test_whole_round_protocol_matches_the_hook_reference(g, eps, seed, c, stop, p,
+                                                         congest_bits):
+    """Outputs, ledgers and schedules equal to the per-node reference; under
+    a lowered CONGEST bound both raise or neither does."""
+    # n <= 30 makes the bound congest_factor * 8 bits, so this factor makes
+    # it exactly congest_bits, and any message width can sit on the bound
+    congest_factor = None if congest_bits is None else congest_bits / 8
+    sched = SampleSchedule(max(2, g.n), max(1, g.max_degree), eps, c, stop,
+                           None if stop is None else p)
+    new = _protocol_outcome(SampledMatchingProtocol, g, sched, seed, congest_factor)
+    ref = _protocol_outcome(RefSampledProtocol, g, sched, seed, congest_factor)
+    assert new == ref
+
+
+def _least_passing_bound(cls, g, sched, seed):
+    for bits in range(24, 80):
+        if _protocol_outcome(cls, g, sched, seed, bits / 8) is not AssertionError:
+            return bits
+    return None
+
+
+@pytest.mark.parametrize("stop, p", [(None, None), (3, Fraction(1, 3)),
+                                     (8, 1), (5, [None, Fraction(2, 3), 0]),
+                                     (8, Fraction(1, 10))])
+def test_congest_threshold_matches_the_hook_reference(stop, p):
+    """The widest message of a run is measured alike: both protocols pass
+    from the same CONGEST bound on (each n <= 30, so the bound is the
+    factor times 8 bits).  Freeze messages, reports and, on the single edge
+    at stop 8 and p = 1/10, the reconciliation message are the widest."""
+    cases = [(gen_gnp(30, 0.5, seed=1), Fraction(1, 40), 0),
+             (gen_gnp(12, 0.3, seed=2), Fraction(1, 4), 1),
+             (gen_bipartite(10, 10, 0.3, seed=3), Fraction(1, 20), 2),
+             (star_graph(9), Fraction(1, 10), 3), (Graph(3, [(0, 1)]), Fraction(1, 3), 4),
+             (path_graph(2), Fraction(1, 3), 19)]
+    for g, eps, seed in cases:
+        sched = SampleSchedule(g.n, g.max_degree, eps, force_stop_round=stop,
+                               force_phase_probabilities=p)
+        bound = _least_passing_bound(RefSampledProtocol, g, sched, seed)
+        assert bound is not None
+        assert _least_passing_bound(SampledMatchingProtocol, g, sched, seed) == bound

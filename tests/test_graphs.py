@@ -1,10 +1,12 @@
 """Graph container, generators, and matching plumbing."""
 
 import pytest
+from hypothesis import given, settings
 
 from awakesim.graphs import (Graph, Matching, canon, complete_graph,
                              cycle_graph, gen_bipartite, gen_gnp, path_graph,
                              petersen_graph, star_graph)
+from test_mis import small_graphs
 
 
 def test_canon_orders_endpoints():
@@ -45,6 +47,14 @@ def test_text_round_trip():
     back = Graph.from_text(g.to_text())
     assert back == g
     assert back.to_text() == g.to_text()
+
+
+@settings(max_examples=100, deadline=None)
+@given(g=small_graphs())
+def test_text_round_trip_on_arbitrary_graphs(g):
+    for h in (g, Graph(g.n)):  # and the edgeless graph on the same nodes
+        back = Graph.from_text(h.to_text())
+        assert (back.n, back.edge_set) == (h.n, h.edge_set)
 
 
 def test_text_rejects_duplicates_and_trailing_lines():

@@ -3,7 +3,10 @@ a brute-force subset enumerator."""
 
 from itertools import combinations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from awakesim.errors import OracleTooLarge
 from awakesim.graphs import (Graph, Matching, complete_graph, cycle_graph,
@@ -14,6 +17,7 @@ from awakesim.oracles import (exact_max_matching, exact_min_vertex_cover,
                               greedy_maximal_matching, max_bipartite_matching,
                               two_coloring, verify_matching, verify_mis,
                               verify_vertex_cover)
+from test_mis import small_graphs
 
 
 def brute_max_matching(g):
@@ -40,12 +44,62 @@ def brute_min_cover(g):
     return g.n
 
 
+def ref_verify_mis(g, s):
+    """Reference: the per-node loops that ``verify_mis`` replaced."""
+    ss = set(s)
+    if not all(0 <= v < g.n for v in ss):
+        return False
+    for v in ss:
+        for w in g.adj[v]:
+            if w in ss:
+                return False
+    for v in range(g.n):
+        if v not in ss and not any(w in ss for w in g.adj[v]):
+            return False
+    return True
+
+
+@st.composite
+def mis_candidates(draw):
+    """A graph and an id list: a greedy MIS, perhaps with one id dropped or
+    added, or arbitrary ids, some negative or out of range; then perhaps
+    repeated ids and numpy integers."""
+    g = draw(small_graphs())
+    kind = draw(st.sampled_from(("greedy", "dropped", "added", "ids")))
+    if kind == "ids":
+        s = draw(st.lists(st.integers(-3, g.n + 3), max_size=g.n + 2))
+    else:
+        s = []
+        for v in draw(st.permutations(range(g.n))):
+            if not any(w in s for w in g.adj[v]):
+                s.append(v)
+        if kind == "dropped" and s:
+            s.pop(draw(st.integers(0, len(s) - 1)))
+        elif kind == "added":
+            s.append(draw(st.integers(-1, g.n)))
+    if s and draw(st.booleans()):
+        s += draw(st.lists(st.sampled_from(s), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        s = [np.int64(v) for v in s]
+    return g, s
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=mis_candidates())
+def test_verify_mis_matches_the_loop_reference(case):
+    g, s = case
+    assert verify_mis(g, s) == ref_verify_mis(g, s)
+
+
 def test_verify_mis_hand_cases():
     g = cycle_graph(5)
     assert verify_mis(g, {0, 2})
     assert not verify_mis(g, {0, 1})      # adjacent
     assert not verify_mis(g, {0})         # 2 and 3 uncovered
     assert verify_mis(Graph(3), {0, 1, 2})  # edgeless: everyone joins
+    assert verify_mis(Graph(0), []) and not verify_mis(Graph(0), [0])
+    assert not verify_mis(g, {0, 2, -3})  # -3 must not wrap round to node 2
+    assert verify_mis(g, [np.int64(0), 2, 2])
 
 
 def test_verify_matching_and_cover():
