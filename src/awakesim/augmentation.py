@@ -38,15 +38,15 @@ class MatchBox:
     """
 
     _MODES = {"exact": 1, "greedy": 2, "sleeping": 8}
+    eps = Fraction(1, 10)  # accuracy of the sleeping box's fractional matcher
 
-    def __init__(self, mode: str = "greedy", *, eps=Fraction(1, 10),
-                 master_seed: int = 0, host_n: int = 0):
+    def __init__(self, mode: str = "greedy", *, master_seed: int = 0,
+                 host_n: int = 0):
         if mode not in self._MODES:
             raise ValueError(f"unknown box mode {mode!r}")
         self.mode = mode
         self.c = self._MODES[mode]
         self.is_maximal = mode in ("exact", "greedy")
-        self.eps = eps
         self.master_seed = master_seed
         self.calls = 0
         self.ledger: Optional[AwakeLedger] = AwakeLedger(host_n) if host_n else None
@@ -74,12 +74,12 @@ class MatchBox:
         return m
 
 
-def delta_maximal(g: Graph, box: MatchBox, delta, *, a: int = 3,
+def delta_maximal(g: Graph, box: MatchBox, delta, *,
                   iterations: Optional[int] = None,
                   orig_ids: Optional[Sequence[int]] = None) -> Matching:
     """Union of box matchings on shrinking residual graphs.
 
-    Runs ceil(a*c*ln(1/delta)) rounds (or ``iterations`` when given): apply
+    Runs ceil(3*c*ln(1/delta)) rounds (or ``iterations`` when given): apply
     the box to the graph induced by still-unmatched nodes and keep
     everything it returns.  The output M is delta-maximal: the residual
     graph G - V(M) has maximum matching at most delta*|M|.
@@ -87,7 +87,7 @@ def delta_maximal(g: Graph, box: MatchBox, delta, *, a: int = 3,
     if not 0 < delta < 1:
         raise PreconditionViolated("delta must lie in (0, 1)")
     if iterations is None:
-        iterations = math.ceil(a * box.c * math.log(1 / float(delta)))
+        iterations = math.ceil(3 * box.c * math.log(1 / float(delta)))
     remaining = set(range(g.n))
     out: List[Edge] = []
     for _ in range(max(1, iterations)):
@@ -245,7 +245,6 @@ def _extension_instance(endpoints: List[int], lg: LayerGraph,
 
 
 def find_maximal_paths(lg: LayerGraph, box: MatchBox, eps, *,
-                       delta: Optional[Fraction] = None,
                        delta_iterations: Optional[int] = None,
                        orig_ids: Optional[Sequence[int]] = None
                        ) -> Tuple[PathSet, Graph, Set[Edge]]:
@@ -257,13 +256,13 @@ def find_maximal_paths(lg: LayerGraph, box: MatchBox, eps, *,
     Returns (paths, H', removed_edges): H' is the host minus all vertices on
     still-active paths (deactivated vertices stay), and removed_edges are
     host edges dropped in delta-maximal mode, whose union cannot hide a
-    large matching.
+    large matching.  A box that is not maximal extends through
+    delta-maximal matchings with delta = eps^5 / 32.
     """
     epsf = float(eps)
     h = lg.host
     budget = math.ceil(10 / epsf ** 3)
-    if delta is None and not box.is_maximal:
-        delta = Fraction(1, 32) * Fraction(str(epsf)) ** 5
+    delta = Fraction(1, 32) * Fraction(str(epsf)) ** 5
 
     active: List[List[int]] = [[v] for v in lg.layers[0]]
     done: List[List[int]] = []
@@ -451,24 +450,21 @@ def _crossing_graph(g: Graph, sides: List[int],
 
 def general_one_plus_eps(g: Graph, box: MatchBox, eps, seed: int, *,
                          improve_iterations: Optional[int] = None,
-                         iteration_budget: int = 10 ** 4,
-                         delta_iterations: Optional[int] = None,
-                         scale: float = 1.0) -> Matching:
+                         delta_iterations: Optional[int] = None) -> Matching:
     """Random-bipartition amplification for general graphs.
 
     Each iteration keeps the crossing edges of a fresh bipartition, protects
     matched same-side edges by deleting their endpoints, re-solves the
     bipartite instance to near-optimality, and merges.  The result is kept
     only when strictly larger, so the matching size never decreases; the
-    loop ends after ceil(scale * 2^(8/eps)) iterations (capped) or once
+    loop ends after ceil(2^(8/eps)) iterations (at most 10^4) or once
     ceil(4/eps) consecutive iterations bring no improvement.
     """
     epsf = float(eps)
     if not 0 < epsf:
         raise PreconditionViolated("eps must be positive")
     if improve_iterations is None:
-        improve_iterations = min(iteration_budget,
-                                 math.ceil(scale * 2 ** min(64.0, 8 / epsf)))
+        improve_iterations = min(10 ** 4, math.ceil(2 ** min(64.0, 8 / epsf)))
     ell = 8 / epsf + 1
     slack = max(epsf / 8 * 2 ** -ell, epsf / 64)
     inner_eps = slack / 7
@@ -496,14 +492,13 @@ def general_one_plus_eps(g: Graph, box: MatchBox, eps, seed: int, *,
 
 
 def full_matching_pipeline(g: Graph, eps, seed: int, *,
-                           box_eps=Fraction(1, 10),
                            improve_iterations: Optional[int] = None,
                            delta_iterations: int = 12
                            ) -> Tuple[Matching, AwakeLedger]:
     """End-to-end (1+eps) matching with the low-awake box inside the
     general-graph wrapper; the returned ledger aggregates awake rounds over
     every box invocation, mapped back to host node ids."""
-    box = MatchBox("sleeping", eps=box_eps, master_seed=seed, host_n=max(1, g.n))
+    box = MatchBox("sleeping", master_seed=seed, host_n=max(1, g.n))
     m = general_one_plus_eps(g, box, eps, seed,
                              improve_iterations=improve_iterations,
                              delta_iterations=delta_iterations)

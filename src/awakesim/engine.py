@@ -33,7 +33,6 @@ bit-identically.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -177,7 +176,9 @@ class AwakeLedger:
         return {label: int(arr.sum()) for label, arr in self.parts.items()}
 
     def merge(self, other: "AwakeLedger", id_map=None) -> None:
-        """Fold ``other`` into this ledger, treating it as a sequential stage.
+        """Fold ``other`` into this ledger, treating it as a sequential stage:
+        its rounds run after this ledger's, so its recorded schedule is
+        offset by ``self.rounds``.
 
         ``id_map[i]`` gives this ledger's node id for ``other``'s node ``i``;
         omit it when both ledgers index the same nodes.
@@ -188,11 +189,11 @@ class AwakeLedger:
                 mine += arr
             else:
                 np.add.at(mine, np.asarray(id_map, dtype=np.int64), arr)
-        self.rounds += other.rounds
         if self.schedule is not None and other.schedule is not None:
             for i, rl in enumerate(other.schedule):
                 tgt = i if id_map is None else id_map[i]
-                self.schedule[tgt].extend(rl)
+                self.schedule[tgt].extend(r + self.rounds for r in rl)
+        self.rounds += other.rounds
 
     def __eq__(self, other):
         if not isinstance(other, AwakeLedger):
@@ -216,7 +217,6 @@ class RunMetrics:
     validity: Optional[bool] = None
     solution_size: Optional[int] = None
     diagnostics: Optional[Dict[str, Any]] = None
-    wall_time: float = 0.0
 
     @classmethod
     def from_ledger(cls, ledger: AwakeLedger, **extra) -> "RunMetrics":
@@ -341,7 +341,6 @@ def run(
     its terminal output.  Raises :class:`RoundCapExceeded` (with the partial
     ledger attached) if any node survives ``round_cap`` rounds.
     """
-    t0 = time.perf_counter()
     protocol.bind(g, master_seed)
     n = g.n
     ledger = AwakeLedger(n, record_schedule=record_schedule)
@@ -383,6 +382,4 @@ def run(
             alive_count -= done.size
 
     ledger.rounds = rnd + 1
-    metrics = RunMetrics.from_ledger(ledger)
-    metrics.wall_time = time.perf_counter() - t0
-    return outputs, ledger, metrics
+    return outputs, ledger, RunMetrics.from_ledger(ledger)

@@ -6,8 +6,9 @@ top rung J, every rung j <= J is the integer W_j = b (a+b)^j b^(J-j), which
 is w_j scaled by ONE = Delta b^(J+1) (:meth:`SampleSchedule.ladder`).  Node
 masses are sums of rungs, so every freeze, heavy, light and proposal
 decision is an exact comparison of Python integers; nothing is decided in
-floating point.  ``Fraction`` only builds outputs: one object per rung, and
-the spoiled value.
+floating point.  Both matchers reduce a run to its node freeze rounds;
+``Fraction`` only builds outputs from them: the weight ``Fraction(W_j, ONE)``
+once for each rung a run used, and the spoiled value.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 
-from .engine import AwakeLedger, Protocol, check_width, gather_neighbours, run
+from .engine import Protocol, check_width, gather_neighbours, run
 from .errors import InvalidAssignment
-from .graphs import Graph, Matching, canon
+from .graphs import Graph, Matching
 from .rng import TWO64, coin_threshold, node_rng, node_rng_array
 
 Edge = Tuple[int, int]
@@ -117,7 +118,6 @@ class SampleSchedule:
         self.i_max = saturation_phase(self.n)
         self._forced_p = _forced_probabilities(force_phase_probabilities,
                                                self.i_max)
-        self._w: List[Fraction] = [Fraction(1, self.delta)]
         # growth: the first j with w_j >= 1, i.e. (a+b)^j >= Delta b^j
         up, down, self._growth = 1, self.delta, 0
         while up < down:
@@ -155,19 +155,6 @@ class SampleSchedule:
         for _ in range(top + 1):
             yield w
             w = w * (a + b) // b
-
-    def w(self, j: int) -> Fraction:
-        """w_j as a Fraction, built once per rung; outputs hold these."""
-        if j < 0:
-            return Fraction(0)
-        while len(self._w) <= j:
-            self._w.append(self._w[-1] * (1 + self.eps))
-        return self._w[j]
-
-    def weights(self, top: int) -> List[Fraction]:
-        """[w(0), ..., w(top)]."""
-        self.w(top)
-        return self._w[:top + 1]
 
     def phase(self, j: int) -> int:
         """The first phase i with w_j <= 1 / iterated_log(n, i)^5."""
@@ -244,6 +231,29 @@ class FractionalAssignment:
                 f"frozen_nodes={len(self.frozen_nodes)})")
 
 
+def _assignment(g: Graph, f: List[int], rungs: List[int], one: int
+                ) -> Tuple[FractionalAssignment, List[int]]:
+    """The assignment of the node freeze rounds ``f`` (-1: never froze), and
+    each node's load on the ladder ``rungs`` scaled by ``one``.
+
+    Every edge freezes when its first endpoint does, at that rung; every
+    edge must have a frozen endpoint.
+    """
+    frozen_round: Dict[Edge, Optional[int]] = {}
+    load = [0] * g.n
+    for e in g.edges():
+        fu, fv = f[e[0]], f[e[1]]
+        j = frozen_round[e] = fv if fu < 0 else fu if fv < 0 else min(fu, fv)
+        load[e[0]] += rungs[j]
+        load[e[1]] += rungs[j]
+    used = set(frozen_round.values())
+    assert -1 not in used, "an edge has no frozen endpoint"
+    value = {j: Fraction(rungs[j], one) for j in used}
+    x = {e: value[j] for e, j in frozen_round.items()}
+    node_freeze = {v: (fv if fv >= 0 else None) for v, fv in enumerate(f)}
+    return FractionalAssignment(g.n, x, frozen_round, node_freeze), load
+
+
 # ---------------------------------------------------------------------------
 # Vanilla (centralized reference)
 
@@ -255,52 +265,32 @@ def vanilla_fractional(g: Graph, eps) -> FractionalAssignment:
     ceil(log_{1+eps} Delta) + 1 rounds with c_v <= 1 for every v.
     """
     sched = SampleSchedule(g.n, g.max_degree, eps)
-    n = g.n
-    node_freeze: Dict[int, Optional[int]] = {v: None for v in range(n)}
-    x: Dict[Edge, Fraction] = {}
-    frozen_round: Dict[Edge, Optional[int]] = {}
-    if g.m == 0:
-        return FractionalAssignment(n, x, frozen_round, node_freeze)
-
     # at rung growth_rounds() every active node is tight, so no run climbs past it
     one, tight, rungs = sched.ladder(sched.growth_rounds())
-    active_deg = [g.degree(v) for v in range(n)]
-    frozen_mass = [0] * n
-    active_nodes = {v for v in range(n) if active_deg[v] > 0}
-    edge_frozen: Dict[Edge, int] = {}
-
+    rungs = list(rungs)
+    adj = g.adj
+    f = [-1] * g.n
+    unf = [len(a) for a in adj]   # unfrozen incident edges
+    mass = [0] * g.n              # total weight of the frozen incident edges
+    live = [v for v in range(g.n) if unf[v]]
     for j, w in enumerate(rungs):
-        newly = [v for v in active_nodes
-                 if frozen_mass[v] + active_deg[v] * w >= tight]
-        for v in newly:
-            node_freeze[v] = j
-        for v in newly:
-            for u in g.neighbors(v):
-                e = canon(u, v)
-                if e not in edge_frozen:
-                    edge_frozen[e] = j
-                    for z in e:
-                        if node_freeze[z] is None or node_freeze[z] == j:
-                            active_deg[z] -= 1
-                            if node_freeze[z] is None:
-                                frozen_mass[z] += w
-        for v in newly:
-            active_nodes.discard(v)
-        active_nodes = {v for v in active_nodes if active_deg[v] > 0}
-        # per-round validity: c_v <= 1 for everyone, checked exactly
-        if __debug__:
-            for v in range(n):
-                c = frozen_mass[v] + active_deg[v] * w
-                assert c <= one or node_freeze[v] == j, "node value exceeded 1"
-        if not active_nodes:
+        if not live:
             break
-
-    values = sched.weights(j)
-    for e in g.edges():
-        fj = edge_frozen[e]
-        x[e] = values[fj]
-        frozen_round[e] = fj
-    return FractionalAssignment(n, x, frozen_round, node_freeze)
+        # c_v <= 1 for every node with an unfrozen edge, checked exactly;
+        # the others keep the value they had when their last edge froze
+        assert all(mass[v] + unf[v] * w <= one for v in live), \
+            "node value exceeded 1"
+        froze = [v for v in live if mass[v] + unf[v] * w >= tight]
+        for v in froze:
+            f[v] = j
+            unf[v] = 0
+        for v in froze:
+            for u in adj[v]:
+                if f[u] < 0:
+                    unf[u] -= 1
+                    mass[u] += w
+        live = [v for v in live if unf[v]]
+    return _assignment(g, f, rungs, one)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -507,31 +497,14 @@ def sampled_fractional(g: Graph, eps, seed: int, *, estimator_constant: int = 64
     awake 5 rounds, and the run takes 5 rounds.
     """
     n = g.n
-    sched = SampleSchedule(max(2, n), max(1, g.max_degree), eps,
-                           estimator_constant, force_stop_round,
-                           force_phase_probabilities)
-    if n == 0:
-        return (FractionalAssignment(0, {}, {}, {}),
-                AwakeLedger(0, record_schedule=record_schedule),
-                Diagnostics())
+    sched = SampleSchedule(n, g.max_degree, eps, estimator_constant,
+                           force_stop_round, force_phase_probabilities)
     proto = SampledMatchingProtocol(sched)
     outputs, ledger, _ = run(g, proto, seed, proto.round_cap, part="frac",
                              record_schedule=record_schedule)
-    node_freeze = {v: (f if f >= 0 else None) for v, f in outputs.items()}
-    x: Dict[Edge, Fraction] = {}
-    frozen_round: Dict[Edge, Optional[int]] = {}
     rungs, one = proto._rungs, proto._one
-    values = sched.weights(max(outputs.values()))
-    load = [0] * n
-    for e in g.edges():
-        fu, fv = outputs[e[0]], outputs[e[1]]
-        # every edge has a frozen endpoint; it froze at the earlier one
-        fj = fv if fu < 0 else fu if fv < 0 else min(fu, fv)
-        x[e] = values[fj]
-        frozen_round[e] = fj
-        load[e[0]] += rungs[fj]
-        load[e[1]] += rungs[fj]
-    asg = FractionalAssignment(n, x, frozen_round, node_freeze)
+    asg, load = _assignment(g, [outputs[v] for v in range(n)], rungs, one)
+    x, frozen_round, node_freeze = asg.x, asg.frozen_round, asg.node_freeze
 
     heavy = [v for v in range(n) if load[v] > one]
     diag = Diagnostics(heavy_events=len(heavy),

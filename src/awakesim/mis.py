@@ -60,7 +60,6 @@ class MisParams:
     p: Optional[Fraction] = None          # participation fraction, default 1/ceil(log2 n)
     C: int = 4                            # phase-length constant in stage 2
     K: Optional[int] = None               # stage-2 iterations, default 2*ceil(log2 log2 n)
-    luby_round_cap: Optional[int] = None
     part1_window: Optional[int] = None    # fixed competition length of stage 1
 
     def __post_init__(self):
@@ -169,8 +168,6 @@ class LubyProtocol(Protocol):
 def luby_mis(g: Graph, seed: int, round_cap: Optional[int] = None,
              record_schedule: bool = False) -> Tuple[Set[int], AwakeLedger]:
     """Luby-style MIS.  Output always satisfies ``verify_mis``."""
-    if g.n == 0:
-        return set(), AwakeLedger(0)
     cap = round_cap if round_cap is not None else 64 * (_clog2(g.n) + 2)
     outputs, ledger, _ = run(g, LubyProtocol(), seed, cap, part="luby",
                              record_schedule=record_schedule)
@@ -367,8 +364,6 @@ def part2_reduce(g: Graph, seed: int, params: Optional[MisParams] = None,
     degree bound is :func:`part2_degree` of ``g``.
     """
     params = params or MisParams()
-    if g.n == 0:
-        return set(), g, (), AwakeLedger(0)
     K = params.K if params.K is not None else default_iterations(g.n)
     proto = Part2Protocol(part2_degree(g), K, params.C)
     outputs, ledger, _ = run(g, proto, seed, K * proto.t_iter + 2, part="part2",
@@ -421,9 +416,8 @@ def awake_mis(g: Graph, seed: int, params: Optional[MisParams] = None,
     diags["residual2_n"] = res2.n
 
     host_ids2 = [ids1[v] for v in ids2]
-    cap = params.luby_round_cap if params.luby_round_cap is not None \
-        else 64 * (_clog2(n) + 2)
-    s3, led3 = luby_mis(res2, seed, round_cap=cap, record_schedule=record_schedule)
+    s3, led3 = luby_mis(res2, seed, round_cap=64 * (_clog2(n) + 2),
+                        record_schedule=record_schedule)
     ledger.merge(led3, id_map=host_ids2)
     mis.update(host_ids2[v] for v in s3)
 

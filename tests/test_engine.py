@@ -216,15 +216,19 @@ def test_record_schedule():
 
 
 def test_ledger_merge_with_id_map():
-    a = AwakeLedger(5)
+    a = AwakeLedger(5, record_schedule=True)
     a.charge("p1", np.array([0, 1]), 0)
-    b = AwakeLedger(2)
+    b = AwakeLedger(2, record_schedule=True)
     b.charge("p2", np.array([0, 1]), 0)
     b.rounds = 3
     a.merge(b, id_map=[3, 4])
     assert a.part_totals() == {"p1": 2, "p2": 2}
     assert list(a.counts) == [1, 1, 0, 1, 1]
     assert a.rounds == 3
+    # a merged stage runs after the rounds already folded in
+    a.merge(b, id_map=[1, 4])
+    assert a.schedule == [[0], [0, 3], [], [0], [0, 3]]
+    assert a.rounds == 6
 
 
 def test_ledger_equality():

@@ -303,10 +303,14 @@ def test_schedule_stop_rule_fires_immediately():
 
 def test_schedule_ladder_and_phases():
     sched = SampleSchedule(2 ** 16, 10, Fraction(1, 10))
-    assert sched.w(0) == Fraction(1, 10)
-    assert sched.w(3) == Fraction(1, 10) * Fraction(11, 10) ** 3
-    assert sched.w(sched.growth_rounds()) >= 1
-    assert sched.w(sched.growth_rounds() - 1) < 1
+    top = sched.growth_rounds()
+    one, tight, rungs = sched.ladder(top)
+    w = [Fraction(r, one) for r in rungs]
+    assert Fraction(tight, one) == Fraction(9, 10)
+    assert w[0] == Fraction(1, 10)
+    assert w[3] == Fraction(1, 10) * Fraction(11, 10) ** 3
+    assert w[top] >= 1
+    assert w[top - 1] < 1
     # a deep ladder walks through the phases in order
     deep = SampleSchedule(2 ** 16, 2048, Fraction(1, 10))
     phases = [deep.phase(j) for j in range(deep.growth_rounds())]

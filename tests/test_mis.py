@@ -177,6 +177,9 @@ def test_awake_mis_validity_and_diagnostics():
 
 def test_awake_mis_small_and_degenerate():
     assert awake_mis(Graph(0), seed=1)[0] == set()
+    # the empty graph runs the general path: a recorded schedule is a list
+    assert luby_mis(Graph(0), 1, record_schedule=True)[1].schedule == []
+    assert part2_reduce(Graph(0), 1, record_schedule=True)[3].schedule == []
     mis, _, metrics = awake_mis(Graph(1), seed=1)
     assert mis == {0} and metrics.validity
     mis, _, _ = awake_mis(path_graph(2), seed=3)
@@ -252,9 +255,10 @@ def _stage_schedule_digest():
 def test_stage_schedule_golden_digest():
     """Standalone Luby, stage 1 and stage 2 on the golden corpus: sets,
     residual ids, ledger parts, rounds and per-node awake schedules, as
-    computed by the per-node hook implementation of the three protocols."""
+    computed by the per-node hook implementation of the three protocols,
+    with the empty graph's schedules recorded as ``[]``."""
     assert _stage_schedule_digest() == (
-        "31e09c4855a95232fa9cdfc1b636de55f81d8ffc143b0e70fff93a9d9eeeb29b")
+        "c7c370bbff2bf94c14954cec8e00215c689b1fce32a523c8fdc8ddb0bd15de88")
 
 
 @st.composite
@@ -274,3 +278,15 @@ def test_mis_validity_and_ledger_totals_on_arbitrary_graphs(g, seed):
     s, lled = luby_mis(g, seed)
     assert verify_mis(g, s)
     assert lled.total_awake() == sum(lled.part_totals().values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=small_graphs(), seed=st.integers(0, 2 ** 32))
+def test_awake_mis_ledger_matches_its_recorded_schedule(g, seed):
+    """The stages run one after another, so the merged schedule of every node
+    is strictly increasing and ends before the pipeline's last round."""
+    _, ledger, _ = awake_mis(g, seed, record_schedule=True)
+    assert ledger.counts.tolist() == [len(rs) for rs in ledger.schedule]
+    for rs in ledger.schedule:
+        assert all(a < b for a, b in zip(rs, rs[1:]))
+        assert all(0 <= r < ledger.rounds for r in rs)
