@@ -22,7 +22,7 @@ from .mis import MisParams, awake_mis, greedy_partial_mis, luby_mis, part2_reduc
 from .fractional import (FractionalAssignment, SampleSchedule, extract_vertex_cover,
                          iterated_log, round_matching, sampled_fractional,
                          vanilla_fractional)
-from .augmentation import (LayerGraph, MatchBox, PathSet, augment,
+from .augmentation import (LayerGraph, MatchBox, augment,
                            bipartite_one_plus_eps, build_layer_graph,
                            delta_maximal, find_maximal_paths,
                            full_matching_pipeline, general_one_plus_eps)
@@ -33,8 +33,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AwakeLedger", "BROADCAST", "ExperimentConfig", "FractionalAssignment",
     "Graph", "InvalidAssignment", "InvalidPath", "LayerGraph", "MatchBox",
-    "Matching", "MisParams", "OracleTooLarge", "PathSet",
-    "PreconditionViolated", "Protocol", "RoundCapExceeded", "RunMetrics",
+    "Matching", "MisParams", "OracleTooLarge", "PreconditionViolated", "Protocol", "RoundCapExceeded", "RunMetrics",
     "SampleSchedule", "augment", "awake_mis", "bipartite_one_plus_eps",
     "build_layer_graph", "canon", "coin_threshold", "complete_graph",
     "cycle_graph", "delta_maximal", "exact_max_matching",

@@ -4,7 +4,9 @@ A constant-approximation matcher (the "box") is amplified to a (1+eps)
 approximation: delta-maximal matchings by repeated invocation, a layer-graph
 procedure that finds a maximal set of short augmenting paths, a bipartite
 loop that raises the minimum augmenting-path length level by level, and a
-random-bipartition wrapper for general graphs.
+random-bipartition wrapper for general graphs.  Every path extension is a
+delta-maximal matching; a maximal box (exact, greedy) ends one after a
+single call, because its residual graph has no edge left.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import math
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
+from . import fractional
 from .engine import AwakeLedger
 from .errors import InvalidPath, PreconditionViolated
 from .graphs import Graph, Matching, canon
@@ -46,7 +49,6 @@ class MatchBox:
             raise ValueError(f"unknown box mode {mode!r}")
         self.mode = mode
         self.c = self._MODES[mode]
-        self.is_maximal = mode in ("exact", "greedy")
         self.master_seed = master_seed
         self.calls = 0
         self.ledger: Optional[AwakeLedger] = AwakeLedger(host_n) if host_n else None
@@ -63,11 +65,10 @@ class MatchBox:
         elif self.mode == "greedy":
             m = greedy_maximal_matching(g)
         else:
-            from .fractional import round_matching, sampled_fractional
             s1 = node_rng(self.master_seed, 0, "box", 2 * self.calls)
             s2 = node_rng(self.master_seed, 0, "box", 2 * self.calls + 1)
-            asg, led, _ = sampled_fractional(g, self.eps, s1)
-            m = round_matching(asg, s2)
+            asg, led, _ = fractional.sampled_fractional(g, self.eps, s1)
+            m = fractional.round_matching(asg, s2)
             if self.ledger is not None:
                 self.ledger.merge(led, id_map=orig_ids)
         assert verify_matching(g, m)
@@ -81,8 +82,10 @@ def delta_maximal(g: Graph, box: MatchBox, delta, *,
 
     Runs ceil(3*c*ln(1/delta)) rounds (or ``iterations`` when given): apply
     the box to the graph induced by still-unmatched nodes and keep
-    everything it returns.  The output M is delta-maximal: the residual
-    graph G - V(M) has maximum matching at most delta*|M|.
+    everything it returns, until the residual graph has no edge.  The
+    output M is delta-maximal: the residual graph G - V(M) has maximum
+    matching at most delta*|M|.  A maximal box leaves no residual edge, so
+    it is called exactly once.
     """
     if not 0 < delta < 1:
         raise PreconditionViolated("delta must lie in (0, 1)")
@@ -90,15 +93,14 @@ def delta_maximal(g: Graph, box: MatchBox, delta, *,
         iterations = math.ceil(3 * box.c * math.log(1 / float(delta)))
     remaining = set(range(g.n))
     out: List[Edge] = []
-    for _ in range(max(1, iterations)):
-        sub, ids = g.induced(sorted(remaining))
+    for it in range(max(1, iterations)):
+        # nothing is matched before the first call, so it needs no copy
+        sub, ids = (g, range(g.n)) if it == 0 else g.induced(sorted(remaining))
         if sub.m == 0:
             break
         sub_orig = ([orig_ids[i] for i in ids] if orig_ids is not None
                     else list(ids))
         m = box(sub, orig_ids=sub_orig)
-        if len(m) == 0 and box.is_maximal:
-            break
         for (a_, b_) in m:
             u, v = ids[a_], ids[b_]
             out.append(canon(u, v))
@@ -125,13 +127,13 @@ class LayerGraph:
                  "complete")
 
     def __init__(self, host: Graph, matching: Matching, level: int,
-                 layers: List[List[int]], succ: Dict[int, List[int]],
-                 complete: bool):
+                 layers: List[List[int]], layer_of: Dict[int, int],
+                 succ: Dict[int, List[int]], complete: bool):
         self.host = host
         self.matching = matching
         self.level = level
         self.layers = layers
-        self.layer_of = {v: k for k, layer in enumerate(layers) for v in layer}
+        self.layer_of = layer_of
         self.succ = succ
         self.complete = complete
 
@@ -199,35 +201,18 @@ def build_layer_graph(h: Graph, m: Matching, i: int) -> LayerGraph:
             for w in layer:
                 p = partner.get(w)
                 succ[w] = [p] if p is not None and layer_of.get(p) == k + 1 else []
-    return LayerGraph(h, m, i, layers, succ, complete)
+    return LayerGraph(h, m, i, layers, layer_of, succ, complete)
 
 
 # ---------------------------------------------------------------------------
 # Maximal augmenting-path sets
 
 
-class PathSet:
-    """Vertex-disjoint augmenting paths from L_0 to the top layer."""
-
-    __slots__ = ("paths",)
-
-    def __init__(self, paths: Optional[List[List[int]]] = None):
-        self.paths = paths if paths is not None else []
-
-    def __len__(self):
-        return len(self.paths)
-
-    def __iter__(self):
-        return iter(self.paths)
-
-    def nodes(self) -> Set[int]:
-        return {v for p in self.paths for v in p}
-
-
 def _extension_instance(endpoints: List[int], lg: LayerGraph,
-                        blocked: Set[int]) -> Tuple[Graph, List[int], List[int]]:
-    """Bipartite matching instance between active endpoints and the unused
-    next-layer vertices each can reach."""
+                        blocked: Set[int]) -> Tuple[Graph, List[int]]:
+    """Bipartite matching instance between active endpoints (instance nodes
+    0..len-1) and the unused next-layer vertices each can reach (the
+    returned targets, after them)."""
     targets: List[int] = []
     t_index: Dict[int, int] = {}
     edges: List[Edge] = []
@@ -241,23 +226,22 @@ def _extension_instance(endpoints: List[int], lg: LayerGraph,
                 targets.append(w)
             edges.append((li, t_index[w]))
     sides = [0] * nl + [1] * len(targets)
-    return Graph(nl + len(targets), edges, sides=sides), endpoints, targets
+    return Graph(nl + len(targets), edges, sides=sides), targets
 
 
 def find_maximal_paths(lg: LayerGraph, box: MatchBox, eps, *,
-                       delta_iterations: Optional[int] = None,
-                       orig_ids: Optional[Sequence[int]] = None
-                       ) -> Tuple[PathSet, Graph, Set[Edge]]:
+                       delta_iterations: Optional[int] = None
+                       ) -> Tuple[List[List[int]], Graph, Set[Edge]]:
     """Maximal set of disjoint augmenting paths of length 2*level+1.
 
-    Iteratively extends candidate paths by one matching step between the
-    active endpoints and the next layers; unmatched length-0 paths are
-    dropped, longer ones backtrack and deactivate their last two vertices.
-    Returns (paths, H', removed_edges): H' is the host minus all vertices on
-    still-active paths (deactivated vertices stay), and removed_edges are
-    host edges dropped in delta-maximal mode, whose union cannot hide a
-    large matching.  A box that is not maximal extends through
-    delta-maximal matchings with delta = eps^5 / 32.
+    Iteratively extends candidate paths by one delta-maximal matching step
+    (delta = eps^5 / 32) between the active endpoints and the next layers;
+    unmatched length-0 paths are dropped, longer ones backtrack and
+    deactivate their last two vertices.  Returns (paths, H', removed_edges):
+    H' is the host minus all vertices on still-active paths (deactivated
+    vertices stay) and minus removed_edges, the extension edges whose
+    endpoints both stayed unmatched; their union cannot hide a large
+    matching.  A maximal box removes no edge.
     """
     epsf = float(eps)
     h = lg.host
@@ -278,36 +262,23 @@ def find_maximal_paths(lg: LayerGraph, box: MatchBox, eps, *,
         if not active:
             break
         endpoints = [p[-1] for p in active]
-        blocked = on_path | dead
-        inst, lefts, rights = _extension_instance(endpoints, lg, blocked)
-        if inst.m == 0:
-            ext = Matching()
-        elif box.is_maximal:
-            ext = box(inst, orig_ids=(
-                [orig_ids[v] for v in lefts + rights] if orig_ids is not None
-                else lefts + rights))
-        else:
-            ext = delta_maximal(inst, box, delta,
-                                iterations=delta_iterations,
-                                orig_ids=([orig_ids[v] for v in lefts + rights]
-                                          if orig_ids is not None
-                                          else lefts + rights))
+        inst, targets = _extension_instance(endpoints, lg, on_path | dead)
+        ids = endpoints + targets
+        ext = (delta_maximal(inst, box, delta, iterations=delta_iterations,
+                             orig_ids=ids)
+               if inst.m else Matching())
         ext_map = ext.partner_map()
-        if not box.is_maximal:
-            # edges whose endpoints both stay unmatched can no longer be
-            # used; recording them keeps the disconnection argument valid
-            nl = len(lefts)
-            for (a_, b_) in inst.edges():
-                if a_ not in ext_map and b_ not in ext_map:
-                    u = lefts[a_] if a_ < nl else rights[a_ - nl]
-                    w = lefts[b_] if b_ < nl else rights[b_ - nl]
-                    removed_edges.add(canon(u, w))
+        # edges whose endpoints both stay unmatched can no longer be used;
+        # recording them keeps the disconnection argument valid
+        for (a_, b_) in inst.edges():
+            if a_ not in ext_map and b_ not in ext_map:
+                removed_edges.add(canon(ids[a_], ids[b_]))
 
         nxt_active: List[List[int]] = []
         for li, path in enumerate(active):
             mate = ext_map.get(li)
             if mate is not None:
-                w = rights[mate - len(lefts)]
+                w = ids[mate]
                 assert lg.layer_of[w] == lg.layer_of[path[-1]] + 1
                 if lg.layer_of[w] == top_depth:
                     path.append(w)
@@ -340,10 +311,10 @@ def find_maximal_paths(lg: LayerGraph, box: MatchBox, eps, *,
     kept = [e for e in h.edges()
             if e[0] not in gone and e[1] not in gone and e not in removed_edges]
     h_prime = Graph(h.n, kept, sides=h.sides)
-    return PathSet(done), h_prime, removed_edges
+    return done, h_prime, removed_edges
 
 
-def augment(m: Matching, paths: PathSet) -> Matching:
+def augment(m: Matching, paths: List[List[int]]) -> Matching:
     """Flip each path: odd edges enter the matching, even edges leave it.
 
     Output size is |m| + len(paths).  Raises InvalidPath unless every path
@@ -383,10 +354,8 @@ def augment(m: Matching, paths: PathSet) -> Matching:
 
 
 def bipartite_one_plus_eps(h: Graph, box: MatchBox, eps, *,
-                           level_cap: Optional[int] = None,
                            on_level: Optional[Callable] = None,
-                           delta_iterations: Optional[int] = None,
-                           orig_ids: Optional[Sequence[int]] = None) -> Matching:
+                           delta_iterations: Optional[int] = None) -> Matching:
     """Level loop: after level i the working graph has no augmenting path of
     length <= 2i+1, so ceil(2/eps)+1 levels give a (1+7eps) approximation
     relative to the original host.
@@ -402,10 +371,7 @@ def bipartite_one_plus_eps(h: Graph, box: MatchBox, eps, *,
     epsf = float(eps)
     if not 0 < epsf:
         raise PreconditionViolated("eps must be positive")
-    levels = math.ceil(2 / epsf) + 1
-    if level_cap is not None:
-        levels = min(levels, level_cap)
-    levels = min(levels, h.n // 2 + 1)  # longer paths cannot exist
+    levels = min(math.ceil(2 / epsf) + 1, h.n // 2 + 1)  # longer paths cannot exist
 
     m = Matching()
     h_cur = h
@@ -413,9 +379,8 @@ def bipartite_one_plus_eps(h: Graph, box: MatchBox, eps, *,
         lg = build_layer_graph(h_cur, m, i)
         if lg.top:
             paths, h_next, _removed = find_maximal_paths(
-                lg, box, eps, delta_iterations=delta_iterations,
-                orig_ids=orig_ids)
-            if len(paths):
+                lg, box, eps, delta_iterations=delta_iterations)
+            if paths:
                 m = augment(m, paths)
             # matched edges on a removed (still-active) path leave with it;
             # both their endpoints are gone, so no new short path appears

@@ -111,23 +111,18 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _ovr(overrides: Dict[str, str], key: str, cast, default=None):
-    if key in overrides:
-        return cast(overrides[key])
-    return default
+def _ovr(overrides: Dict[str, str], key: str, cast,
+         param: Optional[str] = None) -> Dict[str, Any]:
+    """``{param: cast(value)}`` when override ``key`` is set, else ``{}``, so
+    an unset override leaves the algorithm's own default in force.
+    ``param`` is the keyword it fills, ``key`` itself unless given."""
+    return {param or key: cast(overrides[key])} if key in overrides else {}
 
 
-def _mis_params(overrides: Dict[str, str]) -> Optional[mis.MisParams]:
-    kwargs = {}
-    if "participation" in overrides:
-        kwargs["p"] = Fraction(overrides["participation"])
-    if "C" in overrides:
-        kwargs["C"] = int(overrides["C"])
-    if "K" in overrides:
-        kwargs["K"] = int(overrides["K"])
-    if "window" in overrides:
-        kwargs["part1_window"] = int(overrides["window"])
-    return mis.MisParams(**kwargs) if kwargs else None
+def _mis_params(overrides: Dict[str, str]) -> mis.MisParams:
+    return mis.MisParams(**_ovr(overrides, "participation", Fraction, "p"),
+                         **_ovr(overrides, "C", int), **_ovr(overrides, "K", int),
+                         **_ovr(overrides, "window", int, "part1_window"))
 
 
 def _ledger_columns(led: Optional[AwakeLedger]) -> Dict[str, Any]:
@@ -193,19 +188,18 @@ def run_trial(cfg: ExperimentConfig, t: int) -> Dict[str, Any]:
         if cfg.algorithm == "pipeline":
             m, led = full_matching_pipeline(
                 g, _eps_fraction(cfg.eps), seed,
-                improve_iterations=_ovr(ovr, "improve_iterations", int),
-                delta_iterations=_ovr(ovr, "delta_iterations", int, 12))
+                **_ovr(ovr, "improve_iterations", int),
+                **_ovr(ovr, "delta_iterations", int))
         else:
-            box = MatchBox(_ovr(ovr, "box", str, "greedy"),
+            box = MatchBox(**_ovr(ovr, "box", str, "mode"),
                            master_seed=seed, host_n=g.n)
             if cfg.algorithm == "bipartite_amplify":
                 if g.sides is None:
                     raise ValueError("bipartite_amplify needs a bipartite family")
                 m = bipartite_one_plus_eps(g, box, cfg.eps)
             else:
-                m = general_one_plus_eps(
-                    g, box, cfg.eps, seed,
-                    improve_iterations=_ovr(ovr, "improve_iterations", int))
+                m = general_one_plus_eps(g, box, cfg.eps, seed,
+                                         **_ovr(ovr, "improve_iterations", int))
             led = box.ledger
         row.update(_ledger_columns(led), size=len(m),
                    validity=verify_matching(g, m))
@@ -231,8 +225,8 @@ def _sampled(cfg: ExperimentConfig, g: Graph, seed: int):
     ovr = cfg.overrides
     return fractional.sampled_fractional(
         g, _eps_fraction(cfg.eps), seed,
-        estimator_constant=_ovr(ovr, "estimator_constant", int, 64),
-        force_stop_round=_ovr(ovr, "stop_round", int))
+        **_ovr(ovr, "estimator_constant", int),
+        **_ovr(ovr, "stop_round", int, "force_stop_round"))
 
 
 def _try_optimum(g: Graph) -> Optional[int]:

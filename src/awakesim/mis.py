@@ -390,10 +390,6 @@ def awake_mis(g: Graph, seed: int, params: Optional[MisParams] = None,
     params = params or MisParams()
     n = g.n
     ledger = AwakeLedger(n, record_schedule=record_schedule)
-    if n == 0:
-        return set(), ledger, RunMetrics.from_ledger(ledger, validity=True,
-                                                     solution_size=0)
-
     p = params.p if params.p is not None else default_participation(n)
     mis, _, res1, ids1, led1 = greedy_partial_mis(g, seed, p, params.part1_window,
                                                   record_schedule)

@@ -371,8 +371,8 @@ def test_criterion_13_determinism():
 
     def sleeping_bipartite():
         box = MatchBox("sleeping", master_seed=9, host_n=bip.n)
-        return bipartite_one_plus_eps(bip, box, 0.25, delta_iterations=6,
-                                      orig_ids=range(bip.n)), box.ledger
+        return bipartite_one_plus_eps(bip, box, 0.25,
+                                      delta_iterations=6), box.ledger
 
     twice("bipartite_amplify", sleeping_bipartite)
     twice("general_amplify",

@@ -1,19 +1,20 @@
 """Layer graphs, augmenting-path extraction, and the amplification loops."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
 
-from awakesim.augmentation import (LayerGraph, MatchBox, PathSet, augment,
-                                   bipartite_one_plus_eps, build_layer_graph,
-                                   delta_maximal, find_maximal_paths,
-                                   full_matching_pipeline,
+from awakesim.augmentation import (MatchBox, augment, bipartite_one_plus_eps,
+                                   build_layer_graph, delta_maximal,
+                                   find_maximal_paths, full_matching_pipeline,
                                    general_one_plus_eps)
 from awakesim.errors import InvalidPath, PreconditionViolated
 from awakesim.graphs import (Graph, Matching, cycle_graph, gen_bipartite,
                              gen_gnp)
 from awakesim.oracles import (exact_max_matching, find_short_augmenting_path,
                               max_bipartite_matching, verify_matching)
+from test_mis import _hash_ledger
 
 
 def p4_host():
@@ -102,7 +103,7 @@ def test_find_paths_hand_case():
     m = Matching([(1, 2)])
     lg = build_layer_graph(h, m, 1)
     paths, h_prime, removed = find_maximal_paths(lg, MatchBox("exact"), 0.2)
-    assert list(paths) == [[0, 1, 2, 3]]
+    assert paths == [[0, 1, 2, 3]]
     assert removed == set()
     assert h_prime.n == h.n
     m2 = augment(m, paths)
@@ -112,17 +113,17 @@ def test_find_paths_hand_case():
 def test_augment_error_cases():
     m = Matching([(1, 2)])
     with pytest.raises(InvalidPath):
-        augment(m, PathSet([[0, 1, 2]]))          # odd node count
+        augment(m, [[0, 1, 2]])                   # odd node count
     with pytest.raises(InvalidPath):
-        augment(m, PathSet([[1, 2]]))             # matched endpoints
+        augment(m, [[1, 2]])                      # matched endpoints
     with pytest.raises(InvalidPath):
-        augment(Matching(), PathSet([[0, 1], [1, 2]]))  # shared vertex
+        augment(Matching(), [[0, 1], [1, 2]])     # shared vertex
     with pytest.raises(InvalidPath):
-        augment(m, PathSet([[0, 1, 3, 5]]))       # 1-3 is not a matched edge
+        augment(m, [[0, 1, 3, 5]])                # 1-3 is not a matched edge
 
 
 def test_augment_disjoint_singles():
-    m = augment(Matching(), PathSet([[0, 1], [2, 3]]))
+    m = augment(Matching(), [[0, 1], [2, 3]])
     assert m == Matching([(0, 1), (2, 3)])
 
 
@@ -143,9 +144,9 @@ def test_level_zero_is_maximal_matching():
     for seed in range(6):
         h = gen_bipartite(9, 9, 0.25, seed=seed)
         states = []
-        bipartite_one_plus_eps(h, MatchBox("exact"), 0.2, level_cap=1,
+        bipartite_one_plus_eps(h, MatchBox("exact"), 0.2,
                                on_level=lambda i, hc, m: states.append((hc, m)))
-        h_after, m = states[-1]
+        h_after, m = states[0]
         assert verify_matching(h, m)
         assert find_short_augmenting_path(h_after, m, 1) is None
 
@@ -193,3 +194,35 @@ def test_pipeline_end_to_end():
     assert len(m) == 2
     assert ledger.total_awake() > 0
     assert "frac" in ledger.part_totals()
+
+
+def _amplification_digest():
+    h = hashlib.sha256()
+    for seed in range(4):
+        bip = gen_bipartite(10 + 2 * seed, 12, 0.2, seed=40 + seed)
+        for mode in ("exact", "greedy", "sleeping"):
+            box = MatchBox(mode, master_seed=seed, host_n=bip.n)
+            m = bipartite_one_plus_eps(bip, box, 0.25, delta_iterations=4)
+            h.update(repr((mode, sorted(m), box.calls)).encode())
+            _hash_ledger(h, box.ledger)
+        g = gen_gnp(12, 0.3, seed=50 + seed)
+        for mode in ("exact", "greedy"):
+            box = MatchBox(mode)
+            m = general_one_plus_eps(g, box, 0.5, seed=seed,
+                                     improve_iterations=4)
+            h.update(repr((mode, sorted(m), box.calls)).encode())
+        for host in (bip, g):
+            m, ledger = full_matching_pipeline(host, Fraction(1, 2), seed=seed,
+                                               improve_iterations=2,
+                                               delta_iterations=4)
+            h.update(repr(sorted(m)).encode())
+            _hash_ledger(h, ledger)
+    return h.hexdigest()
+
+
+def test_amplification_golden_digest():
+    """Matchings, box call counts and box ledgers of the three amplification
+    entry points on a fixed corpus, as computed when maximal boxes still
+    extended paths through a single box call instead of delta_maximal."""
+    assert _amplification_digest() == (
+        "9dadc24814acee4cb6caa7d9ae6ecf0ace87d0a0c3df61cad7d3a10caed69fed")

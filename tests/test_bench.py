@@ -172,3 +172,13 @@ def test_cli_amplify_smoke(capsys):
     assert rows[0]["validity"] == "true"
     if rows[0]["ratio"]:
         assert float(rows[0]["ratio"]) <= 1.0
+    # an unset override leaves the algorithm's own default in force
+    pipeline = ["amplify", "--mode", "pipeline", "--n", "10", "--p", "0.3",
+                "--eps", "0.5", "--seed", "5"]
+    assert main(pipeline) == 0
+    plain = capsys.readouterr().out
+    assert main(pipeline + ["--override", "delta_iterations=12"]) == 0
+    assert capsys.readouterr().out == plain
+    assert _parse_csv(plain)[0]["validity"] == "true"
+    assert main(pipeline + ["--override", "delta_iterations=1"]) == 0
+    assert capsys.readouterr().out != plain

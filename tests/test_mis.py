@@ -176,7 +176,11 @@ def test_awake_mis_validity_and_diagnostics():
 
 
 def test_awake_mis_small_and_degenerate():
-    assert awake_mis(Graph(0), seed=1)[0] == set()
+    mis, ledger, metrics = awake_mis(Graph(0), seed=1)
+    assert mis == set() and ledger.part_totals() == {} and metrics.rounds == 0
+    assert metrics.validity
+    assert metrics.diagnostics == {"part1_in": 0, "residual1_n": 0,
+                                   "residual2_n": 0}
     # the empty graph runs the general path: a recorded schedule is a list
     assert luby_mis(Graph(0), 1, record_schedule=True)[1].schedule == []
     assert part2_reduce(Graph(0), 1, record_schedule=True)[3].schedule == []
