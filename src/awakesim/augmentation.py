@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from . import fractional
@@ -229,6 +230,12 @@ def _extension_instance(endpoints: List[int], lg: LayerGraph,
     return Graph(nl + len(targets), edges, sides=sides), targets
 
 
+@lru_cache(maxsize=64)
+def _extension_delta(epsf: float) -> Fraction:
+    """delta = eps^5 / 32, exact over eps's shortest decimal form."""
+    return Fraction(1, 32) * Fraction(str(epsf)) ** 5
+
+
 def find_maximal_paths(lg: LayerGraph, box: MatchBox, eps, *,
                        delta_iterations: Optional[int] = None
                        ) -> Tuple[List[List[int]], Graph, Set[Edge]]:
@@ -246,7 +253,7 @@ def find_maximal_paths(lg: LayerGraph, box: MatchBox, eps, *,
     epsf = float(eps)
     h = lg.host
     budget = math.ceil(10 / epsf ** 3)
-    delta = Fraction(1, 32) * Fraction(str(epsf)) ** 5
+    delta = _extension_delta(epsf)
 
     active: List[List[int]] = [[v] for v in lg.layers[0]]
     done: List[List[int]] = []

@@ -220,11 +220,13 @@ class RunMetrics:
 
     @classmethod
     def from_ledger(cls, ledger: AwakeLedger, **extra) -> "RunMetrics":
+        counts = ledger.counts  # one sum over the parts for all three values
+        total = int(counts.sum())
         return cls(
             rounds=ledger.rounds,
-            total_awake=ledger.total_awake(),
-            avg_awake=ledger.node_averaged(),
-            max_awake=ledger.max_awake(),
+            total_awake=total,
+            avg_awake=total / ledger.n if ledger.n else 0.0,
+            max_awake=int(counts.max()) if ledger.n else 0,
             per_part=ledger.part_totals(),
             **extra,
         )

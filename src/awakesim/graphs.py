@@ -13,7 +13,9 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from .rng import node_rng, uniform01
+# node_rng is unused here but stays importable as graphs.node_rng, which the
+# perfbench tracer patches.
+from .rng import node_rng, node_rng_array  # noqa: F401
 
 Edge = Tuple[int, int]
 VertexSet = Set[int]
@@ -239,40 +241,48 @@ class Matching:
 # -- generators -----------------------------------------------------------
 
 
-def _pair_from_index(idx: int, n: int) -> Edge:
-    # Decode a linear index over the upper triangle: row u holds pairs
-    # (u, u+1)..(u, n-1).  Solve for the row with integer arithmetic.
-    # Start of row u is S(u) = u*n - u*(u+1)/2.
-    lo, hi = 0, n - 1
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if mid * n - mid * (mid + 1) // 2 <= idx:
-            lo = mid
-        else:
-            hi = mid - 1
-    u = lo
-    start = u * n - u * (u + 1) // 2
-    return (u, u + 1 + (idx - start))
+# Cap on the draws one block of _skip_sample takes from the seeded stream.
+_SKIP_BLOCK = 1 << 16
 
 
-def _skip_sample(total: int, p: float, seed: int, label: str):
-    """Yield indices of a Bernoulli(p) subset of range(total) by skip lengths."""
+def _skip_sample(total: int, p: float, seed: int, label: str) -> np.ndarray:
+    """Increasing ``int64`` indices of a Bernoulli(p) subset of range(total).
+
+    Skip lengths (Batagelj and Brandes 2005): draw ``k`` of stream ``label``
+    gives ``u = uniform01(node_rng(seed, 0, label, k))`` and the gap
+    ``int(log1p(-u) / log1p(-p))`` before the next index.  Draws are taken in
+    numpy blocks and equal that scalar recipe bit for bit: ``log1p`` is
+    ``math.log1p`` mapped over the block, since ``np.log1p`` may differ from
+    it in the last ulp.
+    """
     if total <= 0 or p <= 0.0:
-        return
+        return np.empty(0, dtype=np.int64)
     if p >= 1.0:
-        yield from range(total)
-        return
+        return np.arange(total, dtype=np.int64)
     log1mp = math.log1p(-p)
-    idx = -1
+    # A gap of total or more ends the stream.  Clipping gaps at a float just
+    # above total keeps them finite and exact in int64; the check below keeps
+    # one block's positions from wrapping.
+    cap = math.nextafter(float(total), math.inf)
+    block = min(_SKIP_BLOCK, int(total * p * 1.05) + 64)
+    if (int(cap) + 1) * (block + 1) >= 1 << 63:
+        raise ValueError(f"index space of {total} is too large to sample")
+    chunks = []
+    last = -1
     k = 0
     while True:
-        u = uniform01(node_rng(seed, 0, label, k))
-        k += 1
-        skip = int(math.log1p(-u) / log1mp)
-        idx += 1 + skip
-        if idx >= total:
-            return
-        yield idx
+        r = node_rng_array(seed, 0, label, np.arange(k, k + block, dtype=np.uint64))
+        k += block
+        u = (r >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+        logs = np.fromiter(map(math.log1p, (-u).tolist()), dtype=np.float64, count=block)
+        with np.errstate(over="ignore"):  # subnormal p: the gap is inf, then cap
+            skip = np.minimum(logs / log1mp, cap).astype(np.int64)
+        pos = last + np.cumsum(skip + 1)
+        stop = int(np.searchsorted(pos, total))
+        chunks.append(pos[:stop])
+        if stop < block:
+            return np.concatenate(chunks)
+        last = int(pos[-1])
 
 
 def gen_gnp(n: int, p: float, seed: int) -> Graph:
@@ -281,9 +291,15 @@ def gen_gnp(n: int, p: float, seed: int) -> Graph:
         raise ValueError("n must be nonnegative")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
-    total = n * (n - 1) // 2
-    edges = [_pair_from_index(i, n) for i in _skip_sample(total, p, seed, "gnp")]
-    return Graph(n, edges)
+    idx = _skip_sample(n * (n - 1) // 2, p, seed, "gnp")
+    # Index idx lies in row u of the upper triangle, the largest u whose
+    # row start S(u) = u*n - u*(u+1)/2 is at most idx; row u holds pairs
+    # (u, u+1)..(u, n-1).
+    rows = np.arange(n, dtype=np.int64)
+    starts = rows * n - rows * (rows + 1) // 2
+    u = np.searchsorted(starts, idx, side="right") - 1
+    v = u + 1 + idx - starts[u]
+    return Graph(n, zip(u.tolist(), v.tolist()))
 
 
 def gen_bipartite(nl: int, nr: int, p: float, seed: int) -> Graph:
@@ -292,12 +308,9 @@ def gen_bipartite(nl: int, nr: int, p: float, seed: int) -> Graph:
         raise ValueError("side sizes must be nonnegative")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
-    edges = []
-    for idx in _skip_sample(nl * nr, p, seed, "gbip"):
-        u, r = divmod(idx, nr)
-        edges.append((u, nl + r))
+    u, r = np.divmod(_skip_sample(nl * nr, p, seed, "gbip"), nr)
     sides = [0] * nl + [1] * nr
-    return Graph(nl + nr, edges, sides=sides)
+    return Graph(nl + nr, zip(u.tolist(), (r + nl).tolist()), sides=sides)
 
 
 def cycle_graph(n: int) -> Graph:

@@ -1,11 +1,18 @@
 """Graph container, generators, and matching plumbing."""
 
+import hashlib
+import math
+import warnings
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from awakesim import graphs
 from awakesim.graphs import (Graph, Matching, canon, complete_graph,
                              cycle_graph, gen_bipartite, gen_gnp, path_graph,
                              petersen_graph, star_graph)
+from awakesim.rng import node_rng, uniform01
 from test_mis import small_graphs
 
 
@@ -88,6 +95,138 @@ def test_bipartite_sides_and_edges():
     assert g.sides == tuple([0] * 6 + [1] * 9)
     for u, v in g.edges():
         assert g.sides[u] != g.sides[v]
+
+
+# -- scalar reference generators ---------------------------------------------
+# The per-edge generators that the block-vectorised ones replaced, kept as
+# they were: one scalar draw and one binary search per edge.
+
+
+def _pair_from_index(idx, n):
+    # Decode a linear index over the upper triangle: row u holds pairs
+    # (u, u+1)..(u, n-1).  Solve for the row with integer arithmetic.
+    # Start of row u is S(u) = u*n - u*(u+1)/2.
+    lo, hi = 0, n - 1
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if mid * n - mid * (mid + 1) // 2 <= idx:
+            lo = mid
+        else:
+            hi = mid - 1
+    u = lo
+    start = u * n - u * (u + 1) // 2
+    return (u, u + 1 + (idx - start))
+
+
+def _skip_sample(total, p, seed, label):
+    """Yield indices of a Bernoulli(p) subset of range(total) by skip lengths."""
+    if total <= 0 or p <= 0.0:
+        return
+    if p >= 1.0:
+        yield from range(total)
+        return
+    log1mp = math.log1p(-p)
+    idx = -1
+    k = 0
+    while True:
+        u = uniform01(node_rng(seed, 0, label, k))
+        k += 1
+        skip = int(math.log1p(-u) / log1mp)
+        idx += 1 + skip
+        if idx >= total:
+            return
+        yield idx
+
+
+def _ref_indices(total, p, seed, label):
+    # For p below about 1e-307 a gap is an infinite float and int() raises;
+    # an infinite gap ends the stream.
+    try:
+        yield from _skip_sample(total, p, seed, label)
+    except OverflowError:
+        return
+
+
+def ref_gen_gnp(n, p, seed):
+    total = n * (n - 1) // 2
+    edges = [_pair_from_index(i, n) for i in _ref_indices(total, p, seed, "gnp")]
+    return Graph(n, edges)
+
+
+def ref_gen_bipartite(nl, nr, p, seed):
+    edges = []
+    for idx in _ref_indices(nl * nr, p, seed, "gbip"):
+        u, r = divmod(idx, nr)
+        edges.append((u, nl + r))
+    sides = [0] * nl + [1] * nr
+    return Graph(nl + nr, edges, sides=sides)
+
+
+probabilities = st.one_of(st.sampled_from([0.0, 1.0, 1e-300, 5e-324, 1e-9]),
+                          st.floats(0.0, 1.0))
+seeds = st.integers(0, 2 ** 63)
+
+
+@pytest.mark.parametrize("block", [None, 1, 2, 7])
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(0, 60), nl=st.integers(0, 30), nr=st.integers(0, 30),
+       p=probabilities, seed=seeds)
+def test_generators_equal_scalar_reference(block, n, nl, nr, p, seed):
+    with pytest.MonkeyPatch.context() as mp:
+        if block is not None:
+            mp.setattr(graphs, "_SKIP_BLOCK", block)
+        g, ref = gen_gnp(n, p, seed), ref_gen_gnp(n, p, seed)
+        assert (g.n, g.edge_set) == (ref.n, ref.edge_set)
+        b, ref = gen_bipartite(nl, nr, p, seed), ref_gen_bipartite(nl, nr, p, seed)
+        assert (b.n, b.edge_set, b.sides) == (ref.n, ref.edge_set, ref.sides)
+
+
+def test_generator_tiny_p_and_empty_sides():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert gen_gnp(5000, 1e-300, 1).m == 0
+        # the scalar loop raised OverflowError here: log1p(-u)/log1p(-p) is inf
+        assert gen_gnp(5000, 5e-324, 1).m == 0
+    g = gen_bipartite(0, 5, 0.5, 1)
+    assert (g.n, g.m, g.sides) == (5, 0, (1,) * 5)
+    g = gen_bipartite(5, 0, 0.5, 1)
+    assert (g.n, g.m, g.sides) == (5, 0, (0,) * 5)
+
+
+def test_skip_sample_rejects_index_space_that_could_wrap(monkeypatch):
+    with pytest.raises(ValueError, match="too large"):
+        graphs._skip_sample(1 << 62, 1e-300, 1, "gnp")
+    monkeypatch.setattr(graphs, "_SKIP_BLOCK", 1)
+    with pytest.raises(ValueError, match="too large"):
+        graphs._skip_sample((1 << 62) - 1, 1e-300, 1, "gnp")
+    idx = graphs._skip_sample(1 << 61, 1e-300, 1, "gnp")
+    assert idx.dtype == "int64" and len(idx) == 0
+
+
+def _generator_digest():
+    h = hashlib.sha256()
+
+    def feed(tag, g):
+        h.update(f"{tag} n={g.n} sides={g.sides}\n".encode())
+        h.update(repr(sorted(g.edge_set)).encode())
+
+    for seed in (1, 7, 2 ** 63 - 5):
+        for n in (0, 1, 2, 3, 7, 40, 257):
+            for p in (0.0, 1e-300, 1e-9, 0.05, 0.5, 0.999, 1.0):
+                feed(f"gnp {n} {p!r} {seed}", gen_gnp(n, p, seed))
+        for nl, nr in ((0, 5), (5, 0), (3, 7), (40, 40), (256, 256)):
+            for p in (0.0, 1e-9, 0.01, 0.3, 1.0):
+                feed(f"gbip {nl} {nr} {p!r} {seed}", gen_bipartite(nl, nr, p, seed))
+        feed(f"gnp 4096 10/n {seed}", gen_gnp(4096, 10 / 4096, seed))
+    feed("gnp 2^16 10/n 1", gen_gnp(2 ** 16, 10 / 2 ** 16, 1))
+    return h.hexdigest()
+
+
+def test_generator_golden_digest():
+    """Sorted edges and sides of a fixed generator corpus, including one
+    G(2^16, 10/n), as computed by the scalar per-edge generators."""
+    assert _generator_digest() == (
+        "4ccc7fe0af2efada4604bf4132ab12c912b514c4f6e1a04a4ee04676471d87a6")
 
 
 def test_named_families():
