@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from itertools import chain
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -33,50 +33,81 @@ class Graph:
     ----------
     n : int
         Number of nodes.
-    edges : iterable of pairs
-        Edges in any orientation; canonicalized and deduplicated.
+    edges : iterable of pairs, or an int array of shape ``(m, 2)``
+        Edges in any orientation; canonicalized and deduplicated.  An array
+        is turned into the CSR adjacency by a few numpy calls, and ``adj``
+        and ``edge_set`` are built from that on first use.  Pairs take a
+        Python loop, which is the faster of the two on tiny graphs.
     sides : optional sequence of 0/1
         Bipartition labels, populated by :func:`gen_bipartite` and by
         algorithms that build two-sided instances.
     """
 
-    __slots__ = ("n", "edge_set", "adj", "sides", "_adj_np", "_csr", "_max_degree")
+    __slots__ = ("n", "m", "max_degree", "sides", "_adj", "_edge_set", "_adj_np", "_csr")
 
     def __init__(self, n: int, edges: Iterable[Edge] = (), sides: Optional[Sequence[int]] = None):
         if n < 0:
             raise ValueError("n must be nonnegative")
         self.n = n
-        es = set()
-        for u, v in edges:
-            if u == v:
-                raise ValueError(f"self-loop at node {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-            es.add(canon(u, v))
-        self.edge_set = frozenset(es)
-        adj: List[List[int]] = [[] for _ in range(n)]
-        for u, v in es:
-            adj[u].append(v)
-            adj[v].append(u)
-        self.adj = tuple(tuple(sorted(a)) for a in adj)
+        if isinstance(edges, np.ndarray):
+            indptr, indices, self.max_degree = _csr_from_array(n, edges)
+            self._csr = (indptr, indices)
+            self.m = len(indices) // 2
+            self._adj = self._edge_set = None
+        else:
+            es = set()
+            for u, v in edges:
+                if u == v:
+                    raise ValueError(f"self-loop at node {u}")
+                if not (0 <= u < n and 0 <= v < n):
+                    raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+                es.add(canon(u, v))
+            self._edge_set = frozenset(es)
+            adj: List[List[int]] = [[] for _ in range(n)]
+            for u, v in es:
+                adj[u].append(v)
+                adj[v].append(u)
+            self._adj = tuple(tuple(sorted(a)) for a in adj)
+            self._csr = None
+            self.m = len(es)
+            self.max_degree = max((len(a) for a in self._adj), default=0)
         if sides is not None:
             sides = tuple(int(s) for s in sides)
             if len(sides) != n or any(s not in (0, 1) for s in sides):
                 raise ValueError("sides must assign 0 or 1 to every node")
         self.sides = sides
         self._adj_np = None
-        self._csr = None
-        self._max_degree = max((len(a) for a in self.adj), default=0)
 
     # -- basic accessors -------------------------------------------------
 
     @property
-    def m(self) -> int:
-        return len(self.edge_set)
+    def adj(self) -> Tuple[Tuple[int, ...], ...]:
+        """Sorted neighbour tuple of every node."""
+        if self._adj is None:
+            self._build_views()
+        return self._adj
 
     @property
-    def max_degree(self) -> int:
-        return self._max_degree
+    def edge_set(self) -> FrozenSet[Edge]:
+        """Canonical ``(u, v)`` tuples, ``u < v``."""
+        if self._edge_set is None:
+            self._build_views()
+        return self._edge_set
+
+    def _build_views(self) -> None:
+        # Both views index one int object per node, so a large graph does not
+        # hold a fresh int for every entry of every tuple.
+        indptr, indices = self._csr
+        ids = tuple(range(self.n))
+        flat = tuple(map(ids.__getitem__, indices.tolist()))
+        bounds = indptr.tolist()
+        self._adj = tuple(flat[a:b] for a, b in zip(bounds, bounds[1:]))
+        rows = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(indptr))
+        up = indices > rows
+        # frozenset of a set gets a table sized to fit; of an iterator, one
+        # grown in steps of four, up to twice as large
+        self._edge_set = frozenset(set(zip(map(ids.__getitem__, rows[up].tolist()),
+                                           map(ids.__getitem__, indices[up].tolist()))))
 
     def nodes(self) -> range:
         return range(self.n)
@@ -95,14 +126,18 @@ class Graph:
         return canon(u, v) in self.edge_set
 
     def adj_arrays(self) -> List[np.ndarray]:
-        """Per-node neighbor arrays (int64), built lazily for bulk delivery."""
+        """Per-node neighbor arrays (int64 views of the CSR), built lazily for
+        bulk delivery."""
         if self._adj_np is None:
-            self._adj_np = [np.array(a, dtype=np.int64) for a in self.adj]
+            indptr, indices = self.csr()
+            bounds = indptr.tolist()
+            self._adj_np = [indices[a:b] for a, b in zip(bounds, bounds[1:])]
         return self._adj_np
 
     def csr(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Compressed adjacency ``(indptr, indices)`` (int64), built lazily:
-        node ``v``'s sorted neighbours are ``indices[indptr[v]:indptr[v + 1]]``."""
+        """Compressed adjacency ``(indptr, indices)`` (int64): node ``v``'s
+        sorted neighbours are ``indices[indptr[v]:indptr[v + 1]]``.  A graph
+        built from pairs builds it lazily from ``adj``."""
         if self._csr is None:
             indptr = np.zeros(self.n + 1, dtype=np.int64)
             np.cumsum([len(a) for a in self.adj], out=indptr[1:])
@@ -117,16 +152,29 @@ class Graph:
         """Induced subgraph on ``nodes``; returns (subgraph, original_ids).
 
         ``original_ids[i]`` is the id in this graph of subgraph node ``i``.
-        Side labels are carried over when present.
+        Side labels are carried over when present.  A graph that holds its
+        CSR relabels it with numpy; one that does not loops over ``adj``.
         """
         ids = tuple(sorted(set(nodes)))
+        if ids and not (0 <= ids[0] and ids[-1] < self.n):
+            bad = ids[0] if ids[0] < 0 else ids[-1]
+            raise ValueError(f"node {bad} out of range for n={self.n}")
+        sides = tuple(self.sides[orig] for orig in ids) if self.sides is not None else None
+        if self._csr is not None:
+            indptr, indices = self._csr
+            new = np.full(self.n, -1, dtype=np.int64)
+            new[np.fromiter(ids, dtype=np.int64, count=len(ids))] = np.arange(len(ids))
+            rows = np.repeat(new, np.diff(indptr))
+            cols = new[indices]
+            keep = (rows >= 0) & (cols > rows)
+            return Graph(len(ids), np.stack((rows[keep], cols[keep]), axis=1), sides=sides), ids
+        adj = self.adj
         index = {orig: i for i, orig in enumerate(ids)}
         sub_edges = []
         for i, orig in enumerate(ids):
-            for w in self.adj[orig]:
+            for w in adj[orig]:
                 if w > orig and w in index:
                     sub_edges.append((i, index[w]))
-        sides = tuple(self.sides[orig] for orig in ids) if self.sides is not None else None
         return Graph(len(ids), sub_edges, sides=sides), ids
 
     # -- serialization ----------------------------------------------------
@@ -184,6 +232,36 @@ class Graph:
 
     def __hash__(self):
         return hash((self.n, self.edge_set))
+
+
+def _csr_from_array(n: int, edges: np.ndarray) -> Tuple[np.ndarray, np.ndarray, int]:
+    """``(indptr, indices, max_degree)`` of an ``(m, 2)`` int array of edges.
+
+    Rows are checked in order with the pair loop's messages: the first bad
+    row is reported, as a self-loop if it is one, else as out of range.
+    """
+    if edges.ndim != 2 or edges.shape[1] != 2 or edges.dtype.kind not in "iu":
+        raise ValueError(f"edge array must be integer with shape (m, 2), "
+                         f"got {edges.dtype} with shape {edges.shape}")
+    u = edges[:, 0].astype(np.int64)
+    v = edges[:, 1].astype(np.int64)
+    bad = (u == v) | (np.minimum(u, v) < 0) | (np.maximum(u, v) >= n)
+    if bad.any():
+        a, b = (int(x) for x in edges[int(bad.argmax())])
+        if a == b:
+            raise ValueError(f"self-loop at node {a}")
+        raise ValueError(f"edge ({a}, {b}) out of range for n={n}")
+    # Each edge as two keys row*n + col.  Sorted, they list the CSR rows in
+    # order, every row's neighbours ascending, with repeats side by side.
+    # (np.unique would do, but its first call loads far more code.)
+    keys = np.sort(np.concatenate((u * n + v, v * n + u)))
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    rows, indices = np.divmod(keys[first], n)
+    deg = np.bincount(rows, minlength=n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(deg, out=indptr[1:])
+    return indptr, indices, int(deg.max(initial=0))
 
 
 class Matching:
@@ -299,7 +377,7 @@ def gen_gnp(n: int, p: float, seed: int) -> Graph:
     starts = rows * n - rows * (rows + 1) // 2
     u = np.searchsorted(starts, idx, side="right") - 1
     v = u + 1 + idx - starts[u]
-    return Graph(n, zip(u.tolist(), v.tolist()))
+    return Graph(n, np.stack((u, v), axis=1))
 
 
 def gen_bipartite(nl: int, nr: int, p: float, seed: int) -> Graph:
@@ -310,7 +388,7 @@ def gen_bipartite(nl: int, nr: int, p: float, seed: int) -> Graph:
         raise ValueError("p must lie in [0, 1]")
     u, r = np.divmod(_skip_sample(nl * nr, p, seed, "gbip"), nr)
     sides = [0] * nl + [1] * nr
-    return Graph(nl + nr, zip(u.tolist(), (r + nl).tolist()), sides=sides)
+    return Graph(nl + nr, np.stack((u, r + nl), axis=1), sides=sides)
 
 
 def cycle_graph(n: int) -> Graph:

@@ -263,6 +263,10 @@ def greedy_partial_mis(g: Graph, seed: int, p, window: Optional[int] = None,
 
 _P2_UNDECIDED, _P2_IN = 0, 2
 
+# Cap on the coins one stage-2 draw takes: an iteration's (rounds x nodes)
+# uint64 draws at 2^18 nodes would otherwise be a few hundred MB at once.
+_MARK_BLOCK = 1 << 20
+
 
 class Part2Protocol(Protocol):
     """K iterations of phased marking under degree bound d.
@@ -305,15 +309,19 @@ class Part2Protocol(Protocol):
         ids = np.nonzero(alive & (self._deg > 0))[0]
         if ids.size == 0:
             return
-        # marking coins for the whole iteration, keyed by global round index
-        base = k * self.t_iter
-        idx = base + np.arange(self._marking, dtype=np.uint64)
-        draws = node_rng_array(self.seed, ids[None, :], "p2mark", idx[:, None])
-        marks = (draws < self._thr[:, None]) | self._always[:, None]
-        self._marks[:, ids] = marks
-        any_mark = marks.any(axis=0)
-        firsts = marks.argmax(axis=0)
-        self._first[ids[any_mark]] = firsts[any_mark]
+        # marking coins for the whole iteration, keyed by global round index,
+        # drawn in blocks of rows so that the uint64 draws stay small
+        idx = k * self.t_iter + np.arange(self._marking, dtype=np.uint64)
+        first = np.full(ids.size, -1, dtype=np.int64)
+        step = max(1, _MARK_BLOCK // ids.size)
+        for o in range(0, self._marking, step):
+            rows = slice(o, o + step)
+            draws = node_rng_array(self.seed, ids[None, :], "p2mark", idx[rows, None])
+            marks = (draws < self._thr[rows, None]) | self._always[rows, None]
+            self._marks[rows, ids] = marks
+            new = (first < 0) & marks.any(axis=0)
+            first[new] = o + marks[:, new].argmax(axis=0)
+        self._first[ids] = first
 
     def wake_set(self, rnd, alive):
         k, o = divmod(rnd, self.t_iter)

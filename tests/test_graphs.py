@@ -2,8 +2,10 @@
 
 import hashlib
 import math
+import sys
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -47,6 +49,87 @@ def test_induced_keeps_sides_and_ids():
     assert sub.n == 3
     assert sub.edges() == [(0, 1)]  # the 1-2 edge survives
     assert sub.sides == (1, 0, 0)
+
+
+def test_induced_rejects_ids_out_of_range():
+    for g in (path_graph(4), Graph(4, np.array([(0, 1), (1, 2), (2, 3)]))):
+        for nodes, bad in (([-1, 0], -1), ([0, 4], 4), ([2, -5, 9], -5)):
+            with pytest.raises(ValueError, match=f"node {bad} out of range for n=4"):
+                g.induced(nodes)
+
+
+@st.composite
+def edge_lists(draw):
+    """``(n, pairs, sides)`` with repeated edges in both orientations; node
+    ids above 256 are not interned by Python."""
+    n = draw(st.integers(0, 12) | st.integers(250, 300))
+    node = st.integers(0, max(n - 1, 0))
+    pairs = [] if n < 2 else draw(st.lists(
+        st.tuples(node, node).filter(lambda e: e[0] != e[1]), max_size=40))
+    if pairs:
+        repeats = draw(st.lists(st.tuples(st.sampled_from(pairs), st.booleans()),
+                                max_size=10))
+        pairs += [(v, u) if flip else (u, v) for (u, v), flip in repeats]
+    sides = draw(st.none() | st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    return n, pairs, sides
+
+
+def _both_backings(n, pairs, sides):
+    return (Graph(n, pairs, sides=sides),
+            Graph(n, np.array(pairs, dtype=np.int64).reshape(-1, 2), sides=sides))
+
+
+def _assert_same_graph(a, b):
+    assert (b.n, b.m, b.max_degree) == (a.n, a.m, a.max_degree)
+    assert type(b.m) is int and type(b.max_degree) is int
+    assert b.edge_set == a.edge_set and b.adj == a.adj and b.edges() == a.edges()
+    # both views hold one int object per node, not one per entry
+    shared = {id(w) for nbrs in b.adj for w in nbrs}
+    assert all(id(u) in shared and id(v) in shared for u, v in b.edge_set)
+    assert sys.getsizeof(b.edge_set) == sys.getsizeof(a.edge_set)
+    for x, y in zip(b.csr(), a.csr()):
+        assert x.dtype == y.dtype == np.int64 and x.tolist() == y.tolist()
+    assert b.sides == a.sides and b.to_text() == a.to_text()
+    assert b == a and hash(b) == hash(a)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=edge_lists(), data=st.data())
+def test_array_and_pair_backings_agree(case, data):
+    n, pairs, sides = case
+    _assert_same_graph(*_both_backings(n, pairs, sides))
+    by_pairs, by_array = _both_backings(n, pairs, sides)
+    nodes = [] if n == 0 else data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n))
+    sub_a, ids_a = by_pairs.induced(nodes)
+    sub_b, ids_b = by_array.induced(nodes)
+    # each graph took its own path, and neither built the other's backing
+    assert by_pairs._csr is None and by_array._adj is None and sub_b._adj is None
+    assert ids_b == ids_a and all(type(i) is int for i in ids_b)
+    _assert_same_graph(sub_a, sub_b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(0, 6),
+       pairs=st.lists(st.tuples(st.integers(-3, 8), st.integers(-3, 8)), max_size=8))
+def test_array_backing_raises_the_pair_loops_errors(n, pairs):
+    def error(edges):
+        try:
+            Graph(n, edges)
+        except ValueError as e:
+            return str(e)
+        return None
+
+    assert error(np.array(pairs, dtype=np.int64).reshape(-1, 2)) == error(pairs)
+
+
+@pytest.mark.parametrize("edges", [np.zeros(4, dtype=np.int64),
+                                   np.zeros((2, 3), dtype=np.int64),
+                                   np.zeros((1, 2, 2), dtype=np.int64),
+                                   np.array([[0.0, 1.0]]),
+                                   np.array([[True, False]])])
+def test_edge_array_must_be_int_pairs(edges):
+    with pytest.raises(ValueError, match=r"shape \(m, 2\)"):
+        Graph(4, edges)
 
 
 def test_text_round_trip():

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from awakesim import mis as mis_module
 from awakesim.graphs import (Graph, complete_graph, cycle_graph, gen_bipartite,
                              gen_gnp, path_graph, petersen_graph, star_graph)
 from awakesim.engine import run
@@ -152,6 +153,30 @@ def test_part2_wake_pattern_is_one_block_per_iteration():
             iter_end = (k + 1) * t_iter - 1
             assert rs[-1] == iter_end or rs[-1] == last_overall, (
                 f"node {v} slept early in iteration {k}")
+
+
+def test_part2_marks_drawn_in_blocks(monkeypatch):
+    g = gen_gnp(400, 0.02, seed=11)
+    whole = part2_reduce(g, seed=11, record_schedule=True)
+    for block in (1, 1000):  # one row per draw; blocks cutting an iteration
+        monkeypatch.setattr(mis_module, "_MARK_BLOCK", block)
+        added, residual, ids, ledger = part2_reduce(g, seed=11, record_schedule=True)
+        assert (added, residual, ids) == whole[:3]
+        assert ledger.schedule == whole[3].schedule
+
+
+def test_mis_never_builds_the_python_views():
+    """The MIS stages work on the CSR alone: neither a generated graph nor
+    the residuals they induce ever build ``adj`` or ``edge_set``."""
+    g = gen_gnp(2000, 10 / 2000, seed=3)
+    awake_mis(g, seed=3)
+    luby_mis(g, seed=3)
+    _, _, res1, _, _ = greedy_partial_mis(g, 3, default_participation(g.n))
+    _, res2, _, _ = part2_reduce(res1, 3)
+    luby_mis(res1, 3)
+    assert res1.m
+    for h in (g, res1, res2):
+        assert h._adj is None and h._edge_set is None
 
 
 def test_part2_shrinks_residual():
