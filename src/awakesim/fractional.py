@@ -6,9 +6,10 @@ top rung J, every rung j <= J is the integer W_j = b (a+b)^j b^(J-j), which
 is w_j scaled by ONE = Delta b^(J+1) (:meth:`SampleSchedule.ladder`).  Node
 masses are sums of rungs, so every freeze, heavy, light and proposal
 decision is an exact comparison of Python integers; nothing is decided in
-floating point.  Both matchers reduce a run to its node freeze rounds;
-``Fraction`` only builds outputs from them: the weight ``Fraction(W_j, ONE)``
-once for each rung a run used, and the spoiled value.
+floating point.  There is one matcher, :class:`SampledMatchingProtocol`;
+``vanilla_fractional`` is its run with stop round 0.  A run reduces to its
+node freeze rounds; ``Fraction`` only builds outputs from them: the weight
+``Fraction(W_j, ONE)`` once for each rung a run used, and the spoiled value.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
@@ -98,13 +100,46 @@ def saturation_phase(n: int) -> int:
     return i
 
 
+def _phase(n: int, delta: int, a: int, b: int, i_max: int, j: int) -> int:
+    """The first phase i with w_j <= 1 / iterated_log(n, i)^5, eps = a/b."""
+    up, down = (a + b) ** j, delta * b ** j
+    for i in range(1, i_max + 1):
+        if up * iterated_log(n, i) ** 5 <= down:
+            return i
+    return i_max
+
+
+@lru_cache(maxsize=256)
+def _schedule_shape(n: int, delta: int, eps: Fraction) -> Tuple[int, int, int, int]:
+    """``(i_max, growth, i_stop, analytic stop round)`` for ``n`` >= 2 nodes
+    of max degree ``delta`` >= 1.  A bad ``eps`` raises on every call, since
+    ``lru_cache`` does not cache exceptions."""
+    _check_eps(eps)
+    a, b = eps.numerator, eps.denominator
+    i_max = saturation_phase(n)
+    # growth: the first j with w_j >= 1, i.e. (a+b)^j >= Delta b^j
+    up, down, growth = 1, delta, 0
+    while up < down:
+        up, down = up * (a + b), down * b
+        growth += 1
+    # stop rule: first phase whose scale is below eps*ln(1+eps)/1000
+    cut = float(eps) * math.log1p(float(eps)) / 1000.0
+    i_stop = next((i for i in range(1, i_max + 1)
+                   if 1.0 / iterated_log(n, i) > cut), i_max)
+    stop = 0
+    while _phase(n, delta, a, b, i_max, stop) < i_stop:
+        stop += 1
+    return i_max, growth, i_stop, stop
+
+
 class SampleSchedule:
     """Weight ladder, phase map, sampling probabilities, and the stop round.
 
     ``force_stop_round`` and ``force_phase_probabilities`` exist because the
     analytic stop rule fires immediately at practical n: they let tests drive
     the sub-1 sampling machinery.  Every knob is checked here, and a bad one
-    raises ``ValueError`` naming it.
+    raises ``ValueError`` naming it.  What depends only on ``(n, Delta,
+    eps)`` is computed once per key (:func:`_schedule_shape`).
     """
 
     def __init__(self, n: int, delta: int, eps, estimator_constant: int = 64,
@@ -112,31 +147,15 @@ class SampleSchedule:
                  force_phase_probabilities=None):
         self.n = max(2, n)
         self.delta = max(1, delta)
-        self.eps = _check_eps(_as_fraction(eps))
+        self.eps = _as_fraction(eps)
+        self.i_max, self._growth, self.i_stop, stop = _schedule_shape(
+            self.n, self.delta, self.eps)
         self.a, self.b = self.eps.numerator, self.eps.denominator
         self.C = _check_integer(estimator_constant, "estimator_constant", 1)
-        self.i_max = saturation_phase(self.n)
         self._forced_p = _forced_probabilities(force_phase_probabilities,
                                                self.i_max)
-        # growth: the first j with w_j >= 1, i.e. (a+b)^j >= Delta b^j
-        up, down, self._growth = 1, self.delta, 0
-        while up < down:
-            up, down = up * (self.a + self.b), down * self.b
-            self._growth += 1
-        # stop rule: first phase whose scale is below eps*ln(1+eps)/1000
-        cut = float(self.eps) * math.log1p(float(self.eps)) / 1000.0
-        self.i_stop = self.i_max
-        for i in range(1, self.i_max + 1):
-            if 1.0 / iterated_log(self.n, i) > cut:
-                self.i_stop = i
-                break
-        if force_stop_round is not None:
-            self.stop_round = _check_integer(force_stop_round, "force_stop_round", 0)
-        else:
-            j = 0
-            while self.phase(j) < self.i_stop:
-                j += 1
-            self.stop_round = j
+        self.stop_round = (stop if force_stop_round is None else
+                           _check_integer(force_stop_round, "force_stop_round", 0))
 
     def ladder(self, top: int) -> Tuple[int, int, Iterator[int]]:
         """The rungs as integers, exact up to rung ``top``.
@@ -158,11 +177,7 @@ class SampleSchedule:
 
     def phase(self, j: int) -> int:
         """The first phase i with w_j <= 1 / iterated_log(n, i)^5."""
-        up, down = (self.a + self.b) ** j, self.delta * self.b ** j
-        for i in range(1, self.i_max + 1):
-            if up * iterated_log(self.n, i) ** 5 <= down:
-                return i
-        return self.i_max
+        return _phase(self.n, self.delta, self.a, self.b, self.i_max, j)
 
     def p_of_phase(self, i: int) -> Fraction:
         forced = self._forced_p.get(i)
@@ -255,46 +270,7 @@ def _assignment(g: Graph, f: List[int], rungs: List[int], one: int
 
 
 # ---------------------------------------------------------------------------
-# Vanilla (centralized reference)
-
-
-def vanilla_fractional(g: Graph, eps) -> FractionalAssignment:
-    """Grow all active edges by (1+eps) per round; tight nodes freeze.
-
-    Exact integer arithmetic on the ladder throughout.  Terminates within
-    ceil(log_{1+eps} Delta) + 1 rounds with c_v <= 1 for every v.
-    """
-    sched = SampleSchedule(g.n, g.max_degree, eps)
-    # at rung growth_rounds() every active node is tight, so no run climbs past it
-    one, tight, rungs = sched.ladder(sched.growth_rounds())
-    rungs = list(rungs)
-    adj = g.adj
-    f = [-1] * g.n
-    unf = [len(a) for a in adj]   # unfrozen incident edges
-    mass = [0] * g.n              # total weight of the frozen incident edges
-    live = [v for v in range(g.n) if unf[v]]
-    for j, w in enumerate(rungs):
-        if not live:
-            break
-        # c_v <= 1 for every node with an unfrozen edge, checked exactly;
-        # the others keep the value they had when their last edge froze
-        assert all(mass[v] + unf[v] * w <= one for v in live), \
-            "node value exceeded 1"
-        froze = [v for v in live if mass[v] + unf[v] * w >= tight]
-        for v in froze:
-            f[v] = j
-            unf[v] = 0
-        for v in froze:
-            for u in adj[v]:
-                if f[u] < 0:
-                    unf[u] -= 1
-                    mass[u] += w
-        live = [v for v in live if unf[v]]
-    return _assignment(g, f, rungs, one)[0]
-
-
-# ---------------------------------------------------------------------------
-# Sampled low-awake variant
+# Sampled low-awake variant, and vanilla as its stop-round-0 run
 
 
 class SampledMatchingProtocol(Protocol):
@@ -486,9 +462,9 @@ def sampled_fractional(g: Graph, eps, seed: int, *, estimator_constant: int = 64
     c_v > 1) have their incident edges zeroed; the assignment then satisfies
     c_v <= 1 everywhere.  Light events count frozen nodes whose value is
     below 1-20eps after that clean-up and was at most 1-20eps before it.
-    With the analytic stop rule firing at round 0, which it does for any
-    practical n, this reproduces vanilla_fractional exactly while every node
-    pays vanilla awake costs.
+    The analytic stop rule fires at round 0 for any practical n, and then
+    this is the run vanilla_fractional makes, so its assignment is
+    vanilla's by construction and every node pays vanilla awake costs.
 
     For eps >= 1/10 the estimator cut 1-10eps is at most 0, so on the forced
     path every node that hears a report freezes in its first sampled round.
@@ -496,9 +472,31 @@ def sampled_fractional(g: Graph, eps, seed: int, *, estimator_constant: int = 64
     probabilities (1 in round 0 there), every node freezes in round 0, is
     awake 5 rounds, and the run takes 5 rounds.
     """
-    n = g.n
-    sched = SampleSchedule(n, g.max_degree, eps, estimator_constant,
+    sched = SampleSchedule(g.n, g.max_degree, eps, estimator_constant,
                            force_stop_round, force_phase_probabilities)
+    return _match(g, sched, seed, record_schedule)
+
+
+def vanilla_fractional(g: Graph, eps) -> FractionalAssignment:
+    """Grow all active edges by (1+eps) per round; tight nodes freeze.
+
+    This is the sampled matcher's run with stop round 0: no sample coin is
+    drawn, so no seed is read, and the tight rule c_v >= 1-eps runs from
+    the first rung on with every node awake.  Exact integer arithmetic on
+    the ladder throughout.  Terminates within ceil(log_{1+eps} Delta) + 1
+    rounds with c_v <= 1 for every v.
+    """
+    sched = SampleSchedule(g.n, g.max_degree, eps, force_stop_round=0)
+    asg, _, diag = _match(g, sched, 0)
+    # loads only grow, so no heavy node at the end means none in any round
+    assert diag.heavy_events == 0, "node value exceeded 1"
+    return asg
+
+
+def _match(g: Graph, sched: SampleSchedule, seed: int, record_schedule: bool = False):
+    """Run :class:`SampledMatchingProtocol` on ``sched``; returns
+    ``(assignment, ledger, diagnostics)`` as :func:`sampled_fractional`."""
+    n = g.n
     proto = SampledMatchingProtocol(sched)
     outputs, ledger, _ = run(g, proto, seed, proto.round_cap, part="frac",
                              record_schedule=record_schedule)

@@ -188,8 +188,8 @@ class Graph:
     @classmethod
     def from_text(cls, text: str) -> "Graph":
         """Parse :meth:`to_text` output.  Blank lines are skipped; a line that is
-        not two integers, a repeated edge, or any text after the ``m`` edge
-        lines is an error naming the line."""
+        not two integers, a negative edge count, a repeated edge, or any text
+        after the ``m`` edge lines is an error naming the line."""
         rows = [(i, ln) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
         if not rows:
             raise ValueError("empty graph text")
@@ -203,6 +203,8 @@ class Graph:
             return a, b
 
         n, m = pair(*rows[0], "'n m'")
+        if m < 0:
+            raise ValueError(f"line {rows[0][0]}: edge count {m} is negative")
         if len(rows) - 1 < m:
             raise ValueError(f"expected {m} edge lines, found {len(rows) - 1}")
         first_line: Dict[Edge, int] = {}

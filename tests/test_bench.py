@@ -1,6 +1,7 @@
 """Experiment driver and the command-line front end."""
 
 import csv
+import hashlib
 import io
 import json
 
@@ -60,6 +61,22 @@ def test_run_experiment_is_deterministic():
     assert len(trials) == 3
     assert {r["trial"] for r in rows1 if not isinstance(r["trial"], int)} \
         == {"mean", "stddev", "max"}
+
+
+def test_matching_csv_golden_digest():
+    """The CSV bytes of the three matcher rows, with oracle optima, on five
+    families: pins the vanilla row's ``rounds`` and ``total_awake`` as well
+    as the sampled ledgers."""
+    h = hashlib.sha256()
+    for algorithm in ("vanilla_match", "sampled_match", "vertex_cover"):
+        for family in ("gnp", "bipartite", "star", "path", "edgeless"):
+            cfg = ExperimentConfig(algorithm=algorithm, graph=family, n=24,
+                                   trials=2, oracle=True)
+            rows, ok = run_experiment(cfg)
+            assert ok
+            h.update(rows_to_csv(rows).encode())
+    assert h.hexdigest() == (
+        "f8169fa7a4d900c3f48c148710a0548e7300e21588a149abf2e49e5c5b5eebe7")
 
 
 def test_run_experiment_edgeless_mis():

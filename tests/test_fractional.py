@@ -18,42 +18,13 @@ from awakesim.fractional import (_COIN_BLOCK, FractionalAssignment,
                                  extract_vertex_cover, iterated_log,
                                  round_matching, sampled_fractional,
                                  saturation_phase, vanilla_fractional)
-from awakesim.graphs import (Graph, Matching, canon, complete_graph,
-                             cycle_graph, gen_bipartite, gen_gnp, path_graph,
+from awakesim.graphs import (Graph, Matching, complete_graph, cycle_graph,
+                             gen_bipartite, gen_gnp, path_graph,
                              petersen_graph, star_graph)
 from awakesim.oracles import verify_vertex_cover
 from awakesim.rng import TWO64, coin_threshold, node_rng, node_rng_array
+from conftest import ref_vanilla, ref_vanilla_assignment
 from test_mis import small_graphs
-
-
-def ref_vanilla(g, eps):
-    """Independent reference: simultaneous freezing on the (1+eps) ladder."""
-    eps = Fraction(eps)
-    delta = g.max_degree
-    x = {e: Fraction(1, delta) for e in g.edges()}
-    node_frozen = {}
-    edge_frozen = {}
-    j = 0
-    while len(edge_frozen) < g.m:
-        w = Fraction(1, delta) * (1 + eps) ** j
-        cv = {v: Fraction(0) for v in range(g.n)}
-        for e, val in x.items():
-            cur = val if e in edge_frozen else w
-            cv[e[0]] += cur
-            cv[e[1]] += cur
-        newly = [v for v in range(g.n)
-                 if v not in node_frozen and cv[v] >= 1 - eps
-                 and any(canon(v, u) not in edge_frozen for u in g.neighbors(v))]
-        for v in newly:
-            node_frozen[v] = j
-            for u in g.neighbors(v):
-                e = canon(v, u)
-                if e not in edge_frozen:
-                    edge_frozen[e] = j
-                    x[e] = w
-        j += 1
-        assert j < 10_000
-    return x, edge_frozen, node_frozen
 
 
 def ref_round_matching(assignment, seed):
@@ -318,6 +289,18 @@ def test_schedule_ladder_and_phases():
     assert phases[0] == 2 and phases[-1] == 3
 
 
+def test_schedule_shape_cache_is_per_key_only():
+    # a bad eps raises on every call, and the forced knobs stay per call
+    for _ in range(2):
+        with pytest.raises(ValueError, match="eps"):
+            SampleSchedule(64, 5, Fraction(1, 2))
+    forced = SampleSchedule(64, 5, Fraction(1, 10), force_stop_round=3,
+                            force_phase_probabilities=Fraction(1, 3))
+    plain = SampleSchedule(64, 5, Fraction(1, 10))
+    assert (forced.stop_round, forced.p_of_phase(1)) == (3, Fraction(1, 3))
+    assert (plain.stop_round, plain.p_of_phase(1)) == (0, Fraction(64, 6 ** 4))
+
+
 def test_schedule_probability_overrides():
     sched = SampleSchedule(2 ** 16, 10, Fraction(1, 10))
     # default: C / L_i^4 capped at 1
@@ -335,9 +318,10 @@ def test_schedule_probability_overrides():
 def test_sampled_equals_vanilla_on_defaults():
     for seed in (1, 2, 3):
         g = gen_gnp(50, 0.12, seed=seed)
-        v = vanilla_fractional(g, Fraction(1, 10))
+        v = ref_vanilla_assignment(g, Fraction(1, 10))
         s, ledger, diag = sampled_fractional(g, Fraction(1, 10), seed=seed)
-        assert s == v
+        assert (s.x, s.frozen_round, s.node_freeze) == (v.x, v.frozen_round,
+                                                        v.node_freeze)
         assert s.dump() == v.dump()
         assert diag.heavy_events == 0 and diag.spoiled_value == 0
         assert ledger.rounds >= 1

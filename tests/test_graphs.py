@@ -159,6 +159,10 @@ def test_text_rejects_duplicates_and_trailing_lines():
         Graph.from_text("3 2\n0 1\n1 2 0\n")
     with pytest.raises(ValueError, match="line 1: expected 'n m'"):
         Graph.from_text("three 2\n")
+    with pytest.raises(ValueError, match="line 1: edge count -1 is negative"):
+        Graph.from_text("3 -1\n0 1")
+    with pytest.raises(ValueError, match="line 1: edge count -2 is negative"):
+        Graph.from_text("3 -2\n0 1\n1 2")
 
 
 def test_gnp_deterministic_and_plausible():
