@@ -9,6 +9,7 @@ are diffable fixtures.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import statistics
@@ -24,9 +25,8 @@ from .engine import AwakeLedger, RunMetrics
 from .errors import OracleTooLarge
 from .graphs import (Graph, complete_graph, cycle_graph, gen_bipartite, gen_gnp,
                      path_graph, star_graph)
-from .oracles import (exact_max_matching, exact_min_vertex_cover,
-                      max_bipartite_matching, verify_matching, verify_mis,
-                      verify_vertex_cover)
+from .oracles import (exact_max_matching, exact_min_vertex_cover, verify_matching,
+                      verify_mis, verify_vertex_cover)
 from .rng import node_rng
 
 ALGORITHMS = ("luby", "awake_mis", "vanilla_match", "sampled_match",
@@ -36,6 +36,9 @@ COLUMNS = ("trial", "n", "m", "algorithm", "rounds", "total_awake", "avg_awake",
            "max_awake", "parts", "size", "validity", "optimum", "ratio",
            "heavy", "light", "spoiled", "wall_time")
 
+SWEEP_COLUMNS = ("n", "trials", "mean_rounds", "mean_avg_awake",
+                 "mean_max_awake", "mean_size")
+
 _SUMMARY_FIELDS = ("rounds", "total_awake", "avg_awake", "max_awake", "size",
                    "ratio")
 
@@ -43,6 +46,11 @@ _SUMMARY_FIELDS = ("rounds", "total_awake", "avg_awake", "max_awake", "size",
 OVERRIDE_KEYS = ("participation", "C", "K", "window",            # awake_mis
                  "estimator_constant", "stop_round",             # sampled, cover
                  "box", "improve_iterations", "delta_iterations")  # amplify
+
+# the exact optimum a row's size is compared with: a minimum cover for
+# vertex_cover, none for the MIS rows, a maximum matching for the rest
+_ORACLES = {"luby": None, "awake_mis": None,
+            "vertex_cover": exact_min_vertex_cover}
 
 
 @dataclass
@@ -64,6 +72,8 @@ class ExperimentConfig:
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}; "
                              f"choose from {', '.join(ALGORITHMS)}")
+        if not self.eps > 0:           # also rejects NaN
+            raise ValueError(f"eps must be > 0, got {self.eps}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.n_list is not None and not self.n_list:
@@ -133,12 +143,6 @@ def _ledger_columns(led: Optional[AwakeLedger]) -> Dict[str, Any]:
             "avg_awake": met.avg_awake, "max_awake": met.max_awake}
 
 
-def _optimum_matching(g: Graph) -> Optional[int]:
-    if g.sides is not None:
-        return len(max_bipartite_matching(g, list(g.sides)))
-    return len(exact_max_matching(g))
-
-
 def run_trial(cfg: ExperimentConfig, t: int) -> Dict[str, Any]:
     """Execute trial ``t`` and return one result row (dict keyed by COLUMNS)."""
     seed = node_rng(cfg.master_seed, 0, "trial", t)
@@ -147,7 +151,6 @@ def run_trial(cfg: ExperimentConfig, t: int) -> Dict[str, Any]:
     row: Dict[str, Any] = {k: "" for k in COLUMNS}
     row.update(trial=t, n=g.n, m=g.m, algorithm=cfg.algorithm)
     t0 = time.perf_counter()
-    optimum: Optional[int] = None
 
     if cfg.algorithm == "luby":
         s, led = mis.luby_mis(g, seed)
@@ -163,27 +166,18 @@ def run_trial(cfg: ExperimentConfig, t: int) -> Dict[str, Any]:
                          default=-1)
         row.update(rounds=rounds, total_awake=g.n * rounds, avg_awake=float(rounds),
                    max_awake=rounds, size=asg.total_float(), validity=True)
-        if cfg.oracle:
-            optimum = _try_optimum(g)
-    elif cfg.algorithm == "sampled_match":
-        asg, led, diag = _sampled(cfg, g, seed)
-        row.update(_ledger_columns(led), size=asg.total_float(), validity=True,
-                   heavy=diag.heavy_events, light=diag.light_events,
-                   spoiled=float(diag.spoiled_value))
-        if cfg.oracle:
-            optimum = _try_optimum(g)
-    elif cfg.algorithm == "vertex_cover":
-        asg, led, diag = _sampled(cfg, g, seed)
-        cover = fractional.extract_vertex_cover(asg)
-        row.update(_ledger_columns(led), size=len(cover),
-                   validity=verify_vertex_cover(g, cover),
-                   heavy=diag.heavy_events, light=diag.light_events,
-                   spoiled=float(diag.spoiled_value))
-        if cfg.oracle:
-            try:
-                optimum = len(exact_min_vertex_cover(g))
-            except OracleTooLarge:
-                optimum = None
+    elif cfg.algorithm in ("sampled_match", "vertex_cover"):
+        asg, led, diag = fractional.sampled_fractional(
+            g, _eps_fraction(cfg.eps), seed,
+            **_ovr(ovr, "estimator_constant", int),
+            **_ovr(ovr, "stop_round", int, "force_stop_round"))
+        row.update(_ledger_columns(led), heavy=diag.heavy_events,
+                   light=diag.light_events, spoiled=float(diag.spoiled_value))
+        if cfg.algorithm == "sampled_match":
+            row.update(size=asg.total_float(), validity=True)
+        else:
+            cover = fractional.extract_vertex_cover(asg)
+            row.update(size=len(cover), validity=verify_vertex_cover(g, cover))
     elif cfg.algorithm in ("bipartite_amplify", "general_amplify", "pipeline"):
         if cfg.algorithm == "pipeline":
             m, led = full_matching_pipeline(
@@ -203,15 +197,17 @@ def run_trial(cfg: ExperimentConfig, t: int) -> Dict[str, Any]:
             led = box.ledger
         row.update(_ledger_columns(led), size=len(m),
                    validity=verify_matching(g, m))
-        if cfg.oracle:
-            optimum = _try_optimum(g)
     else:  # pragma: no cover - guarded by ExperimentConfig
         raise AssertionError(cfg.algorithm)
 
-    if optimum is not None:
-        row["optimum"] = optimum
-        if optimum > 0 and row["size"] != "":
-            row["ratio"] = float(row["size"]) / optimum
+    oracle = _ORACLES.get(cfg.algorithm, exact_max_matching)
+    if cfg.oracle and oracle is not None:
+        try:
+            row["optimum"] = len(oracle(g))
+        except OracleTooLarge:
+            pass                 # too large to solve: optimum and ratio stay blank
+        if row["optimum"]:
+            row["ratio"] = float(row["size"]) / row["optimum"]
     if cfg.timing:
         row["wall_time"] = time.perf_counter() - t0
     return row
@@ -219,21 +215,6 @@ def run_trial(cfg: ExperimentConfig, t: int) -> Dict[str, Any]:
 
 def _eps_fraction(eps: float) -> Fraction:
     return Fraction(str(eps))
-
-
-def _sampled(cfg: ExperimentConfig, g: Graph, seed: int):
-    ovr = cfg.overrides
-    return fractional.sampled_fractional(
-        g, _eps_fraction(cfg.eps), seed,
-        **_ovr(ovr, "estimator_constant", int),
-        **_ovr(ovr, "stop_round", int, "force_stop_round"))
-
-
-def _try_optimum(g: Graph) -> Optional[int]:
-    try:
-        return _optimum_matching(g)
-    except OracleTooLarge:
-        return None
 
 
 def _summary_rows(rows: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
@@ -256,19 +237,25 @@ def _summary_rows(rows: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
     return out
 
 
-def rows_to_csv(rows: List[Dict[str, Any]]) -> str:
-    lines = [",".join(COLUMNS)]
+def rows_to_csv(rows: List[Dict[str, Any]], columns: Sequence[str] = COLUMNS) -> str:
+    lines = [",".join(columns)]
     for r in rows:
-        lines.append(",".join(_fmt(r[k]) for k in COLUMNS))
+        lines.append(",".join(_fmt(r[k]) for k in columns))
     return "\n".join(lines) + "\n"
 
 
-def _config_dict(cfg: ExperimentConfig) -> Dict[str, Any]:
-    return {"algorithm": cfg.algorithm, "graph": cfg.graph, "n": cfg.n,
-            "n_list": cfg.n_list, "p": cfg.p, "eps": cfg.eps,
-            "trials": cfg.trials, "master_seed": cfg.master_seed,
-            "oracle": cfg.oracle, "timing": cfg.timing,
-            "overrides": dict(sorted(cfg.overrides.items()))}
+def _write(cfg: ExperimentConfig, text: str) -> None:
+    """Write ``text`` to cfg.out and the config, less ``out``, to the JSON
+    sidecar next to it; nothing when cfg.out is unset."""
+    if not cfg.out:
+        return
+    with open(cfg.out, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    sidecar = dataclasses.asdict(cfg)
+    del sidecar["out"]
+    with open(cfg.out + ".json", "w", encoding="utf-8") as fh:
+        json.dump(sidecar, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def run_experiment(cfg: ExperimentConfig) -> Tuple[List[Dict[str, Any]], bool]:
@@ -278,17 +265,8 @@ def run_experiment(cfg: ExperimentConfig) -> Tuple[List[Dict[str, Any]], bool]:
     rows = [run_trial(cfg, t) for t in range(cfg.trials)]
     ok = all(r["validity"] in ("", True) for r in rows)
     all_rows = rows + _summary_rows(rows)
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(rows_to_csv(all_rows))
-        with open(cfg.out + ".json", "w", encoding="utf-8") as fh:
-            json.dump(_config_dict(cfg), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    _write(cfg, rows_to_csv(all_rows))
     return all_rows, ok
-
-
-SWEEP_COLUMNS = ("n", "trials", "mean_rounds", "mean_avg_awake",
-                 "mean_max_awake", "mean_size")
 
 
 def sweep(cfg: ExperimentConfig) -> Tuple[List[Dict[str, Any]], bool]:
@@ -299,11 +277,7 @@ def sweep(cfg: ExperimentConfig) -> Tuple[List[Dict[str, Any]], bool]:
     table: List[Dict[str, Any]] = []
     ok = True
     for n in cfg.n_list:
-        sub = ExperimentConfig(algorithm=cfg.algorithm, graph=cfg.graph, n=n,
-                               p=cfg.p, eps=cfg.eps, trials=cfg.trials,
-                               master_seed=cfg.master_seed, oracle=cfg.oracle,
-                               timing=False, overrides=dict(cfg.overrides))
-        rows, part_ok = run_experiment(sub)
+        rows, part_ok = run_experiment(dataclasses.replace(cfg, n=n, out=None))
         ok &= part_ok
         mean = next(r for r in rows if r["trial"] == "mean")
         table.append({"n": n, "trials": cfg.trials,
@@ -311,15 +285,7 @@ def sweep(cfg: ExperimentConfig) -> Tuple[List[Dict[str, Any]], bool]:
                       "mean_avg_awake": mean["avg_awake"],
                       "mean_max_awake": mean["max_awake"],
                       "mean_size": mean["size"]})
-    if cfg.out:
-        lines = [",".join(SWEEP_COLUMNS)]
-        for r in table:
-            lines.append(",".join(_fmt(r[k]) for k in SWEEP_COLUMNS))
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
-        with open(cfg.out + ".json", "w", encoding="utf-8") as fh:
-            json.dump(_config_dict(cfg), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    _write(cfg, rows_to_csv(table, SWEEP_COLUMNS))
     return table, ok
 
 

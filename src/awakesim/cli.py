@@ -11,17 +11,48 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
-from .bench import (ALGORITHMS, SWEEP_COLUMNS, ExperimentConfig, _fmt, rows_to_csv,
-                    run_experiment, sweep)
+from .bench import (ALGORITHMS, COLUMNS, SWEEP_COLUMNS, ExperimentConfig,
+                    rows_to_csv, run_experiment, sweep)
 
-_SUBCOMMAND_ALGOS = {
-    "mis": {"awake": "awake_mis", "luby": "luby"},
-    "match": {"sampled": "sampled_match", "vanilla": "vanilla_match"},
-    "vc": {None: "vertex_cover"},
-    "amplify": {"general": "general_amplify", "bipartite": "bipartite_amplify",
-                "pipeline": "pipeline"},
+# subcommand -> (help, choice flag, {choice: algorithm}, default choice);
+# ``vc`` runs one algorithm and has no choice flag
+_SUBCOMMANDS = {
+    "mis": ("maximal independent set", "algo",
+            {"awake": "awake_mis", "luby": "luby"}, "awake"),
+    "match": ("fractional matching", "variant",
+              {"sampled": "sampled_match", "vanilla": "vanilla_match"}, "sampled"),
+    "vc": ("vertex cover from frozen nodes", None, {None: "vertex_cover"}, None),
+    "amplify": ("matching amplification", "mode",
+                {"general": "general_amplify", "bipartite": "bipartite_amplify",
+                 "pipeline": "pipeline"}, "general"),
+    "sweep": ("scaling table over sizes", "algo", {a: a for a in ALGORITHMS},
+              "awake_mis"),
+}
+
+
+def _bool(value) -> bool:
+    return str(value).lower() in ("1", "true", "yes", "on")
+
+
+def _int_list(value: str) -> List[int]:
+    return [int(tok) for tok in value.split(",") if tok.strip()]
+
+
+# config-file key -> (argparse dest, ExperimentConfig field, cast); a key
+# applies to the subcommands that have its flag
+_SETTINGS = {
+    "n": ("n", "n", int),
+    "graph": ("graph", "graph", str),
+    "p": ("density", "p", float),
+    "eps": ("eps", "eps", float),
+    "trials": ("trials", "trials", int),
+    "seed": ("seed", "master_seed", int),
+    "oracle": ("oracle", "oracle", _bool),
+    "out": ("out", "out", str),
+    "timing": ("timing", "timing", _bool),
+    "n_list": ("n_list", "n_list", _int_list),
 }
 
 
@@ -50,119 +81,61 @@ def build_parser() -> argparse.ArgumentParser:
         prog="awakesim",
         description="round-synchronous experiments on awake complexity")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p_mis = sub.add_parser("mis", help="maximal independent set")
-    p_mis.add_argument("--algo", choices=("awake", "luby"), default="awake")
-    p_match = sub.add_parser("match", help="fractional matching")
-    p_match.add_argument("--variant", choices=("sampled", "vanilla"),
-                         default="sampled")
-    p_vc = sub.add_parser("vc", help="vertex cover from frozen nodes")
-    p_amp = sub.add_parser("amplify", help="matching amplification")
-    p_amp.add_argument("--mode", choices=("general", "bipartite", "pipeline"),
-                       default="general")
-    p_sweep = sub.add_parser("sweep", help="scaling table over sizes")
-    p_sweep.add_argument("--algo", choices=ALGORITHMS, default="awake_mis")
-    p_sweep.add_argument("--n-list", default=None,
-                         help="comma-separated sizes, e.g. 1024,4096,16384")
-    for p in (p_mis, p_match, p_vc, p_amp, p_sweep):
+    for command, (help_, flag, algos, _) in _SUBCOMMANDS.items():
+        p = sub.add_parser(command, help=help_)
+        if flag:
+            p.add_argument(f"--{flag}", choices=tuple(algos))
+        if command == "sweep":
+            p.add_argument("--n-list", default=None,
+                           help="comma-separated sizes, e.g. 1024,4096,16384")
         _add_common(p)
     return ap
 
 
-def _parse_overrides(items: Optional[List[str]]) -> Dict[str, str]:
-    out: Dict[str, str] = {}
-    for item in items or ():
-        if "=" not in item:
-            raise ValueError(f"override {item!r} is not KEY=VAL")
-        k, v = item.split("=", 1)
-        out[k.strip()] = v.strip()
-    return out
+def _split(text: str, what: str) -> Tuple[str, str]:
+    """``KEY=VALUE`` as the stripped pair ``(KEY, VALUE)``."""
+    if "=" not in text:
+        raise ValueError(f"{what} {text!r} is not KEY=VALUE")
+    k, v = text.split("=", 1)
+    return k.strip(), v.strip()
 
 
 def _load_config_file(path: str) -> Dict[str, str]:
-    out: Dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"config line {raw.strip()!r} is not KEY=VALUE")
-            k, v = line.split("=", 1)
-            out[k.strip()] = v.strip()
-    return out
-
-
-_CONFIG_KEYS = ("n", "graph", "p", "eps", "trials", "seed", "oracle", "out",
-                "timing", "n_list", "algo", "variant", "mode")
-
-
-def _merged(args: argparse.Namespace) -> Dict[str, str]:
-    """File values first, explicit flags on top."""
-    merged: Dict[str, str] = {}
-    if args.config:
-        file_vals = _load_config_file(args.config)
-        for k in file_vals:
-            if k not in _CONFIG_KEYS and not k.startswith("override."):
-                raise ValueError(f"unknown config key {k!r}")
-        merged.update(file_vals)
-    return merged
-
-
-def _pick(args_val, fileval: Optional[str], cast, default):
-    if args_val is not None:
-        return args_val
-    if fileval is not None:
-        if cast is bool:
-            return fileval.lower() in ("1", "true", "yes", "on")
-        return cast(fileval)
-    return default
+        lines = [raw.split("#", 1)[0].strip() for raw in fh]
+    filed = dict(_split(line, "config line") for line in lines if line)
+    known = set(_SETTINGS) | {flag for _, flag, _, _ in _SUBCOMMANDS.values()}
+    for k in filed:
+        if k not in known and not k.startswith("override."):
+            raise ValueError(f"unknown config key {k!r}")
+    return filed
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    filed = _merged(args)
+    """The run's config: each setting from its flag, else from the config
+    file, else ``ExperimentConfig``'s default."""
+    filed = _load_config_file(args.config) if args.config else {}
     overrides = {k[len("override."):]: v for k, v in filed.items()
                  if k.startswith("override.")}
-    overrides.update(_parse_overrides(args.override))
+    overrides.update(_split(item, "override") for item in args.override or ())
 
-    if args.command == "sweep":
-        algorithm = _pick(getattr(args, "algo", None), filed.get("algo"),
-                          str, "awake_mis")
-    else:
-        table = _SUBCOMMAND_ALGOS[args.command]
-        if args.command == "mis":
-            key = _pick(args.algo, filed.get("algo"), str, "awake")
-        elif args.command == "match":
-            key = _pick(args.variant, filed.get("variant"), str, "sampled")
-        elif args.command == "amplify":
-            key = _pick(args.mode, filed.get("mode"), str, "general")
-        else:
-            key = None
-        if key not in table:
-            raise ValueError(f"bad variant {key!r} for {args.command}")
-        algorithm = table[key]
+    _, flag, algos, choice = _SUBCOMMANDS[args.command]
+    if flag:
+        choice = getattr(args, flag) or filed.get(flag, choice)
+    if choice not in algos:
+        raise ValueError(f"bad {flag} {choice!r} for {args.command}; "
+                         f"choose from {', '.join(algos)}")
 
-    n_list = None
-    if args.command == "sweep":
-        raw = _pick(getattr(args, "n_list", None), filed.get("n_list"), str, None)
-        if raw is None:
-            raise ValueError("sweep needs --n-list")
-        n_list = [int(tok) for tok in str(raw).split(",") if tok.strip()]
-
-    return ExperimentConfig(
-        algorithm=algorithm,
-        graph=_pick(args.graph, filed.get("graph"), str, "gnp"),
-        n=_pick(args.n, filed.get("n"), int, 256),
-        n_list=n_list,
-        p=_pick(args.density, filed.get("p"), float, None),
-        eps=_pick(args.eps, filed.get("eps"), float, 0.1),
-        trials=_pick(args.trials, filed.get("trials"), int, 1),
-        master_seed=_pick(args.seed, filed.get("seed"), int, 1),
-        oracle=bool(_pick(args.oracle, filed.get("oracle"), bool, False)),
-        out=_pick(args.out, filed.get("out"), str, None),
-        timing=bool(_pick(args.timing, filed.get("timing"), bool, False)),
-        overrides=overrides,
-    )
+    settings = {}
+    for key, (dest, name, cast) in _SETTINGS.items():
+        if hasattr(args, dest):
+            value = getattr(args, dest)
+            if value is None:
+                value = filed.get(key)
+            if value is not None:
+                settings[name] = cast(value)
+    return ExperimentConfig(algorithm=algos[choice], overrides=overrides,
+                            **settings)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -172,15 +145,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         cfg = config_from_args(args)
         if args.command == "sweep":
-            table, ok = sweep(cfg)
-            if not cfg.out:
-                print(",".join(SWEEP_COLUMNS))
-                for r in table:
-                    print(",".join(_fmt(r[k]) for k in SWEEP_COLUMNS))
+            rows, ok = sweep(cfg)
+            columns = SWEEP_COLUMNS
         else:
             rows, ok = run_experiment(cfg)
-            if not cfg.out:
-                sys.stdout.write(rows_to_csv(rows))
+            columns = COLUMNS
+        if not cfg.out:
+            sys.stdout.write(rows_to_csv(rows, columns))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

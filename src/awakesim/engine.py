@@ -82,10 +82,6 @@ class Protocol:
         self.seed = seed
         self.n = graph.n
 
-    def setup(self) -> Optional[Dict[int, Any]]:
-        """Outputs decided before any round runs (those nodes are never awake)."""
-        return None
-
     def wake_set(self, rnd: int, alive: np.ndarray):
         """Nodes awake this round; by default every alive node."""
         return np.nonzero(alive)[0]
@@ -348,14 +344,7 @@ def run(
     ledger = AwakeLedger(n, record_schedule=record_schedule)
     outputs: Dict[int, Any] = {}
     alive = np.ones(n, dtype=bool)
-
-    init = protocol.setup()
-    if init:
-        for v, out in init.items():
-            outputs[v] = out
-            alive[v] = False
-    alive_count = int(alive.sum())
-
+    alive_count = n
     awake_mask = np.zeros(n, dtype=bool)
     congest_bound = (
         protocol.congest_factor * max(8, (max(n, 2) - 1).bit_length())

@@ -79,6 +79,64 @@ def test_matching_csv_golden_digest():
         "f8169fa7a4d900c3f48c148710a0548e7300e21588a149abf2e49e5c5b5eebe7")
 
 
+# (algorithm, family, n, eps, overrides) rows of the harness digest: the five
+# algorithms the matching digest leaves out, each run with and without the
+# oracle, with the overrides each reads.
+_HARNESS_CORPUS = [
+    ("luby", "gnp", 24, 0.1, {}),
+    ("luby", "bipartite", 20, 0.1, {}),
+    ("awake_mis", "gnp", 24, 0.1, {}),
+    ("awake_mis", "gnp", 24, 0.1, {"K": "2", "window": "5"}),
+    ("awake_mis", "path", 16, 0.1, {"participation": "1/3", "C": "2"}),
+    ("bipartite_amplify", "bipartite", 16, 0.5, {}),
+    ("bipartite_amplify", "bipartite", 16, 0.5, {"box": "exact"}),
+    ("general_amplify", "gnp", 12, 0.5, {}),
+    ("general_amplify", "gnp", 12, 0.5,
+     {"box": "sleeping", "improve_iterations": "2"}),
+    ("pipeline", "gnp", 10, 0.5, {}),
+    ("pipeline", "bipartite", 10, 0.5,
+     {"improve_iterations": "1", "delta_iterations": "2"}),
+]
+
+
+def test_harness_golden_digest(tmp_path, capsys):
+    """CSV and sidecar bytes of every harness path the matching digest does
+    not cover: the corpus above, the ``OracleTooLarge`` fallback on a
+    general graph above the oracle's node cap, a sweep table, and the stdout
+    of a subcommand configured from a file."""
+    h = hashlib.sha256()
+    out = tmp_path / "run.csv"
+
+    def pin(runner, cfg):
+        _, ok = runner(cfg)
+        assert ok
+        h.update(out.read_bytes())
+        h.update((tmp_path / "run.csv.json").read_bytes())
+
+    for algorithm, family, n, eps, ovr in _HARNESS_CORPUS:
+        for oracle in (False, True):
+            pin(run_experiment,
+                ExperimentConfig(algorithm=algorithm, graph=family, n=n,
+                                 eps=eps, trials=2, oracle=oracle,
+                                 out=str(out), overrides=dict(ovr)))
+    for algorithm in ("sampled_match", "vertex_cover", "general_amplify"):
+        pin(run_experiment,
+            ExperimentConfig(algorithm=algorithm, graph="gnp", n=30, p=0.3,
+                             eps=0.25, master_seed=4, oracle=True,
+                             out=str(out)))
+    pin(sweep,
+        ExperimentConfig(algorithm="vanilla_match", n_list=[12, 20], p=0.3,
+                         trials=2, master_seed=5, oracle=True, out=str(out)))
+    cfgfile = tmp_path / "exp.cfg"
+    cfgfile.write_text("n = 20\np = 0.25\neps = 0.2\ntrials = 2\nseed = 3\n"
+                       "oracle = true\nvariant = sampled\n"
+                       "override.stop_round = 2\n")
+    assert main(["match", "--config", str(cfgfile)]) == 0
+    h.update(capsys.readouterr().out.encode())
+    assert h.hexdigest() == (
+        "e2d26db8a27c0f0b173890bbe8961dd36ffc4423f56301fdf2b3df6da5bc1feb")
+
+
 def test_run_experiment_edgeless_mis():
     cfg = ExperimentConfig(algorithm="luby", graph="edgeless", n=10,
                            master_seed=4)
@@ -143,6 +201,35 @@ def test_cli_config_file_and_precedence(tmp_path, capsys):
     assert trial_rows[0]["n"] == "8"     # file fills the rest
 
 
+def test_cli_config_file_choice_keys(tmp_path, capsys):
+    """``algo``, ``variant`` and ``mode`` from a config file pick the
+    algorithm; an explicit choice flag still beats the file."""
+    def csv_rows(argv, text):
+        cfgfile = tmp_path / "choice.cfg"
+        cfgfile.write_text("n = 12\np = 0.3\neps = 0.25\n" + text)
+        assert main(argv + ["--config", str(cfgfile)]) == 0
+        return _parse_csv(capsys.readouterr().out)
+
+    assert csv_rows(["mis"], "algo = luby\n")[0]["algorithm"] == "luby"
+    assert csv_rows(["mis", "--algo", "awake"],
+                    "algo = luby\n")[0]["algorithm"] == "awake_mis"
+    assert csv_rows(["match"],
+                    "variant = vanilla\n")[0]["algorithm"] == "vanilla_match"
+    assert csv_rows(["amplify"],
+                    "mode = pipeline\n")[0]["algorithm"] == "pipeline"
+
+    flagged = ["sweep", "--n-list", "16,32", "--p", "0.2", "--trials", "2"]
+    assert main(flagged + ["--algo", "luby"]) == 0
+    by_flag = capsys.readouterr().out
+    swp = tmp_path / "sweep.cfg"
+    swp.write_text("algo = luby\nn_list = 16,32\np = 0.2\ntrials = 2\n")
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", str(swp), "--out", str(out)]) == 0
+    assert out.read_text() == by_flag
+    sidecar = json.loads((tmp_path / "sweep.csv.json").read_text())
+    assert sidecar["algorithm"] == "luby"
+
+
 def test_cli_rejects_bad_input(tmp_path, capsys):
     assert main(["mis", "--override", "windowtwelve"]) == 2
     bad = tmp_path / "bad.cfg"
@@ -165,6 +252,9 @@ def test_cli_reports_run_time_input_errors(tmp_path, capsys):
          "force_stop_round"),
         (["vc", "--n", "10", "--override", "estimator_constant=0"],
          "estimator_constant"),
+        (["amplify", "--eps", "0"], "eps"),
+        (["amplify", "--eps", "-0.1"], "eps"),
+        (["amplify", "--eps", "nan"], "eps"),
     ]
     for argv, needle in cases:
         assert main(argv) == 2

@@ -196,19 +196,6 @@ def test_payload_bits():
     assert payload_bits({}) == 0
 
 
-def test_setup_outputs_skip_rounds():
-    class Prejudged(Protocol):
-        def setup(self):
-            return {0: "early"}
-
-        def finish(self, v, rnd, inbox1, inbox2):
-            return "late"
-
-    outputs, ledger, _ = run(Graph(2), Prejudged(), 0, round_cap=3)
-    assert outputs == {0: "early", 1: "late"}
-    assert list(ledger.counts) == [0, 1]
-
-
 def test_record_schedule():
     _, ledger, _ = run(Graph(3), CountDown(), 0, round_cap=5,
                        record_schedule=True)
