@@ -16,13 +16,15 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from . import fractional
 from .engine import AwakeLedger
 from .errors import InvalidPath, PreconditionViolated
 from .graphs import Graph, Matching, canon
 from .oracles import (exact_max_matching, greedy_maximal_matching,
                       max_bipartite_matching, verify_matching)
-from .rng import node_rng
+from .rng import node_rng, node_rng_array
 
 Edge = Tuple[int, int]
 
@@ -39,6 +41,12 @@ class MatchBox:
     low-awake fractional matcher plus randomized rounding, is only
     approximate in expectation, and accumulates awake charges into
     ``ledger`` (host node ids) when one is attached.
+
+    The sleeping box keeps the fractional run of the last graph it saw when
+    that run read no seed (analytic stop round 0, as for every practical
+    n), and reuses it when called on the same graph object again.  Every
+    call still draws its own rounding seed and merges the run's ledger, so
+    each call is charged as the distributed run it stands for.
     """
 
     _MODES = {"exact": 1, "greedy": 2, "sleeping": 8}
@@ -53,6 +61,9 @@ class MatchBox:
         self.master_seed = master_seed
         self.calls = 0
         self.ledger: Optional[AwakeLedger] = AwakeLedger(host_n) if host_n else None
+        # (graph, assignment, ledger) of the last seed-free fractional run
+        self._memo: Optional[Tuple[Graph, fractional.FractionalAssignment,
+                                   AwakeLedger]] = None
 
     def __call__(self, g: Graph, orig_ids: Optional[Sequence[int]] = None) -> Matching:
         self.calls += 1
@@ -66,9 +77,15 @@ class MatchBox:
         elif self.mode == "greedy":
             m = greedy_maximal_matching(g)
         else:
-            s1 = node_rng(self.master_seed, 0, "box", 2 * self.calls)
             s2 = node_rng(self.master_seed, 0, "box", 2 * self.calls + 1)
-            asg, led, _ = fractional.sampled_fractional(g, self.eps, s1)
+            if self._memo is not None and self._memo[0] is g:
+                _, asg, led = self._memo
+            else:
+                s1 = node_rng(self.master_seed, 0, "box", 2 * self.calls)
+                asg, led, _ = fractional.sampled_fractional(g, self.eps, s1)
+                seed_free = fractional.SampleSchedule(
+                    g.n, g.max_degree, self.eps).stop_round == 0
+                self._memo = (g, asg, led) if seed_free else None
             m = fractional.round_matching(asg, s2)
             if self.ledger is not None:
                 self.ledger.merge(led, id_map=orig_ids)
@@ -87,6 +104,11 @@ def delta_maximal(g: Graph, box: MatchBox, delta, *,
     output M is delta-maximal: the residual graph G - V(M) has maximum
     matching at most delta*|M|.  A maximal box leaves no residual edge, so
     it is called exactly once.
+
+    The residual is rebuilt only after a call that matched something; after
+    an empty call the box gets the same graph object again, and the
+    sleeping box then reuses its seed-free fractional run while still
+    charging the call.
     """
     if not 0 < delta < 1:
         raise PreconditionViolated("delta must lie in (0, 1)")
@@ -94,19 +116,25 @@ def delta_maximal(g: Graph, box: MatchBox, delta, *,
         iterations = math.ceil(3 * box.c * math.log(1 / float(delta)))
     remaining = set(range(g.n))
     out: List[Edge] = []
+    # nothing is matched before the first call, so it needs no copy
+    sub: Graph = g
+    ids: Sequence[int] = range(g.n)
+    matched = False
     for it in range(max(1, iterations)):
-        # nothing is matched before the first call, so it needs no copy
-        sub, ids = (g, range(g.n)) if it == 0 else g.induced(sorted(remaining))
+        if matched:
+            sub, ids = g.induced(sorted(remaining))
+        if it == 0 or matched:
+            sub_orig = ([orig_ids[i] for i in ids] if orig_ids is not None
+                        else list(ids))
         if sub.m == 0:
             break
-        sub_orig = ([orig_ids[i] for i in ids] if orig_ids is not None
-                    else list(ids))
         m = box(sub, orig_ids=sub_orig)
         for (a_, b_) in m:
             u, v = ids[a_], ids[b_]
             out.append(canon(u, v))
             remaining.discard(u)
             remaining.discard(v)
+        matched = len(m) > 0
     return Matching(out)
 
 
@@ -401,7 +429,8 @@ def bipartite_one_plus_eps(h: Graph, box: MatchBox, eps, *,
 
 
 def _bipartition(n: int, seed: int, t: int) -> List[int]:
-    return [(node_rng(seed, v, "bipartition", t) >> 63) & 1 for v in range(n)]
+    return (node_rng_array(seed, np.arange(n), "bipartition", t)
+            >> np.uint64(63)).tolist()
 
 
 def _crossing_graph(g: Graph, sides: List[int],

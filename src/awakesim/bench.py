@@ -72,8 +72,8 @@ class ExperimentConfig:
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}; "
                              f"choose from {', '.join(ALGORITHMS)}")
-        if not self.eps > 0:           # also rejects NaN
-            raise ValueError(f"eps must be > 0, got {self.eps}")
+        if not 0 < self.eps < math.inf:     # also rejects NaN
+            raise ValueError(f"eps must be finite and > 0, got {self.eps}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.n_list is not None and not self.n_list:
@@ -190,6 +190,8 @@ def run_trial(cfg: ExperimentConfig, t: int) -> Dict[str, Any]:
             if cfg.algorithm == "bipartite_amplify":
                 if g.sides is None:
                     raise ValueError("bipartite_amplify needs a bipartite family")
+                if cfg.eps >= 2:    # its extension delta eps^5/32 must stay below 1
+                    raise ValueError(f"bipartite_amplify needs eps < 2, got {cfg.eps}")
                 m = bipartite_one_plus_eps(g, box, cfg.eps)
             else:
                 m = general_one_plus_eps(g, box, cfg.eps, seed,

@@ -1,12 +1,18 @@
-"""Shared fixtures: the MIS scaling sweep, the acceptance result table, and
-the Fraction-arithmetic reference of the full-rate fractional matcher."""
+"""Shared fixtures: the MIS scaling sweep, the acceptance result table, the
+Fraction-arithmetic reference of the full-rate fractional matcher, and the
+no-reuse reference of the sleeping box and its delta-maximal loop."""
 
+import math
 from fractions import Fraction
 
 import pytest
 
+from awakesim import fractional
+from awakesim.augmentation import MatchBox
+from awakesim.errors import PreconditionViolated
 from awakesim.fractional import FractionalAssignment
-from awakesim.graphs import canon, gen_gnp
+from awakesim.graphs import Matching, canon, gen_gnp
+from awakesim.oracles import verify_matching
 from awakesim.mis import awake_mis, luby_mis
 from awakesim.rng import node_rng
 
@@ -54,6 +60,51 @@ def ref_vanilla_assignment(g, eps) -> FractionalAssignment:
     x, edge_frozen, node_frozen = ref_vanilla(g, eps)
     return FractionalAssignment(g.n, x, edge_frozen,
                                 {v: node_frozen.get(v) for v in range(g.n)})
+
+
+class RefSleepingBox(MatchBox):
+    """Reference sleeping box: a fresh fractional run on every call, with
+    the same seed counter as :class:`MatchBox`."""
+
+    def __init__(self, *, master_seed: int = 0, host_n: int = 0):
+        super().__init__("sleeping", master_seed=master_seed, host_n=host_n)
+
+    def __call__(self, g, orig_ids=None):
+        self.calls += 1
+        if g.m == 0:
+            return Matching()
+        s1 = node_rng(self.master_seed, 0, "box", 2 * self.calls)
+        s2 = node_rng(self.master_seed, 0, "box", 2 * self.calls + 1)
+        asg, led, _ = fractional.sampled_fractional(g, self.eps, s1)
+        m = fractional.round_matching(asg, s2)
+        if self.ledger is not None:
+            self.ledger.merge(led, id_map=orig_ids)
+        assert verify_matching(g, m)
+        return m
+
+
+def ref_delta_maximal(g, box, delta, *, iterations=None, orig_ids=None):
+    """Reference delta-maximal loop: a freshly induced residual before every
+    box call after the first, whether or not the last call matched."""
+    if not 0 < delta < 1:
+        raise PreconditionViolated("delta must lie in (0, 1)")
+    if iterations is None:
+        iterations = math.ceil(3 * box.c * math.log(1 / float(delta)))
+    remaining = set(range(g.n))
+    out = []
+    for it in range(max(1, iterations)):
+        sub, ids = (g, range(g.n)) if it == 0 else g.induced(sorted(remaining))
+        if sub.m == 0:
+            break
+        sub_orig = ([orig_ids[i] for i in ids] if orig_ids is not None
+                    else list(ids))
+        m = box(sub, orig_ids=sub_orig)
+        for (a_, b_) in m:
+            u, v = ids[a_], ids[b_]
+            out.append(canon(u, v))
+            remaining.discard(u)
+            remaining.discard(v)
+    return Matching(out)
 
 
 def record_criterion(num: int, name: str, passed: bool, detail: str) -> None:

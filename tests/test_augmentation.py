@@ -3,8 +3,12 @@
 import hashlib
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from awakesim import augmentation, fractional
 from awakesim.augmentation import (MatchBox, augment, bipartite_one_plus_eps,
                                    build_layer_graph, delta_maximal,
                                    find_maximal_paths, full_matching_pipeline,
@@ -14,6 +18,8 @@ from awakesim.graphs import (Graph, Matching, cycle_graph, gen_bipartite,
                              gen_gnp)
 from awakesim.oracles import (exact_max_matching, find_short_augmenting_path,
                               max_bipartite_matching, verify_matching)
+from awakesim.rng import node_rng
+from conftest import RefSleepingBox, ref_delta_maximal
 from test_mis import _hash_ledger
 
 
@@ -226,3 +232,132 @@ def test_amplification_golden_digest():
     extended paths through a single box call instead of delta_maximal."""
     assert _amplification_digest() == (
         "9dadc24814acee4cb6caa7d9ae6ecf0ace87d0a0c3df61cad7d3a10caed69fed")
+
+
+# ---------------------------------------------------------------------------
+# The sleeping box reuses a seed-free fractional run per residual graph
+
+
+@st.composite
+def tiny_hosts(draw):
+    """Small G(n, p) or bipartite hosts, plus a box seed."""
+    p = draw(st.sampled_from((0.2, 0.35, 0.5, 0.8)))
+    gseed = draw(st.integers(0, 2 ** 32))
+    if draw(st.booleans()):
+        g = gen_gnp(draw(st.integers(2, 12)), p, gseed)
+    else:
+        g = gen_bipartite(draw(st.integers(1, 7)), draw(st.integers(1, 7)), p,
+                          gseed)
+    return g, draw(st.integers(0, 2 ** 32))
+
+
+def _same_run(m, box, ref_m, ref_box):
+    assert sorted(m) == sorted(ref_m)
+    assert box.calls == ref_box.calls
+    assert box.ledger.rounds == ref_box.ledger.rounds
+    assert set(box.ledger.parts) == set(ref_box.ledger.parts)
+    for label, arr in box.ledger.parts.items():
+        assert np.array_equal(arr, ref_box.ledger.parts[label])
+
+
+class _Recorded(MatchBox):
+    made = []
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.made.append(self)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=tiny_hosts(), iterations=st.integers(1, 12))
+def test_delta_maximal_reuse_matches_reference(case, iterations):
+    g, seed = case
+    ids = [3 * v + 1 for v in range(g.n)]      # a host larger than g
+    box = MatchBox("sleeping", master_seed=seed, host_n=3 * g.n + 1)
+    ref_box = RefSleepingBox(master_seed=seed, host_n=3 * g.n + 1)
+    m = delta_maximal(g, box, Fraction(1, 2), iterations=iterations,
+                      orig_ids=ids)
+    ref_m = ref_delta_maximal(g, ref_box, Fraction(1, 2),
+                              iterations=iterations, orig_ids=ids)
+    _same_run(m, box, ref_m, ref_box)
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=tiny_hosts(), iterations=st.integers(1, 12),
+       eps=st.sampled_from((Fraction(1, 2), Fraction(1, 4))))
+def test_pipeline_reuse_matches_reference(case, iterations, eps):
+    g, seed = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(augmentation, "MatchBox", _Recorded)
+        _Recorded.made = []
+        m, _ = full_matching_pipeline(g, eps, seed, improve_iterations=2,
+                                      delta_iterations=iterations)
+        box, = _Recorded.made
+    ref_box = RefSleepingBox(master_seed=seed, host_n=max(1, g.n))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(augmentation, "delta_maximal", ref_delta_maximal)
+        ref_m = general_one_plus_eps(g, ref_box, eps, seed,
+                                     improve_iterations=2,
+                                     delta_iterations=iterations)
+    _same_run(m, box, ref_m, ref_box)
+
+
+def _box_trace(monkeypatch):
+    """Record the graphs the box is called on, the graphs the fractional
+    matcher runs on, and every rounding seed."""
+    called, ran, seeds = [], [], []
+    box_call = MatchBox.__call__
+    sampled = fractional.sampled_fractional
+    rounding = fractional.round_matching
+
+    def on_call(self, g, orig_ids=None):
+        called.append(g)
+        return box_call(self, g, orig_ids)
+
+    def on_run(g, *args, **kwargs):
+        ran.append(g)
+        return sampled(g, *args, **kwargs)
+
+    def on_round(asg, seed):
+        seeds.append(seed)
+        return rounding(asg, seed)
+
+    monkeypatch.setattr(MatchBox, "__call__", on_call)
+    monkeypatch.setattr(fractional, "sampled_fractional", on_run)
+    monkeypatch.setattr(fractional, "round_matching", on_round)
+    return called, ran, seeds
+
+
+def _n_distinct(graphs):
+    return len({id(g) for g in graphs})      # the list keeps each graph alive
+
+
+def test_box_runs_once_per_residual(monkeypatch):
+    called, ran, seeds = _box_trace(monkeypatch)
+    reused = 0
+    for s in range(4):
+        del called[:], ran[:], seeds[:]
+        full_matching_pipeline(gen_gnp(16, 0.25, seed=60 + s), Fraction(1, 4),
+                               seed=s, improve_iterations=3)
+        nonempty = [g for g in called if g.m]
+        assert len(ran) == _n_distinct(nonempty)
+        # every call still draws its own rounding seed from the box's counter
+        assert seeds == [node_rng(s, 0, "box", 2 * k + 1)
+                         for k, g in enumerate(called, 1) if g.m]
+        reused += len(nonempty) - len(ran)
+    assert reused > 0
+
+
+def test_box_reruns_a_sampled_prefix(monkeypatch):
+    shape = fractional._schedule_shape
+    monkeypatch.setattr(fractional, "_schedule_shape",
+                        lambda n, delta, eps: shape(n, delta, eps)[:3] + (2,))
+    g = gen_bipartite(6, 6, 0.3, seed=5)
+    box = MatchBox("sleeping", master_seed=9, host_n=g.n)
+    ref_box = RefSleepingBox(master_seed=9, host_n=g.n)
+    ref_m = ref_delta_maximal(g, ref_box, Fraction(1, 2), iterations=12)
+    called, ran, _ = _box_trace(monkeypatch)
+    m = delta_maximal(g, box, Fraction(1, 2), iterations=12)
+    assert len(ran) == len([h for h in called if h.m])
+    assert _n_distinct(ran) < len(ran)       # a graph was seen twice
+    _same_run(m, box, ref_m, ref_box)

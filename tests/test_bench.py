@@ -255,6 +255,10 @@ def test_cli_reports_run_time_input_errors(tmp_path, capsys):
         (["amplify", "--eps", "0"], "eps"),
         (["amplify", "--eps", "-0.1"], "eps"),
         (["amplify", "--eps", "nan"], "eps"),
+        (["match", "--eps", "inf"], "eps"),
+        (["amplify", "--mode", "general", "--eps", "inf"], "eps"),
+        (["amplify", "--mode", "bipartite", "--graph", "bipartite", "--n", "10",
+          "--eps", "5"], "eps"),
     ]
     for argv, needle in cases:
         assert main(argv) == 2
