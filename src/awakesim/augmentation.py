@@ -22,8 +22,7 @@ from . import fractional
 from .engine import AwakeLedger
 from .errors import InvalidPath, PreconditionViolated
 from .graphs import Graph, Matching, canon
-from .oracles import (exact_max_matching, greedy_maximal_matching,
-                      max_bipartite_matching, verify_matching)
+from .oracles import exact_max_matching, greedy_maximal_matching, verify_matching
 from .rng import node_rng, node_rng_array
 
 Edge = Tuple[int, int]
@@ -70,10 +69,7 @@ class MatchBox:
         if g.m == 0:
             return Matching()
         if self.mode == "exact":
-            if g.sides is not None:
-                m = max_bipartite_matching(g, list(g.sides))
-            else:
-                m = exact_max_matching(g)
+            m = exact_max_matching(g)
         elif self.mode == "greedy":
             m = greedy_maximal_matching(g)
         else:
@@ -82,10 +78,8 @@ class MatchBox:
                 _, asg, led = self._memo
             else:
                 s1 = node_rng(self.master_seed, 0, "box", 2 * self.calls)
-                asg, led, _ = fractional.sampled_fractional(g, self.eps, s1)
-                seed_free = fractional.SampleSchedule(
-                    g.n, g.max_degree, self.eps).stop_round == 0
-                self._memo = (g, asg, led) if seed_free else None
+                asg, led, diag = fractional.sampled_fractional(g, self.eps, s1)
+                self._memo = (g, asg, led) if diag.stop_round == 0 else None
             m = fractional.round_matching(asg, s2)
             if self.ledger is not None:
                 self.ledger.merge(led, id_map=orig_ids)

@@ -3,28 +3,18 @@
 A :class:`Protocol` describes node behavior; :func:`run` executes it.  Each
 round the engine asks ``wake_set`` which nodes are awake, charges them on an
 :class:`AwakeLedger` (sleeping is free), and calls the protocol's ``round``
-once with the awake nodes.  ``round`` returns the nodes that terminate and
-their outputs; a terminated node is removed and never charged again.
+once with the awake nodes.  ``round`` does the whole round and returns the
+ids that terminate; a terminated node is removed and never charged again.
+Each protocol keeps its per-node results in ``outputs``, which :func:`run`
+returns.
 
-There are two ways to write ``round``:
-
-* whole-round work, the way every protocol in the package does it.  The MIS
-  protocols use masks over the graph's CSR adjacency and the neighbourhood
-  primitives :func:`heard` ("some awake neighbour sent") and
-  :func:`least_heard` ("least ``(key, id)`` over awake sending
-  neighbours"); ``SampledMatchingProtocol`` reduces its sampled reports
-  over the CSR and then walks only the edges of nodes that froze.  Only
-  awake nodes send, and only awake nodes hear;
-* the default, per node: ``send1``/``send2``/``finish`` hooks, with envelopes
-  delivered into inbox lists by :func:`_deliver`.  Envelopes addressed to
-  sleeping or terminated nodes are dropped, not queued.  Only small test
-  protocols and the test reference of the sampled matcher use it.
-
-Both paths check the CONGEST width of payloads against
-``congest_factor * max(8, ceil(log2 n))`` bits unless ``check_congest`` is
-off: the hook path measures every envelope with :func:`payload_bits`; a
-whole-round protocol checks the widest message of each round once with
-:func:`check_width`.
+The protocols use masks over the graph's CSR adjacency and the
+neighbourhood primitives :func:`heard` ("some awake neighbour sent") and
+:func:`least_heard` ("least ``(key, id)`` over awake sending neighbours");
+``SampledMatchingProtocol`` reduces its sampled reports over the CSR and
+then walks only the edges of nodes that froze.  Only awake nodes send, and
+only awake nodes hear.  Every round checks its widest message once with
+:func:`check_width` against ``congest_factor * max(8, ceil(log2 n))`` bits.
 
 Determinism: protocols draw all randomness through ``node_rng`` streams keyed
 by the master seed, so a fixed (graph, protocol, seed) triple replays
@@ -34,17 +24,14 @@ bit-identically.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
 from .errors import RoundCapExceeded
 from .graphs import Graph
-from .rng import node_rng, node_rng_array  # noqa: F401  (re-exported: engine owns the stream contract)
 
 BROADCAST = -1
-
-_EMPTY: Tuple = ()
 
 
 def payload_bits(payload) -> int:
@@ -67,63 +54,33 @@ def payload_bits(payload) -> int:
 class Protocol:
     """Behavior contract executed by :func:`run`.
 
-    Subclasses override either ``round``, doing a whole round at once, or
-    the per-node hooks the default ``round`` calls.  ``wake_set`` must decide
-    each node's wakefulness only from that node's own state and its own coin
-    streams; the engine intersects the requested wake set with the
-    still-alive nodes, so terminated nodes never reappear.
+    Subclasses override ``round``, doing a whole round at once, and keep
+    each node's result in ``outputs`` (``bind`` starts it as an empty dict;
+    a protocol may replace it with any per-node container, such as one of
+    its state arrays).  ``wake_set`` must decide each node's wakefulness
+    only from that node's own state and its own coin streams; the engine
+    intersects the requested wake set with the still-alive nodes, so
+    terminated nodes never reappear.
     """
 
-    uses_subround2 = False
     congest_factor = 64
 
     def bind(self, graph: Graph, seed: int) -> None:
         self.graph = graph
         self.seed = seed
         self.n = graph.n
+        self.outputs: Any = {}
 
     def wake_set(self, rnd: int, alive: np.ndarray):
         """Nodes awake this round; by default every alive node."""
         return np.nonzero(alive)[0]
 
     def round(self, rnd: int, awake: np.ndarray, awake_mask: np.ndarray,
-              congest_bound: Optional[int]):
+              congest_bound: int):
         """Run round ``rnd`` for the sorted ``awake`` ids (``awake_mask`` marks
-        them); return ``(done, outputs)``, the ids that terminate and their
-        outputs.  ``congest_bound`` is the payload width limit in bits, or
-        ``None`` when unchecked.
-
-        The default runs the per-node hooks: every awake node's ``send1``
-        envelopes are delivered, then (if ``uses_subround2``) its ``send2``
-        envelopes, then ``finish`` sees both inboxes.
-        """
-        adj_np = self.graph.adj_arrays()
-        inbox1: Dict[int, list] = {}
-        _deliver(((int(v), self.send1(int(v), rnd)) for v in awake),
-                 adj_np, awake_mask, inbox1, congest_bound, payload_bits)
-        inbox2: Dict[int, list] = {}
-        if self.uses_subround2:
-            _deliver(((int(v), self.send2(int(v), rnd, inbox1.get(int(v), _EMPTY)))
-                      for v in awake),
-                     adj_np, awake_mask, inbox2, congest_bound, payload_bits)
-        done: List[int] = []
-        outs: List[Any] = []
-        for v in awake.tolist():
-            out = self.finish(v, rnd, inbox1.get(v, _EMPTY), inbox2.get(v, _EMPTY))
-            if out is not None:
-                done.append(v)
-                outs.append(out)
-        return done, outs
-
-    def send1(self, v: int, rnd: int):
-        return _EMPTY
-
-    def send2(self, v: int, rnd: int, inbox1):
-        return _EMPTY
-
-    def finish(self, v: int, rnd: int, inbox1, inbox2):
-        """Return a non-None output to terminate node ``v``."""
-        return None
+        them) and return the ids that terminate.  ``congest_bound`` is the
+        payload width limit in bits."""
+        raise NotImplementedError
 
 
 class AwakeLedger:
@@ -229,6 +186,10 @@ class RunMetrics:
 
 
 def _deliver(msgs_by_sender, adj_np, awake_mask, inboxes, congest_bound, measure):
+    """Deliver per-node envelopes ``(dst, payload)`` into inbox lists; an
+    envelope to a sleeper is dropped.  Nothing in the package sends
+    envelopes: only the hook-style test reference of the sampled matcher and
+    perfbench's tracer use this."""
     for v, msgs in msgs_by_sender:
         for dst, payload in msgs:
             if congest_bound is not None:
@@ -330,27 +291,21 @@ def run(
     master_seed: int,
     round_cap: int,
     part: str = "main",
-    check_congest: bool = True,
     record_schedule: bool = False,
 ):
     """Execute ``protocol`` on ``g`` until all nodes terminate.
 
-    Returns ``(outputs, ledger, metrics)`` where ``outputs`` maps node id to
-    its terminal output.  Raises :class:`RoundCapExceeded` (with the partial
-    ledger attached) if any node survives ``round_cap`` rounds.
+    Returns ``(protocol.outputs, ledger, metrics)``.  Raises
+    :class:`RoundCapExceeded` (with the partial ledger attached) if any node
+    survives ``round_cap`` rounds.
     """
     protocol.bind(g, master_seed)
     n = g.n
     ledger = AwakeLedger(n, record_schedule=record_schedule)
-    outputs: Dict[int, Any] = {}
     alive = np.ones(n, dtype=bool)
     alive_count = n
     awake_mask = np.zeros(n, dtype=bool)
-    congest_bound = (
-        protocol.congest_factor * max(8, (max(n, 2) - 1).bit_length())
-        if check_congest
-        else None
-    )
+    congest_bound = protocol.congest_factor * max(8, (max(n, 2) - 1).bit_length())
 
     rnd = -1
     while alive_count > 0:
@@ -364,13 +319,12 @@ def run(
         awake = req[alive[req]] if req.size else req
         ledger.charge(part, awake, rnd)
         awake_mask[awake] = True
-        done, outs = protocol.round(rnd, awake, awake_mask, congest_bound)
+        done = protocol.round(rnd, awake, awake_mask, congest_bound)
         awake_mask[awake] = False
         if len(done):
             done = np.asarray(done, dtype=np.int64)
-            outputs.update(zip(done.tolist(), outs))
             alive[done] = False
             alive_count -= done.size
 
     ledger.rounds = rnd + 1
-    return outputs, ledger, RunMetrics.from_ledger(ledger)
+    return protocol.outputs, ledger, RunMetrics.from_ledger(ledger)

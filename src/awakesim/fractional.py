@@ -195,6 +195,7 @@ class Diagnostics:
     heavy_events: int = 0
     light_events: int = 0
     spoiled_value: Fraction = field(default_factory=lambda: Fraction(0))
+    stop_round: int = 0
 
 
 class FractionalAssignment:
@@ -301,7 +302,8 @@ class SampledMatchingProtocol(Protocol):
     for its round r.
 
     Masses are integers on the ladder whose top rung is ``round_cap``, the
-    last round a run can reach.
+    last round a run can reach.  ``outputs`` is the list of node freeze
+    rounds (-1: never froze).
     """
 
     congest_factor = 256  # report payloads carry one round index per phase
@@ -316,7 +318,7 @@ class SampledMatchingProtocol(Protocol):
         stop = self._stop = s.stop_round
         self._one, self._tight, rungs = s.ladder(self.round_cap)
         self._rungs = list(rungs)
-        self._f = [-1] * self.n
+        self.outputs = self._f = [-1] * self.n
         # rebuilt by _reconcile at the stop round
         self._unfrozen: List[int] = []
         self._mass: List[int] = []
@@ -371,7 +373,7 @@ class SampledMatchingProtocol(Protocol):
     def round(self, rnd, awake, awake_mask, congest_bound):
         if rnd < self._stop:
             self._sampled_round(rnd, awake, congest_bound)
-            return (), ()
+            return ()
         ids = awake.tolist()
         done: List[int] = []
         if rnd == self._stop:
@@ -400,8 +402,7 @@ class SampledMatchingProtocol(Protocol):
                 mass[u] += k * w
             done += froze
             done += [u for u in gained if not unf[u]]
-            done.sort()
-        return done, [f[v] for v in done]
+        return done
 
     def _sampled_round(self, rnd, awake, congest_bound):
         """Reports of round ``rnd`` and the silent freezes they cause."""
@@ -412,9 +413,8 @@ class SampledMatchingProtocol(Protocol):
         vs, hs = vs[keep], hs[keep]
         if vs.size == 0:
             return
-        if congest_bound is not None:
-            widest = np.bincount(vs, weights=self._hbits[hs] + 1).max()
-            check_width(26 + int(widest), congest_bound, "a report")
+        widest = np.bincount(vs, weights=self._hbits[hs] + 1).max()
+        check_width(26 + int(widest), congest_bound, "a report")
         sent = np.zeros((self.n, rnd + 1), dtype=np.int64)
         sent[vs, hs] = 1
         owners, starts, nbrs = gather_neighbours(self.graph.csr(),
@@ -498,15 +498,16 @@ def _match(g: Graph, sched: SampleSchedule, seed: int, record_schedule: bool = F
     ``(assignment, ledger, diagnostics)`` as :func:`sampled_fractional`."""
     n = g.n
     proto = SampledMatchingProtocol(sched)
-    outputs, ledger, _ = run(g, proto, seed, proto.round_cap, part="frac",
-                             record_schedule=record_schedule)
+    f, ledger, _ = run(g, proto, seed, proto.round_cap, part="frac",
+                       record_schedule=record_schedule)
     rungs, one = proto._rungs, proto._one
-    asg, load = _assignment(g, [outputs[v] for v in range(n)], rungs, one)
+    asg, load = _assignment(g, f, rungs, one)
     x, frozen_round, node_freeze = asg.x, asg.frozen_round, asg.node_freeze
 
     heavy = [v for v in range(n) if load[v] > one]
     diag = Diagnostics(heavy_events=len(heavy),
-                       spoiled_value=Fraction(sum(load[v] for v in heavy), one))
+                       spoiled_value=Fraction(sum(load[v] for v in heavy), one),
+                       stop_round=sched.stop_round)
     kept = load[:]
     if heavy:
         dead = set(heavy)

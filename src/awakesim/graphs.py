@@ -127,7 +127,9 @@ class Graph:
 
     def adj_arrays(self) -> List[np.ndarray]:
         """Per-node neighbor arrays (int64 views of the CSR), built lazily for
-        bulk delivery."""
+        envelope delivery (``engine._deliver``).  Nothing in the package calls
+        it: only the hook-style test reference of the sampled matcher and
+        perfbench's tracer use it."""
         if self._adj_np is None:
             indptr, indices = self.csr()
             bounds = indptr.tolist()

@@ -13,9 +13,10 @@ Three composable stages:
 3. ``luby_mis``, the classic one-fresh-key-per-round protocol, used both as
    a standalone baseline and as the cleanup stage.
 
-All three protocols run on the engine's array path: each round is a few
-mask operations over the CSR adjacency (``engine.heard`` for announcements,
-``engine.least_heard`` for key and id competitions), not per-node hooks.
+Each round of the three protocols is a few mask operations over the CSR
+adjacency (``engine.heard`` for announcements, ``engine.least_heard`` for
+key and id competitions).  Each protocol's ``outputs`` is its own state
+array, and the stage functions read each result set with one mask.
 
 Stages 1 and 2 return their residual graph together with ``residual_ids``,
 the residual's node ids in their input graph.  ``awake_mis`` is the
@@ -125,13 +126,6 @@ def part2_round_count(d: int, K: int, C: int = 4) -> int:
 _TOKEN_BITS = 8
 
 
-def _decided(*groups):
-    """``round``'s ``(done, outputs)`` from ``(mask, output)`` pairs."""
-    ids = [np.flatnonzero(mask) for mask, _ in groups]
-    outs = [out for (_, out), sel in zip(groups, ids) for _ in range(sel.size)]
-    return np.concatenate(ids), outs
-
-
 def _assert_independent(csr, in_s: np.ndarray, join: np.ndarray) -> None:
     """No joiner may neighbour the set or another joiner of the same round."""
     _, _, nbrs = gather_neighbours(csr, np.flatnonzero(join))
@@ -151,7 +145,7 @@ class LubyProtocol(Protocol):
         super().bind(graph, seed)
         self._csr = graph.csr()
         self._keys = np.zeros(self.n, dtype=np.uint64)
-        self._in_s = np.zeros(self.n, dtype=bool)
+        self.outputs = self._in_s = np.zeros(self.n, dtype=bool)
 
     def round(self, rnd, awake, awake_mask, congest_bound):
         csr = self._csr
@@ -162,7 +156,7 @@ class LubyProtocol(Protocol):
         _assert_independent(csr, self._in_s, join)
         self._in_s |= join
         out = heard(csr, awake_mask, join, _TOKEN_BITS, congest_bound) & ~join
-        return _decided((join, True), (out, False))
+        return np.flatnonzero(join | out)
 
 
 def luby_mis(g: Graph, seed: int, round_cap: Optional[int] = None,
@@ -171,7 +165,7 @@ def luby_mis(g: Graph, seed: int, round_cap: Optional[int] = None,
     cap = round_cap if round_cap is not None else 64 * (_clog2(g.n) + 2)
     outputs, ledger, _ = run(g, LubyProtocol(), seed, cap, part="luby",
                              record_schedule=record_schedule)
-    return {v for v, flag in outputs.items() if flag}, ledger
+    return set(np.flatnonzero(outputs).tolist()), ledger
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +181,10 @@ class Part1Protocol(Protocol):
     participate.  Participants rebroadcast their key while undecided; the
     strict (key, id) minimum of a neighborhood joins and announces, which
     puts its competing neighbors to sleep as dominated.  At the fixed window
-    end every node wakes for one announcement round and terminates with
-    "in" / "out" / "residual".
+    end every node wakes for one announcement round and terminates; nodes
+    that hear "I" there become dominated too.  ``outputs`` is the status
+    array: joined nodes are "in", dominated ones "out", and the rest (never
+    participated, or still competing) are the residual.
     """
 
     def __init__(self, p: Fraction, window: int):
@@ -207,7 +203,8 @@ class Part1Protocol(Protocol):
             part = np.zeros(n, dtype=bool)
         else:
             part = self._keys < np.uint64(thr)
-        self._status = np.where(part, _P1_COMPETING, _P1_NONPART).astype(np.int8)
+        self.outputs = self._status = np.where(
+            part, _P1_COMPETING, _P1_NONPART).astype(np.int8)
         self._csr = graph.csr()
 
     def wake_set(self, rnd, alive):
@@ -221,9 +218,8 @@ class Part1Protocol(Protocol):
         if rnd >= self.window:
             # announcement: joined nodes say "I", every node decides
             told = heard(csr, awake_mask, joined, _TOKEN_BITS, congest_bound)
-            out = ~joined & ((status == _P1_DOMINATED) | told)
-            return _decided((awake_mask & joined, "in"), (awake_mask & out, "out"),
-                            (awake_mask & ~joined & ~out, "residual"))
+            status[told & ~joined] = _P1_DOMINATED
+            return awake
         # the awake nodes are the competitors: keys, then the minima say "I"
         rank, best = least_heard(csr, awake_mask, awake_mask, self._keys,
                                  congest_bound)
@@ -232,7 +228,7 @@ class Part1Protocol(Protocol):
         dominated = heard(csr, awake_mask, join, _TOKEN_BITS, congest_bound) & ~join
         status[join] = _P1_JOINED
         status[dominated] = _P1_DOMINATED
-        return (), ()
+        return ()
 
 
 def greedy_partial_mis(g: Graph, seed: int, p, window: Optional[int] = None,
@@ -248,11 +244,11 @@ def greedy_partial_mis(g: Graph, seed: int, p, window: Optional[int] = None,
     if not (0 < p <= 1):
         raise ValueError("p must lie in (0, 1]")
     window = window if window is not None else default_part1_window(g.n)
-    outputs, ledger, _ = run(g, Part1Protocol(p, window), seed, window + 2,
-                             part="part1", record_schedule=record_schedule)
-    joined = {v for v, o in outputs.items() if o == "in"}
-    removed = {v for v, o in outputs.items() if o == "out"}
-    residual, residual_ids = g.induced(v for v, o in outputs.items() if o == "residual")
+    status, ledger, _ = run(g, Part1Protocol(p, window), seed, window + 2,
+                            part="part1", record_schedule=record_schedule)
+    joined = set(np.flatnonzero(status == _P1_JOINED).tolist())
+    removed = set(np.flatnonzero(status == _P1_DOMINATED).tolist())
+    residual, residual_ids = g.induced(np.flatnonzero(status < _P1_JOINED).tolist())
     log.debug("part1: |S|=%d removed=%d residual n=%d max_degree=%d",
               len(joined), len(removed), residual.n, residual.max_degree)
     return joined, removed, residual, residual_ids, ledger
@@ -261,7 +257,7 @@ def greedy_partial_mis(g: Graph, seed: int, p, window: Optional[int] = None,
 # ---------------------------------------------------------------------------
 # Stage 2: doubling-probability marking
 
-_P2_UNDECIDED, _P2_IN = 0, 2
+_P2_UNDECIDED, _P2_OUT, _P2_IN = 0, 1, 2
 
 # Cap on the coins one stage-2 draw takes: an iteration's (rounds x nodes)
 # uint64 draws at 2^18 nodes would otherwise be a few hundred MB at once.
@@ -278,7 +274,8 @@ class Part2Protocol(Protocol):
     nodes announce; the smallest id among adjacent announcers joins.  The last
     round of each iteration is a cleanup every alive node attends: nodes with
     no surviving competitor join, so nodes isolated in the residual pay one
-    awake round per iteration.
+    awake round per iteration.  ``outputs`` is the status array: the nodes
+    still undecided after the last cleanup are the residual.
     """
 
     def __init__(self, d: int, iterations: int, phase_constant: int = 4):
@@ -297,7 +294,7 @@ class Part2Protocol(Protocol):
         self._csr = graph.csr()
         self._ids = np.arange(n, dtype=np.int64)
         self._deg = np.diff(self._csr[0])
-        self._status = np.full(n, _P2_UNDECIDED, dtype=np.int8)
+        self.outputs = self._status = np.full(n, _P2_UNDECIDED, dtype=np.int8)
         self._awake = np.zeros(n, dtype=bool)
         self._first = np.full(n, -1, dtype=np.int64)
         # _marks[o, v]: node v marks itself at offset o of the current iteration
@@ -338,6 +335,7 @@ class Part2Protocol(Protocol):
         is_in = status == _P2_IN
         # subround 1: in-set nodes say "S"; undecided hearers leave
         out = heard(csr, awake_mask, is_in, _TOKEN_BITS, congest_bound) & ~is_in
+        status[out] = _P2_OUT
         live = awake_mask & ~is_in & ~out
         if o == self._marking:
             # cleanup, every alive node awake: the live ones say "A", and
@@ -345,17 +343,16 @@ class Part2Protocol(Protocol):
             join = live & ~heard(csr, awake_mask, live, _TOKEN_BITS, congest_bound)
             _assert_independent(csr, is_in, join)
             status[join] = _P2_IN
-            groups = [(awake_mask & (is_in | join), "in"), (out, "out")]
             if k == self.K - 1:
-                groups.append((live & ~join, "residual"))
-            return _decided(*groups)
+                return awake
+            return awake[status[awake] != _P2_UNDECIDED]
         # subround 2: marked live nodes send their ids; the least joins
         rank, best = least_heard(csr, awake_mask, live & self._marks[o], self._ids,
                                  congest_bound)
         join = rank < best
         _assert_independent(csr, is_in, join)
         status[join] = _P2_IN
-        return _decided((out, "out"))
+        return np.flatnonzero(out)
 
 
 def part2_degree(g: Graph) -> int:
@@ -374,10 +371,10 @@ def part2_reduce(g: Graph, seed: int, params: Optional[MisParams] = None,
     params = params or MisParams()
     K = params.K if params.K is not None else default_iterations(g.n)
     proto = Part2Protocol(part2_degree(g), K, params.C)
-    outputs, ledger, _ = run(g, proto, seed, K * proto.t_iter + 2, part="part2",
-                             record_schedule=record_schedule)
-    added = {v for v, o in outputs.items() if o == "in"}
-    residual, residual_ids = g.induced(v for v, o in outputs.items() if o == "residual")
+    status, ledger, _ = run(g, proto, seed, K * proto.t_iter + 2, part="part2",
+                            record_schedule=record_schedule)
+    added = set(np.flatnonzero(status == _P2_IN).tolist())
+    residual, residual_ids = g.induced(np.flatnonzero(status == _P2_UNDECIDED).tolist())
     return added, residual, residual_ids, ledger
 
 

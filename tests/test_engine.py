@@ -1,13 +1,13 @@
 """Engine semantics: awake accounting, sleeping drops, caps, congest bound,
-and the neighbourhood primitives of the array path."""
+and the neighbourhood primitives."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from awakesim.engine import (BROADCAST, AwakeLedger, Protocol, heard,
-                             least_heard, payload_bits, run)
+from awakesim.engine import (AwakeLedger, Protocol, heard, least_heard,
+                             payload_bits, run)
 from awakesim.errors import RoundCapExceeded
 from awakesim.graphs import Graph, path_graph, star_graph
 
@@ -15,39 +15,45 @@ from awakesim.graphs import Graph, path_graph, star_graph
 class CountDown(Protocol):
     """Node v is awake for rounds 0..v and then terminates."""
 
-    def finish(self, v, rnd, inbox1, inbox2):
-        return v if rnd >= v else None
+    def round(self, rnd, awake, awake_mask, congest_bound):
+        done = awake[awake <= rnd].tolist()
+        self.outputs.update(zip(done, done))
+        return done
 
 
 class Beacon(Protocol):
-    """Node 0 broadcasts every round; node 1 sleeps until round 2 and
-    terminates on the first payload it hears."""
+    """Node 0 broadcasts the round number every round; node 1 sleeps until
+    round 2 and terminates on the first payload it hears."""
 
     def wake_set(self, rnd, alive):
         return np.nonzero(alive)[0] if rnd >= 2 else [0]
 
-    def send1(self, v, rnd):
-        return [(BROADCAST, rnd)] if v == 0 else ()
-
-    def finish(self, v, rnd, inbox1, inbox2):
-        if v == 0:
-            return "done" if rnd >= 4 else None
-        if inbox1:
-            return ("heard", inbox1[0][1])
-        return None
+    def round(self, rnd, awake, awake_mask, congest_bound):
+        sent = np.arange(self.n) == 0
+        got = heard(self.graph.csr(), awake_mask, sent, payload_bits(rnd),
+                    congest_bound)
+        done = []
+        if awake_mask[0] and rnd >= 4:
+            self.outputs[0] = "done"
+            done.append(0)
+        if got[1]:
+            self.outputs[1] = ("heard", rnd)
+            done.append(1)
+        return done
 
 
 class Insomniac(Protocol):
-    def finish(self, v, rnd, inbox1, inbox2):
-        return None
+    def round(self, rnd, awake, awake_mask, congest_bound):
+        return ()
 
 
 class BigMouth(Protocol):
-    def send1(self, v, rnd):
-        return [(BROADCAST, "x" * 4096)]
+    """Every node broadcasts a 4096-character string, then terminates."""
 
-    def finish(self, v, rnd, inbox1, inbox2):
-        return v
+    def round(self, rnd, awake, awake_mask, congest_bound):
+        heard(self.graph.csr(), awake_mask, awake_mask, payload_bits("x" * 4096),
+              congest_bound)
+        return awake
 
 
 def test_awake_accounting():
@@ -85,12 +91,10 @@ def test_congest_bound_enforced():
     g = path_graph(3)
     with pytest.raises(AssertionError, match="bit message bound"):
         run(g, BigMouth(), 0, round_cap=3)
-    outputs, _, _ = run(g, BigMouth(), 0, round_cap=3, check_congest=False)
-    assert len(outputs) == 3
 
 
 class WideKeys(Protocol):
-    """Array path: every node broadcasts a 64-bit key and a token of
+    """Every node broadcasts a 64-bit key and a token of
     ``token_bits``, then terminates."""
 
     def __init__(self, token_bits=8):
@@ -101,7 +105,8 @@ class WideKeys(Protocol):
         keys = np.full(self.n, 2 ** 64 - 1, dtype=np.uint64)
         least_heard(csr, awake_mask, awake_mask, keys, congest_bound)
         heard(csr, awake_mask, awake_mask, self.token_bits, congest_bound)
-        return awake, [rnd] * awake.size
+        self.outputs.update(dict.fromkeys(awake.tolist(), rnd))
+        return awake
 
 
 def test_congest_bound_enforced_on_the_array_path():
@@ -115,9 +120,6 @@ def test_congest_bound_enforced_on_the_array_path():
         run(g, narrow, 0, round_cap=3)
     with pytest.raises(AssertionError, match="bit message bound"):
         run(g, WideKeys(token_bits=4096), 0, round_cap=3)
-    for proto in (narrow, WideKeys(token_bits=4096)):
-        outputs, _, _ = run(g, proto, 0, round_cap=3, check_congest=False)
-        assert len(outputs) == 3
 
 
 @st.composite

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from awakesim import fractional
+from awakesim import engine
 from awakesim.engine import BROADCAST, Protocol, run
 from awakesim.errors import InvalidAssignment
 from awakesim.fractional import (_COIN_BLOCK, FractionalAssignment,
@@ -60,7 +61,10 @@ def ref_round_matching(assignment, seed):
 
 class RefSampledProtocol(Protocol):
     """Reference: the per-node hook version of SampledMatchingProtocol,
-    which the whole-round protocol must match output for output.
+    which the whole-round protocol must match output for output.  Each
+    round runs ``send1`` for every awake node and delivers its envelopes,
+    then ``send2`` and delivers, then ``finish``, which says whether the
+    node terminates.
 
     Distributed fractional matching with sampled congestion estimates.
 
@@ -76,7 +80,6 @@ class RefSampledProtocol(Protocol):
     last round a run can reach.
     """
 
-    uses_subround2 = True
     congest_factor = 256  # report payloads carry one round index per phase
 
     def __init__(self, schedule: SampleSchedule):
@@ -90,7 +93,7 @@ class RefSampledProtocol(Protocol):
         stop = self._stop = s.stop_round
         self._one, self._tight, rungs = s.ladder(self.round_cap)
         self._rungs = list(rungs)
-        self._f = [-1] * n
+        self.outputs = self._f = [-1] * n
         self._unfrozen = [graph.degree(v) for v in range(n)]
         self._mass = [0] * n
         self._wake = np.full(n, stop, dtype=np.int64)
@@ -136,6 +139,16 @@ class RefSampledProtocol(Protocol):
         if rnd >= self._stop:
             return np.nonzero(alive)[0]
         return np.nonzero(alive & (self._wake <= rnd))[0]
+
+    def round(self, rnd, awake, awake_mask, congest_bound):
+        adj_np, ids = self.graph.adj_arrays(), awake.tolist()
+        inbox1, inbox2 = {}, {}
+        engine._deliver(((v, self.send1(v, rnd)) for v in ids), adj_np, awake_mask,
+                        inbox1, congest_bound, engine.payload_bits)
+        engine._deliver(((v, self.send2(v, rnd, inbox1.get(v, ()))) for v in ids),
+                        adj_np, awake_mask, inbox2, congest_bound, engine.payload_bits)
+        return [v for v in ids
+                if self.finish(v, rnd, inbox1.get(v, ()), inbox2.get(v, ()))]
 
     def send1(self, v, rnd):
         if rnd < self._stop:
@@ -189,15 +202,13 @@ class RefSampledProtocol(Protocol):
                     # silent freeze; neighbors learn at reconciliation
                     self._f[v] = rnd
                     self._unfrozen[v] = 0
-            return None
+            return False
         if self._f[v] < 0:
             for _, (kind, r) in inbox2:
                 if kind == "frz":
                     self._unfrozen[v] -= 1
                     self._mass[v] += self._rungs[r]
-        if self._unfrozen[v] == 0:
-            return self._f[v]
-        return None
+        return self._unfrozen[v] == 0
 
 
 def test_iterated_log_values():
@@ -339,6 +350,12 @@ def test_sampled_forced_sampling_path():
         assert (a1.node_freeze[u] is not None
                 or a1.node_freeze[v] is not None)
     assert l1.rounds > 6  # sampling rounds happened before the growth stage
+    # the diagnostics carry the stop round of the run, analytic or forced
+    eps = Fraction(1, 25)
+    _, _, d0 = sampled_fractional(g, eps, seed=9)
+    assert d0.stop_round == SampleSchedule(g.n, g.max_degree, eps).stop_round
+    assert d1.stop_round == SampleSchedule(g.n, g.max_degree, eps, **kw).stop_round
+    assert (d0.stop_round, d1.stop_round) == (0, 6)
 
 
 def test_sample_coins_drawn_in_blocks(monkeypatch):
@@ -538,7 +555,7 @@ def _protocol_outcome(cls, g, sched, seed, congest_factor):
                                  record_schedule=True)
     except AssertionError:
         return AssertionError
-    return list(outputs.items()), ledger, ledger.schedule
+    return list(outputs), ledger, ledger.schedule
 
 
 @settings(max_examples=200, deadline=None)
