@@ -6,8 +6,7 @@ cost, fractional matching with vertex cover extraction and randomized
 rounding, black-box matching amplification, and a seeded experiment CLI.
 """
 
-from .engine import (BROADCAST, AwakeLedger, Protocol, RunMetrics,
-                     payload_bits, run)
+from .engine import AwakeLedger, Protocol, RunMetrics, run
 from .errors import (InvalidAssignment, InvalidPath, OracleTooLarge,
                      PreconditionViolated, RoundCapExceeded)
 from .graphs import (Graph, Matching, canon, complete_graph, cycle_graph,
@@ -31,7 +30,7 @@ from .bench import ExperimentConfig, run_experiment, sweep
 __version__ = "0.1.0"
 
 __all__ = [
-    "AwakeLedger", "BROADCAST", "ExperimentConfig", "FractionalAssignment",
+    "AwakeLedger", "ExperimentConfig", "FractionalAssignment",
     "Graph", "InvalidAssignment", "InvalidPath", "LayerGraph", "MatchBox",
     "Matching", "MisParams", "OracleTooLarge", "PreconditionViolated", "Protocol", "RoundCapExceeded", "RunMetrics",
     "SampleSchedule", "augment", "awake_mis", "bipartite_one_plus_eps",
@@ -42,7 +41,7 @@ __all__ = [
     "full_matching_pipeline", "gen_bipartite", "gen_gnp",
     "general_one_plus_eps", "greedy_maximal_matching", "greedy_partial_mis",
     "iterated_log", "luby_mis", "max_bipartite_matching", "node_rng",
-    "node_rng_array", "part2_reduce", "path_graph", "payload_bits",
+    "node_rng_array", "part2_reduce", "path_graph",
     "petersen_graph", "round_matching", "run", "run_experiment",
     "sampled_fractional", "star_graph", "sweep", "uniform01",
     "vanilla_fractional", "verify_matching", "verify_mis",

@@ -78,6 +78,9 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if self.n_list is not None and not self.n_list:
             raise ValueError("n_list must be non-empty")
+        negative = [k for k in [self.n, *(self.n_list or ())] if k < 0]
+        if negative:
+            raise ValueError(f"n must be >= 0, got {negative[0]}")
         unknown = sorted(set(self.overrides) - set(OVERRIDE_KEYS))
         if unknown:
             raise ValueError(f"unknown override {unknown[0]!r}; "
@@ -94,7 +97,7 @@ def build_graph(family: str, n: int, p: Optional[float], seed: int) -> Graph:
     if family == "gnp":
         return gen_gnp(n, p if p is not None else min(1.0, 10 / max(2, n)), seed)
     if family == "bipartite":
-        half = max(1, n // 2)
+        half = min(n, max(1, n // 2))
         return gen_bipartite(half, n - half,
                              p if p is not None else min(1.0, 10 / max(2, n)),
                              seed)
@@ -105,7 +108,7 @@ def build_graph(family: str, n: int, p: Optional[float], seed: int) -> Graph:
     if family == "complete":
         return complete_graph(n)
     if family == "star":
-        return star_graph(max(0, n - 1))
+        return star_graph(n - 1) if n else Graph(0)
     if family == "edgeless":
         return Graph(n)
     raise ValueError(f"unknown graph family {family!r}")
@@ -161,14 +164,14 @@ def run_trial(cfg: ExperimentConfig, t: int) -> Dict[str, Any]:
         row.update(_ledger_columns(led), parts=parts, size=len(s),
                    validity=met.validity)
     elif cfg.algorithm == "vanilla_match":
-        asg = fractional.vanilla_fractional(g, _eps_fraction(cfg.eps))
+        asg = fractional.vanilla_fractional(g, cfg.eps)
         rounds = 1 + max((j for j in asg.frozen_round.values() if j is not None),
                          default=-1)
         row.update(rounds=rounds, total_awake=g.n * rounds, avg_awake=float(rounds),
                    max_awake=rounds, size=asg.total_float(), validity=True)
     elif cfg.algorithm in ("sampled_match", "vertex_cover"):
         asg, led, diag = fractional.sampled_fractional(
-            g, _eps_fraction(cfg.eps), seed,
+            g, cfg.eps, seed,
             **_ovr(ovr, "estimator_constant", int),
             **_ovr(ovr, "stop_round", int, "force_stop_round"))
         row.update(_ledger_columns(led), heavy=diag.heavy_events,
@@ -181,7 +184,7 @@ def run_trial(cfg: ExperimentConfig, t: int) -> Dict[str, Any]:
     elif cfg.algorithm in ("bipartite_amplify", "general_amplify", "pipeline"):
         if cfg.algorithm == "pipeline":
             m, led = full_matching_pipeline(
-                g, _eps_fraction(cfg.eps), seed,
+                g, cfg.eps, seed,
                 **_ovr(ovr, "improve_iterations", int),
                 **_ovr(ovr, "delta_iterations", int))
         else:
@@ -213,10 +216,6 @@ def run_trial(cfg: ExperimentConfig, t: int) -> Dict[str, Any]:
     if cfg.timing:
         row["wall_time"] = time.perf_counter() - t0
     return row
-
-
-def _eps_fraction(eps: float) -> Fraction:
-    return Fraction(str(eps))
 
 
 def _summary_rows(rows: List[Dict[str, Any]]) -> List[Dict[str, Any]]:

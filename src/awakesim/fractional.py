@@ -27,11 +27,9 @@ import numpy as np
 from .engine import Protocol, check_width, gather_neighbours, run
 from .errors import InvalidAssignment
 from .graphs import Graph, Matching
-from .rng import TWO64, coin_threshold, node_rng, node_rng_array
+from .rng import TWO64, coins, node_rng
 
 Edge = Tuple[int, int]
-
-_COIN_BLOCK = 1 << 18  # most sample coins drawn at once
 
 
 def _as_fraction(eps) -> Fraction:
@@ -335,6 +333,9 @@ class SampledMatchingProtocol(Protocol):
         counts reports of h, becomes b * sum_h k_h E_h > (b - 10a) * one * L,
         with L the lcm of the nonzero p_h numerators.  A p = 0 round is never
         sampled, so it is never reported and gets no coefficient.
+
+        Membership is one ``rng.coins`` matrix: node v is row v, the pair
+        (j, h) is a column, and column (j, h) flips its coins with p_h.
         """
         s, w = self.sched, self._rungs
         ps = [s.p_of_phase(s.phase(h)) for h in range(stop)]
@@ -346,22 +347,12 @@ class SampledMatchingProtocol(Protocol):
         self._hbits = np.array([max(1, h.bit_length()) for h in range(stop)])
         # coin of (v, h, j) is node_rng(seed, v, "sample", h * stop + j)
         jj, hh = np.tril_indices(stop)
-        thr = [coin_threshold(p) for p in ps]
-        always = np.array([t >= TWO64 for t in thr])[hh]
-        cut = np.array([min(t, TWO64 - 1) for t in thr], dtype=np.uint64)[hh]
-        idx = (hh * stop + jj)[None, :]
-        vs, ts = [], []
-        rows = max(1, _COIN_BLOCK // hh.size)  # bounds the coin matrix
-        for lo in range(0, self.n, rows):
-            ids = np.arange(lo, min(self.n, lo + rows))
-            hit = (node_rng_array(seed, ids[:, None], "sample", idx) < cut) | always
-            v, t = np.nonzero(hit)
-            vs.append(v + lo)
-            ts.append(t)
-            # a member of S_h^j first wakes at round h-1
-            first = np.where(hit, hh, stop).min(axis=1)
-            self._wake[ids] = np.where(first < stop, np.maximum(first - 1, 0), stop)
-        vs, ts = np.concatenate(vs), np.concatenate(ts)
+        hit = coins(seed, np.arange(self.n)[:, None], "sample", hh * stop + jj,
+                    np.array(ps, dtype=object)[hh])
+        vs, ts = np.nonzero(hit)
+        # a member of S_h^j first wakes at round h-1
+        first = np.where(hit, hh, stop).min(axis=1)
+        self._wake = np.where(first < stop, np.maximum(first - 1, 0), stop)
         jt = jj[ts]
         self._memb = [(vs[jt == j], hh[ts[jt == j]]) for j in range(stop)]
 

@@ -39,7 +39,7 @@ from .engine import (AwakeLedger, Protocol, RunMetrics, gather_neighbours, heard
                      least_heard, run)
 from .graphs import Graph
 from .oracles import verify_mis
-from .rng import TWO64, coin_threshold, node_rng_array
+from .rng import below, coins, node_rng_array
 
 log = logging.getLogger(__name__)
 
@@ -96,19 +96,17 @@ def default_iterations(n: int) -> int:
 def part2_schedule(d: int, C: int = 4):
     """Per-iteration marking schedule for degree bound d.
 
-    Returns (phase_rounds, thresholds) where phase_rounds[j] is the length of
-    phase j+1 and thresholds[o] is the 64-bit marking cutoff for marking-round
-    offset o.  Phase i of P = ceil(log2 d) marks with probability min(1, 2^i/d)
-    and lasts max(1, C*(P-i)^2) rounds.
+    Returns (phase_rounds, probabilities) where phase_rounds[j] is the length
+    of phase j+1 and probabilities[o] is the ``Fraction`` with which a node
+    marks itself at marking-round offset o.  Phase i of P = ceil(log2 d)
+    marks with probability min(1, 2^i/d) and lasts max(1, C*(P-i)^2) rounds.
     """
     d = max(2, int(d))
     P = _clog2(d)
     phase_rounds = [max(1, C * (P - i) ** 2) for i in range(1, P + 1)]
-    thresholds = []
-    for i in range(1, P + 1):
-        q = Fraction(min(2 ** i, d), d)
-        thresholds.extend([coin_threshold(q)] * phase_rounds[i - 1])
-    return phase_rounds, thresholds
+    probabilities = [Fraction(min(2 ** i, d), d)
+                     for i, r in enumerate(phase_rounds, 1) for _ in range(r)]
+    return phase_rounds, probabilities
 
 
 def part2_round_count(d: int, K: int, C: int = 4) -> int:
@@ -196,15 +194,9 @@ class Part1Protocol(Protocol):
         n = self.n
         ids = np.arange(n, dtype=np.int64)
         self._keys = node_rng_array(seed, ids, "p1key", 0) if n else np.zeros(0, np.uint64)
-        thr = coin_threshold(self.p)
-        if thr >= TWO64:
-            part = np.ones(n, dtype=bool)
-        elif thr <= 0:
-            part = np.zeros(n, dtype=bool)
-        else:
-            part = self._keys < np.uint64(thr)
+        # the key is the participation coin
         self.outputs = self._status = np.where(
-            part, _P1_COMPETING, _P1_NONPART).astype(np.int8)
+            below(self._keys, self.p), _P1_COMPETING, _P1_NONPART).astype(np.int8)
         self._csr = graph.csr()
 
     def wake_set(self, rnd, alive):
@@ -259,34 +251,30 @@ def greedy_partial_mis(g: Graph, seed: int, p, window: Optional[int] = None,
 
 _P2_UNDECIDED, _P2_OUT, _P2_IN = 0, 1, 2
 
-# Cap on the coins one stage-2 draw takes: an iteration's (rounds x nodes)
-# uint64 draws at 2^18 nodes would otherwise be a few hundred MB at once.
-_MARK_BLOCK = 1 << 20
-
 
 class Part2Protocol(Protocol):
     """K iterations of phased marking under degree bound d.
 
     Phase i of an iteration marks each undecided node per round with
-    probability min(1, 2^i/d); a node sleeps until its first mark of the
-    iteration and then stays awake to the iteration end.  Subround 1: in-set
-    nodes announce, hearers terminate as "out".  Subround 2: surviving marked
-    nodes announce; the smallest id among adjacent announcers joins.  The last
-    round of each iteration is a cleanup every alive node attends: nodes with
-    no surviving competitor join, so nodes isolated in the residual pay one
-    awake round per iteration.  ``outputs`` is the status array: the nodes
-    still undecided after the last cleanup are the residual.
+    probability min(1, 2^i/d), and one ``rng.coins`` call draws all of an
+    iteration's marks when it begins.  A node sleeps until its first mark of
+    the iteration and then stays awake to the iteration end.  Subround 1:
+    in-set nodes announce, hearers terminate as "out".  Subround 2: surviving
+    marked nodes announce; the smallest id among adjacent announcers joins.
+    The last round of each iteration is a cleanup every alive node attends:
+    nodes with no surviving competitor join, so nodes isolated in the
+    residual pay one awake round per iteration.  ``outputs`` is the status
+    array: the nodes still undecided after the last cleanup are the residual.
     """
 
     def __init__(self, d: int, iterations: int, phase_constant: int = 4):
         self.d = max(2, int(d))
         self.K = int(iterations)
         self.C = int(phase_constant)
-        phase_rounds, thresholds = part2_schedule(self.d, self.C)
+        phase_rounds, probabilities = part2_schedule(self.d, self.C)
         self._marking = sum(phase_rounds)
         self.t_iter = self._marking + 1
-        self._thr = np.array([min(t, TWO64 - 1) for t in thresholds], dtype=np.uint64)
-        self._always = np.array([t >= TWO64 for t in thresholds], dtype=bool)
+        self._ps = np.array(probabilities, dtype=object)[:, None]
 
     def bind(self, graph, seed):
         super().bind(graph, seed)
@@ -296,29 +284,15 @@ class Part2Protocol(Protocol):
         self._deg = np.diff(self._csr[0])
         self.outputs = self._status = np.full(n, _P2_UNDECIDED, dtype=np.int8)
         self._awake = np.zeros(n, dtype=bool)
-        self._first = np.full(n, -1, dtype=np.int64)
         # _marks[o, v]: node v marks itself at offset o of the current iteration
         self._marks = np.zeros((self._marking, n), dtype=bool)
 
     def _begin_iteration(self, k: int, alive: np.ndarray):
         self._awake[:] = False
-        self._first[:] = -1
         ids = np.nonzero(alive & (self._deg > 0))[0]
-        if ids.size == 0:
-            return
-        # marking coins for the whole iteration, keyed by global round index,
-        # drawn in blocks of rows so that the uint64 draws stay small
+        # marking coins for the whole iteration, keyed by global round index
         idx = k * self.t_iter + np.arange(self._marking, dtype=np.uint64)
-        first = np.full(ids.size, -1, dtype=np.int64)
-        step = max(1, _MARK_BLOCK // ids.size)
-        for o in range(0, self._marking, step):
-            rows = slice(o, o + step)
-            draws = node_rng_array(self.seed, ids[None, :], "p2mark", idx[rows, None])
-            marks = (draws < self._thr[rows, None]) | self._always[rows, None]
-            self._marks[rows, ids] = marks
-            new = (first < 0) & marks.any(axis=0)
-            first[new] = o + marks[:, new].argmax(axis=0)
-        self._first[ids] = first
+        self._marks[:, ids] = coins(self.seed, ids, "p2mark", idx[:, None], self._ps)
 
     def wake_set(self, rnd, alive):
         k, o = divmod(rnd, self.t_iter)
@@ -326,7 +300,8 @@ class Part2Protocol(Protocol):
             self._begin_iteration(k, alive)
         if o == self._marking:
             return np.nonzero(alive)[0]
-        self._awake |= self._first == o
+        # _awake only grows within an iteration: a node wakes at its first mark
+        self._awake |= self._marks[o]
         return np.nonzero(alive & self._awake)[0]
 
     def round(self, rnd, awake, awake_mask, congest_bound):

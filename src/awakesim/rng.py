@@ -10,6 +10,8 @@ can be recomputed lazily or in bulk.
 :func:`node_rng_array` is the vectorized twin.  It applies the exact same
 mixing function over numpy ``uint64`` arrays and is bit-identical to the
 scalar path, so hot loops can draw whole coin matrices at once.
+:func:`coins` is the one place a probability becomes a coin flip: every
+sampled protocol draws its coin matrices through it, in bounded memory.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ _NODE_PRIME = 0xA24BAED4963EE407
 _INDEX_PRIME = 0x9FB21C651E98DF25
 
 TWO64 = 1 << 64
+
+COIN_BLOCK = 1 << 20  # the most uint64 draws one coins() call holds at once
 
 
 def _splitmix(z: int) -> int:
@@ -94,6 +98,35 @@ def coin_threshold(p) -> int:
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"probability out of range: {p}")
     return min(TWO64, int(p * TWO64))
+
+
+def below(draws, ps):
+    """``draws < coin_threshold(p)`` elementwise, with ``ps`` broadcast.
+
+    A p = 1 coin always succeeds, although its threshold 2^64 does not fit
+    in ``uint64``; a p = 0 coin never does.
+    """
+    ps = np.asarray(ps, dtype=object)
+    thr = np.array([coin_threshold(p) for p in ps.flat], dtype=object).reshape(ps.shape)
+    cut = np.array(np.minimum(thr, TWO64 - 1), dtype=np.uint64)
+    return (draws < cut) | (thr >= TWO64)
+
+
+def coins(master_seed: int, node_ids, stream_label: str, indices, ps):
+    """:func:`below` applied to the :func:`node_rng_array` draws.
+
+    The three operands broadcast to one 2-D boolean result.  Its draws are
+    taken a block of rows at a time, at most ``COIN_BLOCK`` of them unless
+    a single row is wider.
+    """
+    ops = [np.atleast_2d(node_ids), np.atleast_2d(indices),
+           np.atleast_2d(np.asarray(ps, dtype=object))]
+    out = np.empty(np.broadcast_shapes(*(a.shape for a in ops)), dtype=bool)
+    step = max(1, COIN_BLOCK // max(1, out.shape[1]))
+    for lo in range(0, len(out), step):
+        v, i, p = (a[lo:lo + step] if len(a) > 1 else a for a in ops)
+        out[lo:lo + step] = below(node_rng_array(master_seed, v, stream_label, i), p)
+    return out
 
 
 def uniform01(value: int) -> float:

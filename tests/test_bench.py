@@ -42,6 +42,23 @@ def test_build_graph_families():
         build_graph("moebius", 5, None, 0)
 
 
+def test_no_negative_or_made_up_sizes(capsys):
+    """A negative n is bad input, and n = 0 is the empty graph in every
+    family rather than a one-node star or a failing bipartite draw."""
+    for argv in (["mis", "--graph", "star", "--n", "-4"],
+                 ["sweep", "--graph", "star", "--n-list", "0,-2"]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: n must be >= 0")
+    for family in ("gnp", "bipartite", "cycle", "path", "complete", "star",
+                   "edgeless"):
+        assert build_graph(family, 0, None, 0).n == 0
+        assert build_graph(family, 1, None, 0).n == 1
+    assert main(["mis", "--graph", "bipartite", "--n", "0"]) == 0
+    rows = _parse_csv(capsys.readouterr().out)
+    assert (rows[0]["n"], rows[0]["m"]) == ("0", "0")
+
+
 def test_build_graph_from_file(tmp_path):
     g = build_graph("gnp", 12, 0.4, seed=9)
     path = tmp_path / "g.txt"

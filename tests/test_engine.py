@@ -189,6 +189,16 @@ def test_primitives_edge_cases():
     assert rank.tolist() == [7, 0, 1, 2, 3, 7, 7]
 
 
+def test_package_root_api():
+    """Every exported name resolves, once; the engine's message-format
+    helpers stay in ``awakesim.engine``."""
+    import awakesim
+    assert all(hasattr(awakesim, name) for name in awakesim.__all__)
+    assert len(set(awakesim.__all__)) == len(awakesim.__all__)
+    for name in ("BROADCAST", "payload_bits"):
+        assert name not in awakesim.__all__ and not hasattr(awakesim, name)
+
+
 def test_payload_bits():
     assert payload_bits(None) == 0
     assert payload_bits(True) == 1

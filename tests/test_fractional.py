@@ -10,11 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from awakesim import fractional
-from awakesim import engine
+from awakesim import engine, rng
 from awakesim.engine import BROADCAST, Protocol, run
 from awakesim.errors import InvalidAssignment
-from awakesim.fractional import (_COIN_BLOCK, FractionalAssignment,
+from awakesim.fractional import (FractionalAssignment,
                                  SampledMatchingProtocol, SampleSchedule,
                                  extract_vertex_cover, iterated_log,
                                  round_matching, sampled_fractional,
@@ -23,7 +22,8 @@ from awakesim.graphs import (Graph, Matching, complete_graph, cycle_graph,
                              gen_bipartite, gen_gnp, path_graph,
                              petersen_graph, star_graph)
 from awakesim.oracles import verify_vertex_cover
-from awakesim.rng import TWO64, coin_threshold, node_rng, node_rng_array
+from awakesim.rng import (COIN_BLOCK, TWO64, coin_threshold, node_rng,
+                         node_rng_array)
 from conftest import ref_vanilla, ref_vanilla_assignment
 from test_mis import small_graphs
 
@@ -124,7 +124,7 @@ class RefSampledProtocol(Protocol):
         cut = np.array([min(t, TWO64 - 1) for t in thr], dtype=np.uint64)[hh]
         idx = (hh * stop + jj)[None, :]
         memb = self._memb
-        rows = max(1, _COIN_BLOCK // hh.size)  # bounds the coin matrix
+        rows = max(1, COIN_BLOCK // hh.size)  # bounds the coin matrix
         for lo in range(0, self.n, rows):
             ids = np.arange(lo, min(self.n, lo + rows))
             hit = (node_rng_array(seed, ids[:, None], "sample", idx) < cut) | always
@@ -362,7 +362,7 @@ def test_sample_coins_drawn_in_blocks(monkeypatch):
     g = gen_gnp(80, 0.08, seed=21)
     kw = dict(force_stop_round=6, force_phase_probabilities=Fraction(1, 3))
     whole = sampled_fractional(g, Fraction(1, 25), seed=9, **kw)
-    monkeypatch.setattr(fractional, "_COIN_BLOCK", 5)
+    monkeypatch.setattr(rng, "COIN_BLOCK", 5)
     assert sampled_fractional(g, Fraction(1, 25), seed=9, **kw) == whole
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from awakesim import mis as mis_module
+from awakesim import rng
 from awakesim.graphs import (Graph, complete_graph, cycle_graph, gen_bipartite,
                              gen_gnp, path_graph, petersen_graph, star_graph)
 from awakesim.engine import run
@@ -18,6 +18,7 @@ from awakesim.mis import (LubyProtocol, MisParams, _assert_independent,
                           luby_mis, part2_reduce, part2_round_count,
                           part2_schedule)
 from awakesim.oracles import verify_mis
+from awakesim.rng import coin_threshold, node_rng
 
 
 def test_luby_validity_over_seeds():
@@ -66,10 +67,14 @@ def test_misparams_validation():
 
 
 def test_part2_schedule_shape():
-    phase_rounds, thresholds = part2_schedule(16, C=4)
+    phase_rounds, probabilities = part2_schedule(16, C=4)
     # P = 4 phases of lengths 4*(4-i)^2, last clamped to 1
     assert phase_rounds == [36, 16, 4, 1]
-    assert len(thresholds) == sum(phase_rounds)
+    assert len(probabilities) == sum(phase_rounds)
+    # phase i marks with probability min(1, 2^i/16)
+    assert probabilities[:36] == [Fraction(1, 8)] * 36
+    assert probabilities[36] == Fraction(1, 4)
+    assert probabilities[-1] == 1
     assert part2_round_count(16, 3, C=4) == 3 * (57 + 1)
 
 
@@ -155,11 +160,38 @@ def test_part2_wake_pattern_is_one_block_per_iteration():
                 f"node {v} slept early in iteration {k}")
 
 
+def test_part2_sleeps_until_its_first_mark_in_every_iteration():
+    """A node alive at the start of an iteration first wakes at its first
+    mark of that iteration, as the scalar coins give it, or at the cleanup
+    round if it never marks.  An increasing-id path under degree bound 3
+    leaves undecided pairs after the first iteration, so later iterations
+    are checked too."""
+    n = 200
+    g = Graph(n + 4, [(i, i + 1) for i in range(n - 1)]
+              + [(n, n + 1), (n, n + 2), (n, n + 3)])
+    params = MisParams(K=3, C=1)
+    phase_rounds, probabilities = part2_schedule(3, C=1)
+    marking = sum(phase_rounds)
+    t_iter = marking + 1
+    later_marks = 0
+    for seed in range(3):
+        _, _, _, ledger = part2_reduce(g, seed, params, record_schedule=True)
+        for v, rounds in enumerate(ledger.schedule):
+            for k in sorted({r // t_iter for r in rounds}):
+                first = min(r for r in rounds if r // t_iter == k) - k * t_iter
+                want = next((o for o, p in enumerate(probabilities)
+                             if node_rng(seed, v, "p2mark", k * t_iter + o)
+                             < coin_threshold(p)), marking)
+                assert first == want, (seed, v, k)
+                later_marks += k > 0 and 0 < want < marking
+    assert later_marks > 0
+
+
 def test_part2_marks_drawn_in_blocks(monkeypatch):
     g = gen_gnp(400, 0.02, seed=11)
     whole = part2_reduce(g, seed=11, record_schedule=True)
     for block in (1, 1000):  # one row per draw; blocks cutting an iteration
-        monkeypatch.setattr(mis_module, "_MARK_BLOCK", block)
+        monkeypatch.setattr(rng, "COIN_BLOCK", block)
         added, residual, ids, ledger = part2_reduce(g, seed=11, record_schedule=True)
         assert (added, residual, ids) == whole[:3]
         assert ledger.schedule == whole[3].schedule

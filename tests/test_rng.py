@@ -1,11 +1,16 @@
 """Statistical and determinism checks for the per-node coin streams."""
 
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
-from awakesim.rng import (MASK64, TWO64, coin_threshold, node_rng,
+from awakesim import rng
+from awakesim.rng import (MASK64, TWO64, below, coin_threshold, coins, node_rng,
                           node_rng_array, uniform01)
 
 
@@ -56,11 +61,81 @@ def test_coin_threshold_exact():
 
 
 def test_coin_threshold_rejects_bad_probability():
-    import pytest
     with pytest.raises(ValueError):
         coin_threshold(Fraction(3, 2))
     with pytest.raises(ValueError):
         coin_threshold(-0.1)
+
+
+def test_below_hand_made_draws():
+    draws = np.array([0, 1, 2 ** 63, 2 ** 64 - 1], dtype=np.uint64)
+    assert below(draws, Fraction(0)).tolist() == [False] * 4
+    assert below(draws, Fraction(1, 2)).tolist() == [True, True, False, False]
+    # the p = 1 threshold 2^64 does not fit in uint64, yet every draw succeeds
+    assert below(draws, Fraction(1)).tolist() == [True] * 4
+    # one p per draw
+    ps = [Fraction(1), Fraction(0), Fraction(1), Fraction(1, 2)]
+    assert below(draws, ps).tolist() == [True, False, True, False]
+
+
+_PROBABILITIES = st.one_of(
+    st.just(Fraction(0)), st.just(Fraction(1)),
+    st.fractions(min_value=0, max_value=1, max_denominator=10 ** 6).filter(
+        lambda q: 0 < q < 1))
+
+
+@st.composite
+def coin_cases(draw):
+    """A 2-D coin shape with nodes on the rows or the columns, indices on the
+    other axis, and p per row or per column."""
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    ids = st.integers(0, 10 ** 6)
+    row_ints = np.array(draw(st.lists(ids, min_size=rows, max_size=rows)),
+                        dtype=np.int64)[:, None]
+    col_ints = np.array(draw(st.lists(ids, min_size=cols, max_size=cols)),
+                        dtype=np.int64)
+    nodes, indices = ((row_ints, col_ints) if draw(st.booleans())
+                      else (col_ints, row_ints))
+    if draw(st.booleans()):
+        ps = np.array(draw(st.lists(_PROBABILITIES, min_size=rows, max_size=rows)),
+                      dtype=object).reshape(rows, 1)
+    else:
+        ps = np.array(draw(st.lists(_PROBABILITIES, min_size=cols, max_size=cols)),
+                      dtype=object)
+    return draw(st.integers(0, 2 ** 32)), nodes, indices, ps, (rows, cols)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=coin_cases(), block=st.sampled_from([1, 2, 7, rng.COIN_BLOCK]))
+def test_coins_match_the_scalar_rule(case, block):
+    seed, nodes, indices, ps, shape = case
+    with mock.patch.object(rng, "COIN_BLOCK", block):
+        got = coins(seed, nodes, "trial", indices, ps)
+    assert got.shape == shape and got.dtype == bool
+    v, i, p = np.broadcast_arrays(nodes, indices, ps)
+    want = [[node_rng(seed, int(v[r, c]), "trial", int(i[r, c]))
+             < coin_threshold(p[r, c]) for c in range(shape[1])]
+            for r in range(shape[0])]
+    assert got.tolist() == want
+
+
+@pytest.mark.parametrize("block, rows, cols", [(64, 100, 10), (4, 9, 10),
+                                               (1, 5, 3), (7, 20, 3)])
+def test_coins_draw_in_bounded_blocks(block, rows, cols):
+    sizes = []
+
+    def counted(*args):
+        draws = node_rng_array(*args)
+        sizes.append(draws.size)
+        return draws
+
+    ids, idx = np.arange(rows)[:, None], np.arange(cols)
+    with mock.patch.object(rng, "COIN_BLOCK", block), \
+            mock.patch.object(rng, "node_rng_array", counted):
+        got = coins(5, ids, "trial", idx, Fraction(1, 3))
+    assert max(sizes) <= max(block, cols)
+    assert sum(sizes) == rows * cols
+    assert (got == below(node_rng_array(5, ids, "trial", idx), Fraction(1, 3))).all()
 
 
 def test_uniform01_range():
