@@ -22,8 +22,10 @@ def main():
 
     print(f"G(12, 0.3), {g.m} edges, eps = {EPS}")
     print(f"{'edge':>8} {'value':>8} {'frozen at':>10}")
-    for e in sorted(asg.x):
-        print(f"{str(e):>8} {str(asg.x[e]):>8} {asg.frozen_round[e]:>10}")
+    # each view is a fresh dict, so read it once
+    x, frozen_round = asg.x, asg.frozen_round
+    for e in sorted(x):
+        print(f"{str(e):>8} {str(x[e]):>8} {frozen_round[e]:>10}")
 
     total = asg.total()
     opt = len(exact_max_matching(g))
@@ -33,7 +35,7 @@ def main():
     print(f"(2+4eps)*sum   = {float((2 + 4 * EPS) * total):.4f} >= {opt}")
 
     loads = {}
-    for (u, v), val in asg.x.items():
+    for (u, v), val in x.items():
         loads[u] = loads.get(u, Fraction(0)) + val
         loads[v] = loads.get(v, Fraction(0)) + val
     print(f"max node load  = {max(loads.values())} (never above 1)")

@@ -8,14 +8,17 @@ masses are sums of rungs, so every freeze, heavy, light and proposal
 decision is an exact comparison of Python integers; nothing is decided in
 floating point.  There is one matcher, :class:`SampledMatchingProtocol`;
 ``vanilla_fractional`` is its run with stop round 0.  A run reduces to its
-node freeze rounds; ``Fraction`` only builds outputs from them: the weight
-``Fraction(W_j, ONE)`` once for each rung a run used, and the spoiled value.
+node freeze rounds, and its :class:`FractionalAssignment` keeps integers
+only: one rung index per adjacency slot and each node's load times ONE.
+The heavy clean-up, the rounding, the loads and ``dump`` read those
+integers; ``Fraction`` values are built only when a view asks for them.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+from bisect import bisect_right
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -197,75 +200,151 @@ class Diagnostics:
 
 
 class FractionalAssignment:
-    """Edge weights x_e with per-edge freeze rounds and per-node freeze data."""
+    """Edge weights x_e with per-edge freeze rounds and per-node freeze data.
 
-    __slots__ = ("x", "frozen_round", "node_freeze", "n")
+    The assignment holds integers on the slots of its graph ``g``: slot s is
+    one entry of a node's neighbour tuple in ``g.adj``, counted across the
+    nodes in order, so each edge has two slots, one per endpoint.  Slot s
+    carries x_e = ``vals[idx[s]] / one`` and its freeze round ``fr[s]``
+    (-1: none).  Node v has freeze round ``f[v]`` (-1: never froze) and value
+    ``load[v] / one``.  An assignment a run builds shares the run's ladder:
+    ``vals`` is its rungs plus a 0 for the edges the heavy clean-up zeroed.
+
+    ``x``, ``frozen_round`` and ``node_freeze`` are fresh dicts on every
+    access, keyed in sorted canonical edge order (node order for
+    ``node_freeze``).  Changing one does not change the assignment; read
+    each once, outside any loop over its entries.
+
+    The constructor takes those dicts, for hand-made assignments: ``x`` and
+    ``frozen_round`` keyed by the same canonical edges ``(u, v)``,
+    ``u < v < n``, and ``node_freeze`` by node.  Its ``one`` is the lcm of
+    the value denominators.
+    """
+
+    __slots__ = ("g", "_vals", "_idx", "_fr", "_f", "_load", "_one")
 
     def __init__(self, n: int, x: Dict[Edge, Fraction],
                  frozen_round: Dict[Edge, Optional[int]],
                  node_freeze: Dict[int, Optional[int]]):
-        self.n = n
-        self.x = x
-        self.frozen_round = frozen_round
-        self.node_freeze = node_freeze
+        for e in x:
+            if not (isinstance(e, tuple) and len(e) == 2 and 0 <= e[0] < e[1] < n):
+                raise ValueError(f"edge {e!r} is not a canonical edge (u, v) "
+                                 f"with u < v < {n}")
+        if x.keys() != frozen_round.keys():
+            e = next(iter(x.keys() ^ frozen_round.keys()))
+            raise ValueError(f"x and frozen_round differ in their edges, "
+                             f"e.g. {e!r}")
+        w = {e: Fraction(v) for e, v in x.items()}
+        one = math.lcm(*(v.denominator for v in w.values()))
+        scaled = {e: v.numerator * (one // v.denominator) for e, v in w.items()}
+        vals = sorted(set(scaled.values()))
+        pos = {c: i for i, c in enumerate(vals)}
+        g = Graph(n, x)
+        idx, fr, load = [], [], []
+        for v, nb in enumerate(g.adj):
+            es = [(v, u) if v < u else (u, v) for u in nb]
+            idx += [pos[scaled[e]] for e in es]
+            fr += [-1 if frozen_round[e] is None else frozen_round[e] for e in es]
+            load.append(sum(scaled[e] for e in es))
+        f = [-1 if node_freeze.get(v) is None else node_freeze[v] for v in range(n)]
+        self._fill(g, vals, idx, fr, f, load, one)
+
+    def _fill(self, g, vals, idx, fr, f, load, one) -> "FractionalAssignment":
+        self.g, self._vals, self._idx, self._fr = g, vals, idx, fr
+        self._f, self._load, self._one = f, load, one
+        return self
+
+    @property
+    def n(self) -> int:
+        return self.g.n
+
+    def _upper(self) -> Tuple[List[Edge], List[int]]:
+        """Every edge ``(u, v)``, u < v, in sorted order, and its slot at u."""
+        edges: List[Edge] = []
+        slots: List[int] = []
+        s = 0
+        for v, nb in enumerate(self.g.adj):
+            k = bisect_right(nb, v)
+            edges += [(v, u) for u in nb[k:]]
+            slots += range(s + k, s + len(nb))
+            s += len(nb)
+        return edges, slots
+
+    @property
+    def x(self) -> Dict[Edge, Fraction]:
+        value = [Fraction(c, self._one) for c in self._vals]
+        edges, slots = self._upper()
+        idx = self._idx
+        return dict(zip(edges, [value[idx[s]] for s in slots]))
+
+    @property
+    def frozen_round(self) -> Dict[Edge, Optional[int]]:
+        edges, slots = self._upper()
+        fr = self._fr
+        return dict(zip(edges, [fr[s] if fr[s] >= 0 else None for s in slots]))
+
+    @property
+    def node_freeze(self) -> Dict[int, Optional[int]]:
+        return {v: (fv if fv >= 0 else None) for v, fv in enumerate(self._f)}
 
     @property
     def frozen_nodes(self) -> Set[int]:
-        return {v for v, f in self.node_freeze.items() if f is not None}
+        return {v for v, fv in enumerate(self._f) if fv >= 0}
 
     def node_values(self) -> Dict[int, Fraction]:
-        c = {v: Fraction(0) for v in range(self.n)}
-        for (u, v), w in self.x.items():
-            c[u] += w
-            c[v] += w
-        return c
+        one = self._one
+        return {v: Fraction(c, one) for v, c in enumerate(self._load)}
 
     def total(self) -> Fraction:
-        return sum(self.x.values(), Fraction(0))
+        return Fraction(sum(self._load), 2 * self._one)
 
     def total_float(self) -> float:
-        return float(sum(float(w) for w in self.x.values()))
+        """The sum of the edges' floats in sorted edge order, not
+        ``float(total())``: the CSV rows carry these bytes."""
+        one, idx = self._one, self._idx
+        value = [c / one for c in self._vals]
+        return float(sum(value[idx[s]] for s in self._upper()[1]))
 
     def dump(self) -> str:
-        lines = []
-        for (u, v) in sorted(self.x):
-            fr = self.frozen_round[(u, v)]
-            lines.append(f"{u} {v} {self.x[(u, v)]} {fr if fr is not None else '-'}")
-        return "\n".join(lines)
+        one, idx, fr = self._one, self._idx, self._fr
+        text = [str(Fraction(c, one)) for c in self._vals]
+        edges, slots = self._upper()
+        return "\n".join(f"{u} {v} {text[idx[s]]} {fr[s] if fr[s] >= 0 else '-'}"
+                         for (u, v), s in zip(edges, slots))
 
     def __eq__(self, other):
         if not isinstance(other, FractionalAssignment):
             return NotImplemented
-        return (self.n == other.n and self.x == other.x
-                and self.frozen_round == other.frozen_round
-                and self.node_freeze == other.node_freeze)
+        return (self.n == other.n and self._f == other._f and self.x == other.x
+                and self.frozen_round == other.frozen_round)
 
     def __repr__(self):
-        return (f"FractionalAssignment(n={self.n}, edges={len(self.x)}, "
+        return (f"FractionalAssignment(n={self.n}, edges={self.g.m}, "
                 f"frozen_nodes={len(self.frozen_nodes)})")
 
 
 def _assignment(g: Graph, f: List[int], rungs: List[int], one: int
-                ) -> Tuple[FractionalAssignment, List[int]]:
-    """The assignment of the node freeze rounds ``f`` (-1: never froze), and
-    each node's load on the ladder ``rungs`` scaled by ``one``.
+                ) -> FractionalAssignment:
+    """The assignment of the node freeze rounds ``f`` (-1: never froze) on
+    the ladder ``rungs`` scaled by ``one``, before any clean-up.
 
     Every edge freezes when its first endpoint does, at that rung; every
-    edge must have a frozen endpoint.
+    edge must have a frozen endpoint.  A slot's value index is its freeze
+    round, so both start as one list.
     """
-    frozen_round: Dict[Edge, Optional[int]] = {}
-    load = [0] * g.n
-    for e in g.edges():
-        fu, fv = f[e[0]], f[e[1]]
-        j = frozen_round[e] = fv if fu < 0 else fu if fv < 0 else min(fu, fv)
-        load[e[0]] += rungs[j]
-        load[e[1]] += rungs[j]
-    used = set(frozen_round.values())
-    assert -1 not in used, "an edge has no frozen endpoint"
-    value = {j: Fraction(rungs[j], one) for j in used}
-    x = {e: value[j] for e, j in frozen_round.items()}
-    node_freeze = {v: (fv if fv >= 0 else None) for v, fv in enumerate(f)}
-    return FractionalAssignment(g.n, x, frozen_round, node_freeze), load
+    zero = len(rungs)  # the index of the 0 entry, and "never froze" below
+    vals = rungs + [0]
+    key = [fv if fv >= 0 else zero for fv in f]
+    fr: List[int] = []
+    load = []
+    for v, nb in enumerate(g.adj):
+        kv = key[v]
+        row = [ku if ku < kv else kv for ku in map(key.__getitem__, nb)]
+        fr += row
+        load.append(sum(map(vals.__getitem__, row)))
+    assert zero not in fr, "an edge has no frozen endpoint"
+    return FractionalAssignment.__new__(FractionalAssignment)._fill(
+        g, vals, fr, fr, f, load, one)
 
 
 # ---------------------------------------------------------------------------
@@ -487,30 +566,34 @@ def vanilla_fractional(g: Graph, eps) -> FractionalAssignment:
 def _match(g: Graph, sched: SampleSchedule, seed: int, record_schedule: bool = False):
     """Run :class:`SampledMatchingProtocol` on ``sched``; returns
     ``(assignment, ledger, diagnostics)`` as :func:`sampled_fractional`."""
-    n = g.n
     proto = SampledMatchingProtocol(sched)
     f, ledger, _ = run(g, proto, seed, proto.round_cap, part="frac",
                        record_schedule=record_schedule)
-    rungs, one = proto._rungs, proto._one
-    asg, load = _assignment(g, f, rungs, one)
-    x, frozen_round, node_freeze = asg.x, asg.frozen_round, asg.node_freeze
+    one = proto._one
+    asg = _assignment(g, f, proto._rungs, one)
+    load = asg._load
 
-    heavy = [v for v in range(n) if load[v] > one]
+    heavy = [v for v, c in enumerate(load) if c > one]
     diag = Diagnostics(heavy_events=len(heavy),
                        spoiled_value=Fraction(sum(load[v] for v in heavy), one),
                        stop_round=sched.stop_round)
-    kept = load[:]
+    kept = load
     if heavy:
+        # each slot moves to the 0 entry and leaves its own node's load
         dead = set(heavy)
-        zero = Fraction(0)
-        for e in x:
-            if e[0] in dead or e[1] in dead:
-                x[e] = zero
-                kept[e[0]] -= rungs[frozen_round[e]]
-                kept[e[1]] -= rungs[frozen_round[e]]
+        zero, vals = len(asg._vals) - 1, asg._vals
+        idx, kept = asg._idx[:], load[:]
+        s = 0
+        for v, nb in enumerate(g.adj):
+            for i, u in enumerate(nb, s):
+                if v in dead or u in dead:
+                    kept[v] -= vals[idx[i]]
+                    idx[i] = zero
+            s += len(nb)
+        asg._idx, asg._load = idx, kept
     light = (sched.b - 20 * sched.a) * one  # 1 - 20 eps, times b
-    diag.light_events = sum(1 for v, f in node_freeze.items()
-                            if f is not None and sched.b * load[v] <= light
+    diag.light_events = sum(1 for v, fv in enumerate(f)
+                            if fv >= 0 and sched.b * load[v] <= light
                             and sched.b * kept[v] < light)
     return asg, ledger, diag
 
@@ -530,39 +613,33 @@ def round_matching(assignment: FractionalAssignment, seed: int) -> Matching:
     edge with probability x_e/10; an edge is marked if either endpoint
     proposed it; marked edges with no marked neighbor are kept.
 
-    Values are scaled by the lcm L of their denominators, X_e = x_e L, so the
-    load test is sum X_e > L and a 64-bit draw U proposes along the first
-    edge (in sorted order) with U * 10 L < 2^64 * (X_e summed so far).
+    Values are integers X_e = x_e * one, so the load test is sum X_e > one,
+    and a 64-bit draw U proposes along the first edge, in ascending
+    neighbour order, with U * 10 one < 2^64 * (X_e summed so far).  Any
+    common multiple of the denominators would give the same proposals.  A
+    node with U * 10 one >= 2^64 * load proposes nowhere, so it skips the
+    walk.
     """
-    x = assignment.x
-    dens = {w.denominator for w in x.values()}
-    scale = math.lcm(*dens)
-    factor = {d: scale // d for d in dens}
-    scaled: Dict[Edge, int] = {}
-    load: Dict[int, int] = {}
-    for e, w in x.items():
-        xe = scaled[e] = w.numerator * factor[w.denominator]
-        for z in e:
-            load[z] = load.get(z, 0) + xe
-    for v, c in load.items():
-        if c > scale:
+    a = assignment
+    one, vals, idx, load = a._one, a._vals, a._idx, a._load
+    for v, c in enumerate(load):
+        if c > one:
             raise InvalidAssignment(f"node {v} carries value > 1")
 
-    incident: Dict[int, List[Edge]] = {}
-    for e, xe in scaled.items():
-        if xe > 0:
-            incident.setdefault(e[0], []).append(e)
-            incident.setdefault(e[1], []).append(e)
-
     marked: Set[Edge] = set()
-    for v, edges in incident.items():
-        draw = node_rng(seed, v, "propose", 0) * 10 * scale
-        acc = 0
-        for e in sorted(edges):
-            acc += scaled[e]
-            if draw < TWO64 * acc:
-                marked.add(e)
-                break
+    s = 0
+    for v, nb in enumerate(a.g.adj):
+        c = load[v]
+        if c:
+            draw = node_rng(seed, v, "propose", 0) * 10 * one
+            if draw < TWO64 * c:
+                acc = 0
+                for i, u in enumerate(nb, s):
+                    acc += vals[idx[i]]
+                    if draw < TWO64 * acc:
+                        marked.add((v, u) if v < u else (u, v))
+                        break
+        s += len(nb)
 
     marked_deg: Dict[int, int] = {}
     for (u, v) in marked:

@@ -7,7 +7,7 @@ from typing import Dict, List
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from awakesim import engine, rng
@@ -253,15 +253,14 @@ def test_vanilla_node_constraints():
         g = gen_gnp(30, 0.2, seed=seed)
         eps = Fraction(1, 10)
         asg = vanilla_fractional(g, eps)
-        vals = asg.node_values()
+        vals, node_freeze = asg.node_values(), asg.node_freeze
         for v in range(g.n):
             assert vals[v] <= 1
-            if asg.node_freeze[v] is not None:
+            if node_freeze[v] is not None:
                 assert vals[v] >= 1 - eps  # frozen means genuinely tight
         # every edge froze with at least one tight endpoint
         for u, v in g.edges():
-            assert (asg.node_freeze[u] is not None
-                    or asg.node_freeze[v] is not None)
+            assert node_freeze[u] is not None or node_freeze[v] is not None
 
 
 def test_vanilla_round_bound():
@@ -344,11 +343,10 @@ def test_sampled_forced_sampling_path():
     a1, l1, d1 = sampled_fractional(g, Fraction(1, 25), seed=9, **kw)
     a2, l2, d2 = sampled_fractional(g, Fraction(1, 25), seed=9, **kw)
     assert a1 == a2 and l1 == l2 and d1 == d2
-    vals = a1.node_values()
-    assert all(c <= 1 for c in vals.values())
+    assert all(c <= 1 for c in a1.node_values().values())
+    node_freeze = a1.node_freeze
     for u, v in g.edges():
-        assert (a1.node_freeze[u] is not None
-                or a1.node_freeze[v] is not None)
+        assert node_freeze[u] is not None or node_freeze[v] is not None
     assert l1.rounds > 6  # sampling rounds happened before the growth stage
     # the diagnostics carry the stop round of the run, analytic or forced
     eps = Fraction(1, 25)
@@ -501,6 +499,67 @@ def test_integer_ladder_matches_fraction_references(g, eps, seed):
 def test_rounding_matches_fraction_reference(asg, seed):
     assert (_rounding_outcome(round_matching, asg, seed)
             == _rounding_outcome(ref_round_matching, asg, seed))
+
+
+def _assert_agrees_with_its_rebuild(asg):
+    """``asg`` equals the hand-made assignment of its own views, and its
+    outputs equal those computed from the views in ``Fraction`` arithmetic."""
+    x, frozen_round, node_freeze = asg.x, asg.frozen_round, asg.node_freeze
+    twin = FractionalAssignment(asg.n, x, frozen_round, node_freeze)
+    assert asg == twin and twin == asg
+    lines = [f"{u} {v} {x[(u, v)]} {'-' if frozen_round[(u, v)] is None else frozen_round[(u, v)]}"
+             for u, v in sorted(x)]
+    assert asg.dump() == twin.dump() == "\n".join(lines)
+    sums = {v: Fraction(0) for v in range(asg.n)}
+    for (u, v), w in x.items():
+        sums[u] += w
+        sums[v] += w
+    assert asg.node_values() == twin.node_values() == sums
+    assert asg.total() == twin.total() == sum(x.values(), Fraction(0))
+    # the per-edge floats, added in sorted edge order
+    assert asg.total_float() == twin.total_float() == sum(float(x[e]) for e in sorted(x))
+    frozen = {v for v, f in node_freeze.items() if f is not None}
+    assert asg.frozen_nodes == twin.frozen_nodes == frozen
+    for seed in (1, 2):
+        assert (round_matching(asg, seed) == round_matching(twin, seed)
+                == ref_round_matching(asg, seed))
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=small_graphs(), eps=eps_fractions(), seed=st.integers(0, 2 ** 32),
+       stop=st.integers(1, 6),
+       p=st.sampled_from((Fraction(1, 7), Fraction(1, 5), Fraction(1, 2), 1)))
+@example(g=gen_gnp(21, 0.05, seed=152), eps=Fraction(1, 40), seed=24, stop=3,
+         p=Fraction(1, 7))  # five heavy nodes
+def test_run_built_assignments_equal_their_dict_rebuilds(g, eps, seed, stop, p):
+    _assert_agrees_with_its_rebuild(vanilla_fractional(g, eps))
+    _assert_agrees_with_its_rebuild(sampled_fractional(g, eps, seed)[0])
+    _assert_agrees_with_its_rebuild(sampled_fractional(
+        g, eps, seed, force_stop_round=stop, force_phase_probabilities=p)[0])
+
+
+@pytest.mark.parametrize("g, eps, seed, stop, p", [
+    (gen_gnp(21, 0.05, seed=152), Fraction(1, 40), 24, 3, Fraction(1, 7)),
+    (gen_gnp(30, 0.2, seed=1), Fraction(1, 30), 5, 4, Fraction(1, 5)),
+    (gen_bipartite(15, 15, 0.2, seed=3), Fraction(1, 40), 5, 4, Fraction(1, 5)),
+])
+def test_heavy_clean_up_keeps_loads_and_views_equal(g, eps, seed, stop, p):
+    asg, _, diag = sampled_fractional(g, eps, seed, force_stop_round=stop,
+                                      force_phase_probabilities=p)
+    assert diag.heavy_events > 0
+    assert Fraction(0) in asg.x.values()
+    assert all(c <= 1 for c in asg.node_values().values())
+    _assert_agrees_with_its_rebuild(asg)
+
+
+def test_views_are_fresh_copies():
+    asg = vanilla_fractional(gen_gnp(12, 0.3, seed=2), Fraction(1, 10))
+    before = asg.dump()
+    x, frozen_round, node_freeze = asg.x, asg.frozen_round, asg.node_freeze
+    x.clear()
+    frozen_round[(0, 1)] = 99
+    node_freeze[0] = 99
+    assert asg.dump() == before and asg.x and asg.node_freeze != node_freeze
 
 
 @pytest.mark.parametrize("kwargs, knob", [

@@ -1,5 +1,6 @@
 """Randomized rounding of fractional assignments into integral matchings."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -71,3 +72,20 @@ def test_rounding_against_path():
         m = round_matching(asg, seed)
         assert len(m) <= 1  # the two edges share the middle node
         assert verify_matching(g, m)
+
+
+@pytest.mark.parametrize("edge", [(1, 0), (1, 1), (0, 3), (2, 5)])
+def test_hand_made_assignment_rejects_a_bad_edge(edge):
+    # canonical edges (u, v) have u < v < n
+    with pytest.raises(ValueError, match=re.escape(repr(edge))):
+        FractionalAssignment(3, {edge: Fraction(1, 2)}, {edge: 0},
+                             {v: None for v in range(3)})
+
+
+def test_hand_made_assignment_rejects_mismatched_edges():
+    with pytest.raises(ValueError, match="frozen_round"):
+        FractionalAssignment(3, {(0, 1): Fraction(1, 2)}, {(1, 2): 0},
+                             {v: None for v in range(3)})
+    with pytest.raises(ValueError, match="frozen_round"):
+        FractionalAssignment(3, {(0, 1): Fraction(1, 2)},
+                             {(0, 1): 0, (1, 2): 0}, {v: None for v in range(3)})
