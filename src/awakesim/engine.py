@@ -24,7 +24,7 @@ bit-identically.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -58,12 +58,19 @@ class Protocol:
     each node's result in ``outputs`` (``bind`` starts it as an empty dict;
     a protocol may replace it with any per-node container, such as one of
     its state arrays).  ``wake_set`` must decide each node's wakefulness
-    only from that node's own state and its own coin streams; the engine
-    intersects the requested wake set with the still-alive nodes, so
-    terminated nodes never reappear.
+    only from that node's own state and the coin streams it can compute:
+    its own, and its neighbours', whose ids and master seed it knows.  The
+    engine intersects the requested wake set with the still-alive nodes,
+    so terminated nodes never reappear.
+
+    ``state_fields`` names the attributes holding per-node state, each
+    indexed by node id.  In the sleeping model a sleeper performs no
+    computation, so ``round`` may change a node's entries, or terminate it,
+    only in a round where the node is awake.
     """
 
     congest_factor = 64
+    state_fields: Tuple[str, ...] = ()
 
     def bind(self, graph: Graph, seed: int) -> None:
         self.graph = graph
@@ -252,9 +259,12 @@ def heard(csr, awake_mask: np.ndarray, sent: np.ndarray, bits: int,
     """
     check_width(bits, congest_bound, "a broadcast token")
     out = np.zeros(awake_mask.size, dtype=bool)
+    src = sent & awake_mask
+    if not src.any():
+        return out
     owners, starts, nbrs = gather_neighbours(csr, np.flatnonzero(awake_mask))
     if owners.size:
-        out[owners] = np.logical_or.reduceat((sent & awake_mask)[nbrs], starts)
+        out[owners] = np.logical_or.reduceat(src[nbrs], starts)
     return out
 
 

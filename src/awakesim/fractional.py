@@ -384,6 +384,7 @@ class SampledMatchingProtocol(Protocol):
     """
 
     congest_factor = 256  # report payloads carry one round index per phase
+    state_fields = ("_f", "_mass", "_unfrozen")
 
     def __init__(self, schedule: SampleSchedule):
         self.sched = schedule

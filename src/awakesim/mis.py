@@ -6,10 +6,12 @@ Three composable stages:
    Only a p-fraction of nodes participate; everyone else sleeps through the
    competition and wakes once for a final announcement round.
 2. ``part2_reduce``, iterated doubling-probability marking on the residual
-   graph under degree bound ``max(2, residual max degree)``.  A node sleeps
-   until the first round it marks itself, then stays awake to the end of
-   the iteration; in-set nodes inform neighbors, which terminate
-   immediately.
+   graph under degree bound ``max(2, residual max degree)``.  An undecided
+   node is awake only in the rounds it marks itself and in each
+   iteration's cleanup round.  A node that joins the set wakes at each
+   neighbour's first mark after its join, to tell that neighbour, which
+   terminates; it reads those marks from its neighbours' ids and the
+   master seed.
 3. ``luby_mis``, the classic one-fresh-key-per-round protocol, used both as
    a standalone baseline and as the cleanup stage.
 
@@ -126,7 +128,10 @@ _TOKEN_BITS = 8
 
 def _assert_independent(csr, in_s: np.ndarray, join: np.ndarray) -> None:
     """No joiner may neighbour the set or another joiner of the same round."""
-    _, _, nbrs = gather_neighbours(csr, np.flatnonzero(join))
+    joiners = np.flatnonzero(join)
+    if not joiners.size:
+        return
+    _, _, nbrs = gather_neighbours(csr, joiners)
     assert not (in_s | join)[nbrs].any(), "independence violated"
 
 
@@ -138,6 +143,8 @@ class LubyProtocol(Protocol):
     Subround 1: every node broadcasts its key.  Subround 2: the strict
     ``(key, id)`` minima join and announce "I"; hearers terminate.
     """
+
+    state_fields = ("_in_s",)
 
     def bind(self, graph, seed):
         super().bind(graph, seed)
@@ -184,6 +191,8 @@ class Part1Protocol(Protocol):
     array: joined nodes are "in", dominated ones "out", and the rest (never
     participated, or still competing) are the residual.
     """
+
+    state_fields = ("_status",)
 
     def __init__(self, p: Fraction, window: int):
         self.p = p
@@ -257,15 +266,33 @@ class Part2Protocol(Protocol):
 
     Phase i of an iteration marks each undecided node per round with
     probability min(1, 2^i/d), and one ``rng.coins`` call draws all of an
-    iteration's marks when it begins.  A node sleeps until its first mark of
-    the iteration and then stays awake to the iteration end.  Subround 1:
-    in-set nodes announce, hearers terminate as "out".  Subround 2: surviving
-    marked nodes announce; the smallest id among adjacent announcers joins.
-    The last round of each iteration is a cleanup every alive node attends:
-    nodes with no surviving competitor join, so nodes isolated in the
-    residual pay one awake round per iteration.  ``outputs`` is the status
-    array: the nodes still undecided after the last cleanup are the residual.
+    iteration's marks when it begins, for every node with a neighbour.  A
+    node is awake only when it has something to do:
+
+    * an undecided node wakes in the rounds where it marks, plus the
+      cleanup round;
+    * a node that joins the set at offset r wakes at each neighbour's first
+      mark after r, plus the cleanup round.  It posts these rounds once, at
+      its join.  A neighbour that was awake there heard its "S" and left,
+      and one that slept there had already left through another in-set
+      node, so it needs no per-neighbour told flags.  This assumes a node
+      knows its neighbours' ids and the master seed, so it can compute
+      their counter-based coins, dead neighbours' included.
+
+    Subround 1: awake in-set nodes announce, and hearers terminate as "out".
+    Subround 2: the surviving awake nodes, which all mark, announce their
+    ids; the smallest id among adjacent announcers joins.  A sleeping
+    undecided node would only have heard "S" and left; it still hears that
+    "S" at its next mark or at the cleanup, before it competes, so no join
+    moves and the sets and round counts are those of a node that stays
+    awake from its first mark on.  The last round of each iteration is a
+    cleanup every alive node attends: nodes with no surviving competitor
+    join, so nodes isolated in the residual pay one awake round per
+    iteration.  ``outputs`` is the status array: the nodes still undecided
+    after the last cleanup are the residual.
     """
+
+    state_fields = ("_status",)
 
     def __init__(self, d: int, iterations: int, phase_constant: int = 4):
         self.d = max(2, int(d))
@@ -281,37 +308,52 @@ class Part2Protocol(Protocol):
         n = self.n
         self._csr = graph.csr()
         self._ids = np.arange(n, dtype=np.int64)
-        self._deg = np.diff(self._csr[0])
+        self._markers = np.flatnonzero(np.diff(self._csr[0]))  # nodes with a neighbour
         self.outputs = self._status = np.full(n, _P2_UNDECIDED, dtype=np.int8)
-        self._awake = np.zeros(n, dtype=bool)
-        # _marks[o, v]: node v marks itself at offset o of the current iteration
-        self._marks = np.zeros((self._marking, n), dtype=bool)
+        # _wake[o, v]: node v wakes at offset o of the current iteration.  It
+        # starts as v's marks; when v joins, its later rows become its plan.
+        self._wake = np.zeros((self._marking, n), dtype=bool)
 
-    def _begin_iteration(self, k: int, alive: np.ndarray):
-        self._awake[:] = False
-        ids = np.nonzero(alive & (self._deg > 0))[0]
+    def _begin_iteration(self, k: int):
         # marking coins for the whole iteration, keyed by global round index
         idx = k * self.t_iter + np.arange(self._marking, dtype=np.uint64)
-        self._marks[:, ids] = coins(self.seed, ids, "p2mark", idx[:, None], self._ps)
+        self._wake[:, self._markers] = coins(self.seed, self._markers, "p2mark",
+                                             idx[:, None], self._ps)
+
+    def _post_plan(self, o: int, joiners: np.ndarray):
+        """Joiners at offset ``o`` trade their later marks for a wake at each
+        neighbour's first mark after ``o``.  No neighbour of a joiner is in
+        the set, so the rows read are still marks."""
+        later = self._wake[o + 1:]
+        if not len(later):
+            return
+        later[:, joiners] = False
+        owners, starts, nbrs = gather_neighbours(self._csr, joiners)
+        marks = later[:, nbrs]
+        hit = marks.any(axis=0)
+        owner = np.repeat(owners, np.diff(starts, append=nbrs.size))
+        later[marks.argmax(axis=0)[hit], owner[hit]] = True
 
     def wake_set(self, rnd, alive):
         k, o = divmod(rnd, self.t_iter)
-        if o == 0:
-            self._begin_iteration(k, alive)
         if o == self._marking:
             return np.nonzero(alive)[0]
-        # _awake only grows within an iteration: a node wakes at its first mark
-        self._awake |= self._marks[o]
-        return np.nonzero(alive & self._awake)[0]
+        if o == 0:
+            self._begin_iteration(k)
+        return np.nonzero(alive & self._wake[o])[0]
 
     def round(self, rnd, awake, awake_mask, congest_bound):
         k, o = divmod(rnd, self.t_iter)
         csr, status = self._csr, self._status
         is_in = status == _P2_IN
-        # subround 1: in-set nodes say "S"; undecided hearers leave
-        out = heard(csr, awake_mask, is_in, _TOKEN_BITS, congest_bound) & ~is_in
-        status[out] = _P2_OUT
-        live = awake_mask & ~is_in & ~out
+        live = awake_mask & ~is_in
+        out = ()
+        if (is_in & awake_mask).any():
+            # subround 1: in-set nodes say "S"; undecided hearers leave
+            told = heard(csr, awake_mask, is_in, _TOKEN_BITS, congest_bound) & ~is_in
+            status[told] = _P2_OUT
+            live &= ~told
+            out = np.flatnonzero(told)
         if o == self._marking:
             # cleanup, every alive node awake: the live ones say "A", and
             # those that hear none join
@@ -321,13 +363,16 @@ class Part2Protocol(Protocol):
             if k == self.K - 1:
                 return awake
             return awake[status[awake] != _P2_UNDECIDED]
-        # subround 2: marked live nodes send their ids; the least joins
-        rank, best = least_heard(csr, awake_mask, live & self._marks[o], self._ids,
-                                 congest_bound)
+        # subround 2: the live nodes are the marked ones and send their ids;
+        # the least joins
+        rank, best = least_heard(csr, awake_mask, live, self._ids, congest_bound)
         join = rank < best
         _assert_independent(csr, is_in, join)
-        status[join] = _P2_IN
-        return np.flatnonzero(out)
+        joiners = np.flatnonzero(join)
+        if joiners.size:
+            status[joiners] = _P2_IN
+            self._post_plan(o, joiners)
+        return out
 
 
 def part2_degree(g: Graph) -> int:

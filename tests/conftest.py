@@ -1,20 +1,24 @@
 """Shared fixtures: the MIS scaling sweep, the acceptance result table, the
-Fraction-arithmetic reference of the full-rate fractional matcher, and the
-no-reuse reference of the sleeping box and its delta-maximal loop."""
+Fraction-arithmetic reference of the full-rate fractional matcher, the
+no-reuse reference of the sleeping box and its delta-maximal loop, the
+per-node reference of the MIS marking stage, and a sleeping-model check
+that wraps any protocol."""
 
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from awakesim import fractional
 from awakesim.augmentation import MatchBox
+from awakesim.engine import Protocol
 from awakesim.errors import PreconditionViolated
 from awakesim.fractional import FractionalAssignment
 from awakesim.graphs import Matching, canon, gen_gnp
 from awakesim.oracles import verify_matching
-from awakesim.mis import awake_mis, luby_mis
-from awakesim.rng import node_rng
+from awakesim.mis import awake_mis, luby_mis, part2_schedule
+from awakesim.rng import coin_threshold, node_rng
 
 SWEEP_MASTER = 777
 SWEEP_SIZES = (2 ** 10, 2 ** 12, 2 ** 14, 2 ** 16)
@@ -105,6 +109,108 @@ def ref_delta_maximal(g, box, delta, *, iterations=None, orig_ids=None):
             remaining.discard(u)
             remaining.discard(v)
     return Matching(out)
+
+
+class RefPart2(Protocol):
+    """Per-node reference of the MIS marking stage.
+
+    Every node reads its own and its neighbours' marks from the scalar
+    coins, so a node knows whether a neighbour marks whether or not that
+    neighbour is alive.  An undecided node wakes at its marks; a node in
+    the set wakes when a neighbour it has not told marks.  It has told a
+    neighbour once it was awake, in a round after its join round, where that
+    neighbour was awake or marked.  Every alive node attends each
+    iteration's cleanup.  Status codes are those of ``Part2Protocol``.
+    """
+
+    UNDECIDED, OUT, IN = 0, 1, 2
+
+    def __init__(self, d: int, iterations: int, phase_constant: int = 4):
+        phase_rounds, probabilities = part2_schedule(d, phase_constant)
+        self.K = iterations
+        self._marking = sum(phase_rounds)
+        self.t_iter = self._marking + 1
+        self._cut = [coin_threshold(p) for p in probabilities]
+
+    def bind(self, graph, seed):
+        super().bind(graph, seed)
+        indptr, indices = graph.csr()
+        self._nbrs = [indices[indptr[v]:indptr[v + 1]].tolist()
+                      for v in range(self.n)]
+        self.outputs = self._status = np.zeros(self.n, dtype=np.int8)
+        self._told = {}  # in-set node -> the neighbours it has told
+
+    def _marks(self, v, rnd):
+        o = rnd % self.t_iter
+        return (o < self._marking and bool(self._nbrs[v])
+                and node_rng(self.seed, v, "p2mark", rnd) < self._cut[o])
+
+    def wake_set(self, rnd, alive):
+        cleanup = rnd % self.t_iter == self._marking
+        wake = []
+        for v in np.flatnonzero(alive).tolist():
+            if self._status[v] == self.IN:
+                up = any(w not in self._told[v] and self._marks(w, rnd)
+                         for w in self._nbrs[v])
+            else:
+                up = self._marks(v, rnd)
+            if cleanup or up:
+                wake.append(v)
+        return wake
+
+    def round(self, rnd, awake, awake_mask, congest_bound):
+        k, o = divmod(rnd, self.t_iter)
+        status, nbrs = self._status, self._nbrs
+        awake = awake.tolist()
+        tellers = [v for v in awake if status[v] == self.IN]
+        out = [v for v in awake if status[v] == self.UNDECIDED
+               and any(awake_mask[w] and status[w] == self.IN for w in nbrs[v])]
+        status[out] = self.OUT
+        live = {v for v in awake if status[v] == self.UNDECIDED}
+        if o == self._marking:
+            join = [v for v in live if not any(w in live for w in nbrs[v])]
+        else:
+            senders = {v for v in live if self._marks(v, rnd)}
+            join = [v for v in senders
+                    if all(v < w for w in nbrs[v] if w in senders)]
+        for v in join:
+            assert not any(status[w] == self.IN for w in nbrs[v])
+            status[v] = self.IN
+            self._told[v] = set()
+        for u in tellers:
+            self._told[u].update(w for w in nbrs[u]
+                                 if awake_mask[w] or self._marks(w, rnd))
+        if o < self._marking:
+            return out
+        if k == self.K - 1:
+            return awake
+        return [v for v in awake if status[v] != self.UNDECIDED]
+
+
+def sleep_checked(proto: Protocol) -> Protocol:
+    """Wrap ``proto.round`` with the sleeping model's conformance check:
+    between the round's start and its end, only awake nodes' entries of
+    ``proto.state_fields`` change, and only awake nodes terminate.  An entry
+    a round adds to a field counts as changed."""
+    inner = proto.round
+
+    def snapshot():
+        return [list(getattr(proto, f)) for f in proto.state_fields]
+
+    def round(rnd, awake, awake_mask, congest_bound):
+        before = snapshot()
+        done = inner(rnd, awake, awake_mask, congest_bound)
+        for name, old, new in zip(proto.state_fields, before, snapshot()):
+            moved = [v for v in range(len(new)) if v >= len(old) or new[v] != old[v]]
+            assert len(new) >= len(old) and awake_mask[moved].all(), (
+                f"{name} of a sleeper changed in round {rnd}")
+        assert awake_mask[np.asarray(done, dtype=np.int64)].all(), (
+            f"a sleeper terminated in round {rnd}")
+        return done
+
+    assert proto.state_fields, "the protocol declares no state fields"
+    proto.round = round
+    return proto
 
 
 def record_criterion(num: int, name: str, passed: bool, detail: str) -> None:

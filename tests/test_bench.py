@@ -151,7 +151,7 @@ def test_harness_golden_digest(tmp_path, capsys):
     assert main(["match", "--config", str(cfgfile)]) == 0
     h.update(capsys.readouterr().out.encode())
     assert h.hexdigest() == (
-        "e2d26db8a27c0f0b173890bbe8961dd36ffc4423f56301fdf2b3df6da5bc1feb")
+        "b430870d9926473125ca1d99edaea7c841a8141c28b18b45dba1cb1242b05bf3")
 
 
 def test_run_experiment_edgeless_mis():

@@ -24,7 +24,7 @@ from awakesim.graphs import (Graph, Matching, complete_graph, cycle_graph,
 from awakesim.oracles import verify_vertex_cover
 from awakesim.rng import (COIN_BLOCK, TWO64, coin_threshold, node_rng,
                          node_rng_array)
-from conftest import ref_vanilla, ref_vanilla_assignment
+from conftest import ref_vanilla, ref_vanilla_assignment, sleep_checked
 from test_mis import small_graphs
 
 
@@ -664,3 +664,18 @@ def test_congest_threshold_matches_the_hook_reference(stop, p):
         bound = _least_passing_bound(RefSampledProtocol, g, sched, seed)
         assert bound is not None
         assert _least_passing_bound(SampledMatchingProtocol, g, sched, seed) == bound
+
+
+@settings(max_examples=40, deadline=None)
+@given(g=small_graphs(), eps=eps_fractions(), seed=st.integers(0, 2 ** 32),
+       stop=st.integers(1, 6),
+       p=st.sampled_from((Fraction(1, 7), Fraction(1, 5), Fraction(1, 2), 1)))
+def test_matcher_sleeps_in_the_sleeping_model(g, eps, seed, stop, p):
+    """Under :func:`sleep_checked`, no round of the analytic or the forced
+    sampled matcher changes a sleeper's freeze round, mass or unfrozen-edge
+    count, or terminates a sleeper."""
+    for sched in (SampleSchedule(g.n, g.max_degree, eps),
+                  SampleSchedule(g.n, g.max_degree, eps, force_stop_round=stop,
+                                 force_phase_probabilities=p)):
+        proto = sleep_checked(SampledMatchingProtocol(sched))
+        run(g, proto, seed, proto.round_cap)

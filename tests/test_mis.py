@@ -6,19 +6,21 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from awakesim import rng
 from awakesim.graphs import (Graph, complete_graph, cycle_graph, gen_bipartite,
                              gen_gnp, path_graph, petersen_graph, star_graph)
 from awakesim.engine import run
-from awakesim.mis import (LubyProtocol, MisParams, _assert_independent,
+from awakesim.mis import (LubyProtocol, MisParams, Part1Protocol,
+                          Part2Protocol, _assert_independent,
                           awake_mis, default_participation, greedy_partial_mis,
-                          luby_mis, part2_reduce, part2_round_count,
-                          part2_schedule)
+                          luby_mis, part2_degree, part2_reduce,
+                          part2_round_count, part2_schedule)
 from awakesim.oracles import verify_mis
 from awakesim.rng import coin_threshold, node_rng
+from conftest import RefPart2, sleep_checked
 
 
 def test_luby_validity_over_seeds():
@@ -136,28 +138,48 @@ def test_part2_output_is_consistent():
             assert not (u in added and v in added)
 
 
-def test_part2_wake_pattern_is_one_block_per_iteration():
-    """Within an iteration a node is awake in one contiguous block that runs
-    to the iteration end unless the node terminated, plus possibly a lone
-    cleanup round."""
-    g = gen_gnp(400, 0.02, seed=11)
-    params = MisParams(K=3)
-    added, residual, _, ledger = part2_reduce(g, seed=11, params=params,
-                                              record_schedule=True)
-    d = max(2, g.max_degree)
-    t_iter = part2_round_count(d, 1)
+def _increasing_path(n):
+    """A path 0-1-...-(n-1) plus a 3-star, so that the degree bound is 3.
+    Ids increase along the path, so the least-id rule leaves undecided
+    pairs after the first iteration and later iterations run."""
+    return Graph(n + 4, [(i, i + 1) for i in range(n - 1)]
+                 + [(n, n + 1), (n, n + 2), (n, n + 3)])
+
+
+@pytest.mark.parametrize("g, params", [
+    (gen_gnp(400, 0.02, seed=11), MisParams(K=3)),
+    (_increasing_path(200), MisParams(K=3, C=1)),
+], ids=["gnp", "increasing_path"])
+def test_part2_wakes_only_to_mark_or_to_tell(g, params):
+    """Outside the cleanup, a node that never joins wakes only at its own
+    marks, and a node that joins wakes at its own marks up to its join and
+    then only at its neighbours' marks, at most once per neighbour.  So
+    nodes sleep between their marks, unlike a node that stays awake from
+    its first mark on."""
+    seed = 11
+    added, _, _, ledger = part2_reduce(g, seed, params, record_schedule=True)
+    _, probabilities = part2_schedule(part2_degree(g), params.C)
+    t_iter = len(probabilities) + 1
+    indptr, indices = g.csr()
+
+    def marks(v, r):
+        o = r % t_iter
+        return (o < t_iter - 1 and indptr[v + 1] > indptr[v]
+                and node_rng(seed, v, "p2mark", r) < coin_threshold(probabilities[o]))
+
+    resleeps = 0
     for v, rounds in enumerate(ledger.schedule):
-        if not rounds:
-            continue
-        last_overall = rounds[-1]
-        by_iter = {}
-        for r in rounds:
-            by_iter.setdefault(r // t_iter, []).append(r)
-        for k, rs in by_iter.items():
-            assert rs == list(range(rs[0], rs[-1] + 1)), f"node {v} re-slept"
-            iter_end = (k + 1) * t_iter - 1
-            assert rs[-1] == iter_end or rs[-1] == last_overall, (
-                f"node {v} slept early in iteration {k}")
+        nbrs = indices[indptr[v]:indptr[v + 1]].tolist()
+        rounds = [r for r in rounds if r % t_iter != t_iter - 1]
+        resleeps += any(b > a + 1 for a, b in zip(rounds, rounds[1:]))
+        # a node joins in its last iteration, and before that it is undecided
+        last = rounds[-1] // t_iter if v in added and rounds else None
+        assert all(marks(v, r) for r in rounds if r // t_iter != last), v
+        # after its join, each round wakes it for some neighbour's mark
+        told = [r for r in rounds if r // t_iter == last and not marks(v, r)]
+        assert all(any(marks(w, r) for w in nbrs) for r in told), v
+        assert len(told) <= len(nbrs), v
+    assert resleeps > 0
 
 
 def test_part2_sleeps_until_its_first_mark_in_every_iteration():
@@ -166,9 +188,7 @@ def test_part2_sleeps_until_its_first_mark_in_every_iteration():
     round if it never marks.  An increasing-id path under degree bound 3
     leaves undecided pairs after the first iteration, so later iterations
     are checked too."""
-    n = 200
-    g = Graph(n + 4, [(i, i + 1) for i in range(n - 1)]
-              + [(n, n + 1), (n, n + 2), (n, n + 3)])
+    g = _increasing_path(200)
     params = MisParams(K=3, C=1)
     phase_rounds, probabilities = part2_schedule(3, C=1)
     marking = sum(phase_rounds)
@@ -280,10 +300,12 @@ def _awake_mis_digest():
 
 
 def test_awake_mis_golden_digest():
-    """Sets, ledger parts and rounds on a fixed corpus, as computed by the
-    stage-by-stage implementation this composition replaced."""
+    """Sets, ledger parts and rounds on a fixed corpus.  Sets and rounds
+    are those of the stage-by-stage implementation this composition
+    replaced; the stage-2 ledger parts are those of the wake rule that
+    :class:`RefPart2` restates node by node."""
     assert _awake_mis_digest() == (
-        "794bbf9c486f8838711f164e9e23a22ef7162eb81857aedf5676e2cd6e8bfebf")
+        "dfd63b12041bf81a2677102c111a0d7a57ed4aed3c068537dfa1669a582d89c9")
 
 
 def _hash_ledger(h, ledger):
@@ -317,9 +339,47 @@ def test_stage_schedule_golden_digest():
     """Standalone Luby, stage 1 and stage 2 on the golden corpus: sets,
     residual ids, ledger parts, rounds and per-node awake schedules, as
     computed by the per-node hook implementation of the three protocols,
-    with the empty graph's schedules recorded as ``[]``."""
+    with the empty graph's schedules recorded as ``[]`` and stage 2 under
+    the wake rule that :class:`RefPart2` restates node by node."""
     assert _stage_schedule_digest() == (
-        "c7c370bbff2bf94c14954cec8e00215c689b1fce32a523c8fdc8ddb0bd15de88")
+        "2ff6dcf385d50218fdb4cf70b8a25a26617888fd2787a24a4e8aba58fc5175c8")
+
+
+def _outputs_digest():
+    """MIS sets, per-stage residual ids and round counts, with no awake
+    counts, on the corpora of the two digests above plus ``awake_mis`` on
+    G(2^10..2^12, 10/n) with five seeds."""
+    h = hashlib.sha256()
+    for g in _digest_corpus():
+        for prm in (None, MisParams(K=1), MisParams(C=2),
+                    MisParams(p=Fraction(1, 2)), MisParams(part1_window=5)):
+            for seed in (1, 2):
+                mis, ledger, metrics = awake_mis(g, seed, params=prm)
+                h.update(repr((sorted(mis), ledger.rounds,
+                               sorted(metrics.diagnostics.items()))).encode())
+        for seed in (1, 2):
+            s, ledger = luby_mis(g, seed)
+            h.update(repr((sorted(s), ledger.rounds)).encode())
+            for p in (default_participation(g.n), Fraction(1, 2)):
+                joined, removed, _, ids, ledger = greedy_partial_mis(g, seed, p)
+                h.update(repr((sorted(joined), sorted(removed), ids,
+                               ledger.rounds)).encode())
+            for prm in (None, MisParams(K=1), MisParams(C=2)):
+                added, _, ids, ledger = part2_reduce(g, seed, prm)
+                h.update(repr((sorted(added), tuple(ids), ledger.rounds)).encode())
+    for n in (2 ** 10, 2 ** 11, 2 ** 12):
+        for seed in range(5):
+            mis, ledger, metrics = awake_mis(gen_gnp(n, 10 / n, seed=seed), seed)
+            h.update(repr((sorted(mis), ledger.rounds,
+                           sorted(metrics.diagnostics.items()))).encode())
+    return h.hexdigest()
+
+
+def test_awake_mis_outputs_golden_digest():
+    """What the three stages decide, apart from who is awake when: the
+    stage-2 wake rule moves ledgers, never sets, residuals or rounds."""
+    assert _outputs_digest() == (
+        "a7dc28842269fa09ac391235614071db750b7d95d308c0a5c65e7c5e60c59deb")
 
 
 @st.composite
@@ -351,3 +411,80 @@ def test_awake_mis_ledger_matches_its_recorded_schedule(g, seed):
     for rs in ledger.schedule:
         assert all(a < b for a, b in zip(rs, rs[1:]))
         assert all(0 <= r < ledger.rounds for r in rs)
+
+
+@st.composite
+def part2_cases(draw):
+    """A graph and stage-2 parameters ``(d, K, C)``: an arbitrary small graph
+    under its own degree bound, or an increasing-id path under d = 3."""
+    if draw(st.booleans()):
+        g = draw(small_graphs())
+        return g, part2_degree(g), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    return (_increasing_path(draw(st.integers(2, 200))), 3, draw(st.integers(2, 4)),
+            draw(st.integers(1, 2)))
+
+
+def _run_both(g, d, K, C, seed):
+    """Status lists and ledgers, with recorded schedules, of the array stage
+    2 and of its reference."""
+    runs = []
+    for proto in (Part2Protocol(d, K, C), RefPart2(d, K, C)):
+        status, ledger, _ = run(g, proto, seed, K * proto.t_iter + 2,
+                                part="part2", record_schedule=True)
+        runs.append((status.tolist(), ledger))
+    return runs
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=part2_cases(), seed=st.integers(0, 2 ** 32))
+@example(case=(_increasing_path(200), 3, 3, 2), seed=0)
+def test_part2_matches_its_per_node_reference(case, seed):
+    """The array stage 2 and :class:`RefPart2`, where each node computes its
+    neighbours' marks with the scalar coins and keeps its own told flags,
+    agree on status, ledger parts, rounds and recorded schedules."""
+    g, d, K, C = case
+    (status, ledger), (ref_status, ref_ledger) = _run_both(g, d, K, C, seed)
+    assert status == ref_status
+    assert ledger == ref_ledger  # parts node by node, and rounds
+    assert ledger.schedule == ref_ledger.schedule
+
+
+def test_part2_reference_covers_later_iterations():
+    """On increasing-id paths, nodes join in later iterations next to
+    neighbours that left in earlier ones, whose marks still wake them.
+    With C = 2 the first phase marks with p = 2/3 for two rounds, so a
+    joiner's plan reads coins that change from one iteration to the next."""
+    g = _increasing_path(200)
+    t_iter = RefPart2(3, 3, 2).t_iter
+    later = 0
+    for seed in range(4):
+        (status, ledger), (ref_status, ref_ledger) = _run_both(g, 3, 3, 2, seed)
+        assert status == ref_status and ledger == ref_ledger
+        assert ledger.schedule == ref_ledger.schedule
+        later += sum(1 for rs in ledger.schedule for r in rs
+                     if r >= t_iter and r % t_iter != t_iter - 1)
+    assert later > 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(g=small_graphs(), seed=st.integers(0, 2 ** 32),
+       p=st.sampled_from((Fraction(1, 4), Fraction(1, 2), 1)),
+       K=st.integers(1, 3), C=st.integers(1, 3))
+@example(g=_increasing_path(60), seed=1, p=Fraction(1, 2), K=3, C=1)
+def test_mis_protocols_sleep_in_the_sleeping_model(g, seed, p, K, C):
+    """Under :func:`sleep_checked`, no round of the three MIS protocols
+    changes a sleeper's state or terminates a sleeper."""
+    run(g, sleep_checked(LubyProtocol()), seed, 64 * 8)
+    run(g, sleep_checked(Part1Protocol(p, 6)), seed, 8)
+    proto = sleep_checked(Part2Protocol(part2_degree(g), K, C))
+    run(g, proto, seed, K * proto.t_iter + 2)
+
+
+@pytest.mark.parametrize("n", [2 ** 10, 2 ** 12])
+def test_awake_mis_mean_awake_stays_low(n):
+    """Stage 2 keeps nodes asleep between their marks, so the mean awake
+    count on G(n, 10/n) is a small constant (2.1-2.5 here), not the 10-11
+    of a node that stays awake from its first mark to the iteration end."""
+    for seed in range(3):
+        _, _, metrics = awake_mis(gen_gnp(n, 10 / n, seed=seed), seed)
+        assert metrics.avg_awake <= 3.0, (n, seed, metrics.avg_awake)
