@@ -1,20 +1,23 @@
 """Round-synchronous message-passing engine with sleeping semantics.
 
 A :class:`Protocol` describes node behavior; :func:`run` executes it.  Each
-round the engine asks ``wake_set`` which nodes are awake, charges them on an
-:class:`AwakeLedger` (sleeping is free), and calls the protocol's ``round``
-once with the awake nodes.  ``round`` does the whole round and returns the
-ids that terminate; a terminated node is removed and never charged again.
-Each protocol keeps its per-node results in ``outputs``, which :func:`run`
-returns.
+protocol posts into the run's :class:`WakePlan` the future rounds each node
+wakes in.  :func:`run` jumps from one posted round to the next, keeps the
+posted ids that are still alive, charges them on an :class:`AwakeLedger`
+(sleeping is free), and calls the protocol's ``round`` once with them.
+``round`` does the whole round, posts later wakes, and returns the ids that
+terminate; a terminated node is removed and never charged again.  A round
+in which no alive node is posted costs no host time, yet it still counts in
+the ledger's rounds.  Each protocol keeps its per-node results in
+``outputs``, which :func:`run` returns.
 
-The protocols use masks over the graph's CSR adjacency and the
-neighbourhood primitives :func:`heard` ("some awake neighbour sent") and
-:func:`least_heard` ("least ``(key, id)`` over awake sending neighbours");
-``SampledMatchingProtocol`` reduces its sampled reports over the CSR and
-then walks only the edges of nodes that froze.  Only awake nodes send, and
-only awake nodes hear.  Every round checks its widest message once with
-:func:`check_width` against ``congest_factor * max(8, ceil(log2 n))`` bits.
+Neighbourhoods come from a :class:`Hood`: one gather per round of the awake
+nodes' neighbour lists, read by the primitives :func:`heard` ("some awake
+neighbour sent") and :func:`least_heard` ("least ``(key, id)`` over awake
+sending neighbours").  Both take and return one entry per awake node.  Only
+awake nodes send, and only awake nodes hear.  Every round checks its widest
+message once with :func:`check_width` against
+``congest_factor * max(8, ceil(log2 n))`` bits.
 
 Determinism: protocols draw all randomness through ``node_rng`` streams keyed
 by the master seed, so a fixed (graph, protocol, seed) triple replays
@@ -23,6 +26,7 @@ bit-identically.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -51,17 +55,83 @@ def payload_bits(payload) -> int:
     return 64
 
 
+class WakePlan:
+    """Per-round buckets of the node ids that wake in each future round.
+
+    A protocol posts with :meth:`post` or :meth:`post_each`; :func:`run`
+    takes the earliest bucket.  Posting a round that is not later than the
+    one running is an error.  Ids may come unsorted and repeated, in lists
+    or arrays; :meth:`take` hands the alive ones over sorted and unique.  A
+    bucket is one list of ints, which collects every id posted in a list,
+    followed by the posted arrays; a posted array must not change until its
+    round is taken.
+    """
+
+    __slots__ = ("_buckets", "_rounds", "now")
+
+    def __init__(self):
+        self._buckets: Dict[int, list] = {}
+        self._rounds: List[int] = []  # heap of the bucket keys
+        self.now = -1
+
+    def _bucket(self, rnd: int) -> list:
+        chunks = self._buckets.get(rnd)
+        if chunks is None:
+            # every bucket left is later than the round taken last
+            assert rnd > self.now, f"round {rnd} posted in round {self.now}"
+            chunks = self._buckets[rnd] = [[]]
+            heapq.heappush(self._rounds, rnd)
+        return chunks
+
+    def post(self, rnd: int, ids) -> None:
+        """Wake every node of ``ids`` in round ``rnd``."""
+        if len(ids):
+            chunks = self._buckets.get(rnd) or self._bucket(rnd)
+            if type(ids) is list:
+                chunks[0].extend(ids)
+            else:
+                chunks.append(ids)
+
+    def post_each(self, rounds: np.ndarray, ids: np.ndarray) -> None:
+        """Wake ``ids[i]`` in round ``rounds[i]``, for every i."""
+        buckets = self._buckets
+        for rnd, v in zip(rounds.tolist(), ids.tolist()):
+            (buckets.get(rnd) or self._bucket(rnd))[0].append(v)
+
+    def take(self, before: int,
+             alive: np.ndarray) -> Optional[Tuple[int, np.ndarray]]:
+        """Remove the earliest bucket and return its round and its ids that
+        are ``alive``, sorted and unique; ``None`` if there is no bucket
+        before round ``before``."""
+        if not self._rounds or self._rounds[0] >= before:
+            return None
+        rnd = self.now = heapq.heappop(self._rounds)
+        chunks = self._buckets.pop(rnd)
+        if not chunks[0]:
+            del chunks[0]
+        ids = np.asarray(chunks[0] if len(chunks) == 1 else np.concatenate(chunks),
+                         dtype=np.int64)
+        rising = ids[1:] > ids[:-1]
+        if np.count_nonzero(rising) < rising.size:
+            ids = np.sort(ids)
+            ids = ids[np.concatenate(([True], ids[1:] != ids[:-1]))]
+        return rnd, ids[alive[ids]]
+
+
 class Protocol:
     """Behavior contract executed by :func:`run`.
+
+    ``bind`` receives the run's :class:`WakePlan` and keeps it as ``plan``;
+    a node wakes only in the rounds posted there.  A subclass posts the
+    first wakes in ``bind`` and later ones from ``round``, and decides each
+    node's wakes only from that node's own state and the coin streams it can
+    compute: its own, and its neighbours', whose ids and master seed it
+    knows.  A posted node that has terminated stays asleep.
 
     Subclasses override ``round``, doing a whole round at once, and keep
     each node's result in ``outputs`` (``bind`` starts it as an empty dict;
     a protocol may replace it with any per-node container, such as one of
-    its state arrays).  ``wake_set`` must decide each node's wakefulness
-    only from that node's own state and the coin streams it can compute:
-    its own, and its neighbours', whose ids and master seed it knows.  The
-    engine intersects the requested wake set with the still-alive nodes,
-    so terminated nodes never reappear.
+    its state arrays).
 
     ``state_fields`` names the attributes holding per-node state, each
     indexed by node id.  In the sleeping model a sleeper performs no
@@ -72,21 +142,19 @@ class Protocol:
     congest_factor = 64
     state_fields: Tuple[str, ...] = ()
 
-    def bind(self, graph: Graph, seed: int) -> None:
+    def bind(self, graph: Graph, seed: int, plan: WakePlan) -> None:
         self.graph = graph
         self.seed = seed
         self.n = graph.n
+        self.plan = plan
         self.outputs: Any = {}
 
-    def wake_set(self, rnd: int, alive: np.ndarray):
-        """Nodes awake this round; by default every alive node."""
-        return np.nonzero(alive)[0]
-
-    def round(self, rnd: int, awake: np.ndarray, awake_mask: np.ndarray,
+    def round(self, rnd: int, awake: np.ndarray, hood: Hood,
               congest_bound: int):
-        """Run round ``rnd`` for the sorted ``awake`` ids (``awake_mask`` marks
-        them) and return the ids that terminate.  ``congest_bound`` is the
-        payload width limit in bits."""
+        """Run round ``rnd`` for the ``awake`` ids, which are sorted, unique
+        and never empty, and return the ids that terminate.  ``hood`` holds
+        their neighbourhoods; ``congest_bound`` is the payload width limit
+        in bits."""
         raise NotImplementedError
 
 
@@ -180,14 +248,17 @@ class RunMetrics:
 
     @classmethod
     def from_ledger(cls, ledger: AwakeLedger, **extra) -> "RunMetrics":
-        counts = ledger.counts  # one sum over the parts for all three values
-        total = int(counts.sum())
+        per_part = ledger.part_totals()
+        total = sum(per_part.values())
+        parts = list(ledger.parts.values())
+        # one part is its own per-node count; only a merged ledger sums them
+        counts = parts[0] if len(parts) == 1 else ledger.counts
         return cls(
             rounds=ledger.rounds,
             total_awake=total,
             avg_awake=total / ledger.n if ledger.n else 0.0,
             max_awake=int(counts.max()) if ledger.n else 0,
-            per_part=ledger.part_totals(),
+            per_part=per_part,
             **extra,
         )
 
@@ -235,64 +306,100 @@ def check_width(bits: int, congest_bound: Optional[int], what: str) -> None:
 def gather_neighbours(csr, nodes: np.ndarray):
     """Neighbour lists of ``nodes`` laid end to end.
 
-    Returns ``(owners, starts, nbrs)``: ``owners`` are the nodes of ``nodes``
-    with at least one neighbour, and the neighbours of ``owners[i]`` are
-    ``nbrs[starts[i]:starts[i + 1]]``.  Dropping degree-0 nodes keeps every
-    segment non-empty, as ``np.ufunc.reduceat`` needs.
+    Returns ``(own, starts, nbrs)``: ``own`` are the positions in ``nodes``
+    of the nodes with at least one neighbour, and the neighbours of
+    ``nodes[own[i]]`` are ``nbrs[starts[i]:starts[i + 1]]``.  Dropping
+    degree-0 nodes keeps every segment non-empty, as ``np.ufunc.reduceat``
+    needs.
     """
     indptr, indices = csr
     first = indptr[nodes]
     lens = indptr[nodes + 1] - first
-    keep = lens > 0
-    owners, first, lens = nodes[keep], first[keep], lens[keep]
-    starts = np.cumsum(lens) - lens
-    pos = np.arange(int(lens.sum()), dtype=np.int64) + np.repeat(first - starts, lens)
-    return owners, starts, indices[pos]
+    own = lens.nonzero()[0]
+    first, lens = first[own], lens[own]
+    starts = lens.cumsum() - lens
+    pos = np.arange(int(lens.sum()), dtype=np.int64) + (first - starts).repeat(lens)
+    return own, starts, indices[pos]
 
 
-def heard(csr, awake_mask: np.ndarray, sent: np.ndarray, bits: int,
+class Hood:
+    """The awake nodes of one round and their neighbourhoods.
+
+    ``ids`` are the round's awake nodes, sorted and unique.  :meth:`gather`
+    lays their neighbour lists end to end, once per round, as
+    :func:`gather_neighbours` does, with each neighbour replaced by its
+    position in ``ids``, or by -1 if it sleeps.  ``slot`` is a scratch array
+    of ``n`` entries of -1, which :meth:`gather` leaves as it found it; the
+    engine reuses one for a whole run.
+    """
+
+    __slots__ = ("ids", "_graph", "_slot", "_gathered")
+
+    def __init__(self, graph: Graph, ids: np.ndarray, slot: np.ndarray):
+        self.ids = ids
+        self._graph = graph
+        self._slot = slot
+        self._gathered = None
+
+    def gather(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(own, starts, pos)``: the neighbours of ``ids[own[i]]`` are at
+        positions ``pos[starts[i]:starts[i + 1]]`` of ``ids`` (-1: asleep)."""
+        if self._gathered is None:
+            ids, slot = self.ids, self._slot
+            own, starts, nbrs = gather_neighbours(self._graph.csr(), ids)
+            slot[ids] = np.arange(ids.size)
+            pos = slot[nbrs]
+            slot[ids] = -1
+            self._gathered = own, starts, pos
+        return self._gathered
+
+
+def heard(hood: Hood, sent: np.ndarray, bits: int,
           congest_bound: Optional[int]) -> np.ndarray:
-    """Mask of awake nodes with an awake neighbour in the mask ``sent``.
+    """Which awake nodes have an awake neighbour that sent.
 
-    Each awake sender broadcasts one ``bits``-wide token; sleepers neither
-    send nor hear.
+    ``sent`` and the result have one entry per awake node of ``hood``.
+    Each sender broadcasts one ``bits``-wide token.
     """
     check_width(bits, congest_bound, "a broadcast token")
-    out = np.zeros(awake_mask.size, dtype=bool)
-    src = sent & awake_mask
-    if not src.any():
+    out = np.zeros(sent.size, dtype=bool)
+    if not sent.any():
         return out
-    owners, starts, nbrs = gather_neighbours(csr, np.flatnonzero(awake_mask))
-    if owners.size:
-        out[owners] = np.logical_or.reduceat(src[nbrs], starts)
+    own, starts, pos = hood.gather()
+    if own.size:
+        # a sleeper's position -1 reads the appended False
+        out[own] = np.logical_or.reduceat(np.append(sent, False)[pos], starts)
     return out
 
 
-def least_heard(csr, awake_mask: np.ndarray, sent: np.ndarray, keys: np.ndarray,
+def least_heard(hood: Hood, sent: np.ndarray, keys: np.ndarray,
                 congest_bound: Optional[int]):
-    """Least ``(keys[w], w)`` over the awake neighbours ``w`` in ``sent``.
+    """Least ``(key, id)`` over the awake neighbours that sent.
 
-    Each awake sender broadcasts its key.  Returns ``(rank, best)``: ``rank``
-    is each sender's position in the strict ``(key, id)`` order of the awake
-    senders, and ``best[v]`` the least rank awake node ``v`` heard.  Both
-    read ``n`` where there is nothing (non-senders; sleepers and nodes that
-    heard no key), so ``rank < best`` marks the senders that beat every
+    ``sent``, ``keys`` and both results have one entry per awake node of
+    ``hood``; each sender broadcasts its key.  Returns ``(rank, best)``:
+    ``rank`` is each sender's position in the strict ``(key, id)`` order of
+    the senders, and ``best`` the least rank a node heard.  Both read ``m``,
+    the number of awake nodes, where there is nothing (non-senders; nodes
+    that heard no key), so ``rank < best`` marks the senders that beat every
     sending neighbour.
     """
-    n = awake_mask.size
-    src = np.flatnonzero(sent & awake_mask)
-    rank = np.full(n, n, dtype=np.int64)
-    best = np.full(n, n, dtype=np.int64)
+    m = sent.size
+    src = sent.nonzero()[0]
+    rank = np.full(m + 1, m, dtype=np.int64)
+    best = np.full(m, m, dtype=np.int64)
     if src.size == 0:
-        return rank, best
+        return rank[:m], best
     sent_keys = keys[src]
-    check_width(max(1, int(sent_keys.max()).bit_length()), congest_bound,
-                "a broadcast key")
-    rank[src[np.lexsort((src, sent_keys))]] = np.arange(src.size)
-    owners, starts, nbrs = gather_neighbours(csr, np.flatnonzero(awake_mask))
-    if owners.size:
-        best[owners] = np.minimum.reduceat(rank[nbrs], starts)
-    return rank, best
+    widest = int(sent_keys.max())
+    order = src[np.lexsort((src, sent_keys))]
+    check_width(max(1, widest.bit_length()), congest_bound, "a broadcast key")
+    rank[order] = np.arange(src.size)
+    own, starts, pos = hood.gather()
+    if own.size:
+        # a sleeper's position -1 reads rank[m] = m
+        best[own] = np.minimum.reduceat(rank[pos], starts)
+    return rank[:m], best
 
 
 def run(
@@ -307,30 +414,31 @@ def run(
 
     Returns ``(protocol.outputs, ledger, metrics)``.  Raises
     :class:`RoundCapExceeded` (with the partial ledger attached) if any node
-    survives ``round_cap`` rounds.
+    is alive when the next posted round is ``round_cap`` or later, or when
+    no round is posted at all; the ledger then reads ``round_cap`` rounds.
     """
-    protocol.bind(g, master_seed)
     n = g.n
+    plan = WakePlan()
+    protocol.bind(g, master_seed, plan)
     ledger = AwakeLedger(n, record_schedule=record_schedule)
     alive = np.ones(n, dtype=bool)
     alive_count = n
-    awake_mask = np.zeros(n, dtype=bool)
+    slot = np.full(n, -1, dtype=np.int64)
     congest_bound = protocol.congest_factor * max(8, (max(n, 2) - 1).bit_length())
 
     rnd = -1
     while alive_count > 0:
-        rnd += 1
-        if rnd >= round_cap:
-            ledger.rounds = rnd
+        taken = plan.take(round_cap, alive)
+        if taken is None:
+            ledger.rounds = round_cap
             raise RoundCapExceeded(
                 f"{alive_count} nodes still alive after {round_cap} rounds", ledger
             )
-        req = np.asarray(protocol.wake_set(rnd, alive), dtype=np.int64)
-        awake = req[alive[req]] if req.size else req
+        rnd, awake = taken
+        if not awake.size:
+            continue
         ledger.charge(part, awake, rnd)
-        awake_mask[awake] = True
-        done = protocol.round(rnd, awake, awake_mask, congest_bound)
-        awake_mask[awake] = False
+        done = protocol.round(rnd, awake, Hood(g, awake, slot), congest_bound)
         if len(done):
             done = np.asarray(done, dtype=np.int64)
             alive[done] = False

@@ -371,7 +371,10 @@ class SampledMatchingProtocol(Protocol):
       such neighbours.  A node terminates once all its incident edges are
       frozen (never before the stop round).
 
-    Only awake nodes send or hear.  Each round checks its widest message
+    ``bind`` posts each sample member's first wake and every node at the
+    stop round, and each round posts its awake nodes for the next round:
+    an awake node stays awake until it terminates.  Only awake nodes send
+    or hear.  Each round checks its widest message
     against the CONGEST bound once.  A message is a ``(tag, field)`` pair
     with a three-letter tag, measured as the engine measures envelopes: a
     report of rounds ``hs`` is 26 + len(hs) + sum(max(1, h.bit_length()))
@@ -390,8 +393,8 @@ class SampledMatchingProtocol(Protocol):
         self.sched = schedule
         self.round_cap = schedule.stop_round + schedule.growth_rounds() + 4
 
-    def bind(self, graph, seed):
-        super().bind(graph, seed)
+    def bind(self, graph, seed, plan):
+        super().bind(graph, seed, plan)
         s = self.sched
         stop = self._stop = s.stop_round
         self._one, self._tight, rungs = s.ladder(self.round_cap)
@@ -400,11 +403,11 @@ class SampledMatchingProtocol(Protocol):
         # rebuilt by _reconcile at the stop round
         self._unfrozen: List[int] = []
         self._mass: List[int] = []
-        self._wake = np.full(self.n, stop, dtype=np.int64)
         # _memb[j] = (v, h): the members v of each S_h^j, as two arrays
         self._memb: List[Tuple[np.ndarray, np.ndarray]] = []
         if stop > 0 and self.n > 0:
             self._sample(seed, stop)
+        plan.post(stop, np.arange(self.n))
 
     def _sample(self, seed, stop):
         """Draw the sample sets S_h^j (h <= j < stop) and scale the estimator.
@@ -432,16 +435,14 @@ class SampledMatchingProtocol(Protocol):
         vs, ts = np.nonzero(hit)
         # a member of S_h^j first wakes at round h-1
         first = np.where(hit, hh, stop).min(axis=1)
-        self._wake = np.where(first < stop, np.maximum(first - 1, 0), stop)
+        members = np.flatnonzero(first < stop)
+        self.plan.post_each(np.maximum(first[members] - 1, 0), members)
         jt = jj[ts]
         self._memb = [(vs[jt == j], hh[ts[jt == j]]) for j in range(stop)]
 
-    def wake_set(self, rnd, alive):
-        if rnd >= self._stop:
-            return np.nonzero(alive)[0]
-        return np.nonzero(alive & (self._wake <= rnd))[0]
-
-    def round(self, rnd, awake, awake_mask, congest_bound):
+    def round(self, rnd, awake, hood, congest_bound):
+        # every awake node stays awake; those that terminate are dropped
+        self.plan.post(rnd + 1, awake)
         if rnd < self._stop:
             self._sampled_round(rnd, awake, congest_bound)
             return ()
@@ -488,17 +489,17 @@ class SampledMatchingProtocol(Protocol):
         check_width(26 + int(widest), congest_bound, "a report")
         sent = np.zeros((self.n, rnd + 1), dtype=np.int64)
         sent[vs, hs] = 1
-        owners, starts, nbrs = gather_neighbours(self.graph.csr(),
-                                                 awake[f[awake] < 0])
-        if owners.size == 0:
+        listeners = awake[f[awake] < 0]
+        own, starts, nbrs = gather_neighbours(self.graph.csr(), listeners)
+        if own.size == 0:
             return
-        # k[i, h]: reports of round h that owners[i] heard
+        # k[i, h]: reports of round h that listeners[own[i]] heard
         k = np.add.reduceat(sent[nbrs], starts, axis=0)
         some = k.any(axis=1)
         # every reported h has E_h > 0, so a node that heard a report has a
         # positive estimate, and one that heard none has no estimate at all
         est = k[some].astype(object) @ self._coef[:rnd + 1]
-        for v in owners[some][self.sched.b * est > self._est_cut].tolist():
+        for v in listeners[own[some]][self.sched.b * est > self._est_cut].tolist():
             self._f[v] = rnd
 
     def _reconcile(self, congest_bound):

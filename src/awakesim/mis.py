@@ -15,10 +15,12 @@ Three composable stages:
 3. ``luby_mis``, the classic one-fresh-key-per-round protocol, used both as
    a standalone baseline and as the cleanup stage.
 
-Each round of the three protocols is a few mask operations over the CSR
-adjacency (``engine.heard`` for announcements, ``engine.least_heard`` for
-key and id competitions).  Each protocol's ``outputs`` is its own state
-array, and the stage functions read each result set with one mask.
+Each protocol posts its nodes' wakes into the engine's wake plan, and each
+round is a few array operations over that round's awake nodes and one
+gather of their neighbourhoods (``engine.heard`` for announcements,
+``engine.least_heard`` for key and id competitions).  Each protocol's
+``outputs`` is its own state array, and the stage functions read each
+result set with one mask.
 
 Stages 1 and 2 return their residual graph together with ``residual_ids``,
 the residual's node ids in their input graph.  ``awake_mis`` is the
@@ -41,7 +43,7 @@ from .engine import (AwakeLedger, Protocol, RunMetrics, gather_neighbours, heard
                      least_heard, run)
 from .graphs import Graph
 from .oracles import verify_mis
-from .rng import below, coins, node_rng_array
+from .rng import COIN_BLOCK, below, coins, node_rng_array
 
 log = logging.getLogger(__name__)
 
@@ -126,19 +128,22 @@ def part2_round_count(d: int, K: int, C: int = 4) -> int:
 _TOKEN_BITS = 8
 
 
-def _assert_independent(csr, in_s: np.ndarray, join: np.ndarray) -> None:
-    """No joiner may neighbour the set or another joiner of the same round."""
-    joiners = np.flatnonzero(join)
+def _assert_independent(csr, member: np.ndarray, code, joiners: np.ndarray) -> np.ndarray:
+    """No joiner may neighbour the set, the other joiners of its round
+    included: after the joins, no neighbour of a joiner has ``member == code``.
+    Returns the joiners' neighbour lists, laid end to end."""
     if not joiners.size:
-        return
+        return joiners
     _, _, nbrs = gather_neighbours(csr, joiners)
-    assert not (in_s | join)[nbrs].any(), "independence violated"
+    assert not (member[nbrs] == code).any(), "independence violated"
+    return nbrs
 
 
 class LubyProtocol(Protocol):
     """Fresh random key each round; strictly-smallest key in the closed
     undecided neighborhood joins, neighbors of joiners leave.  Every undecided
-    node is awake every round until it decides.
+    node is awake every round until it decides: each survivor posts itself
+    for the next round.
 
     Subround 1: every node broadcasts its key.  Subround 2: the strict
     ``(key, id)`` minima join and announce "I"; hearers terminate.
@@ -146,22 +151,23 @@ class LubyProtocol(Protocol):
 
     state_fields = ("_in_s",)
 
-    def bind(self, graph, seed):
-        super().bind(graph, seed)
+    def bind(self, graph, seed, plan):
+        super().bind(graph, seed, plan)
         self._csr = graph.csr()
-        self._keys = np.zeros(self.n, dtype=np.uint64)
         self.outputs = self._in_s = np.zeros(self.n, dtype=bool)
+        plan.post(0, np.arange(self.n))
 
-    def round(self, rnd, awake, awake_mask, congest_bound):
-        csr = self._csr
-        self._keys[awake] = node_rng_array(self.seed, awake, "luby", rnd)
-        rank, best = least_heard(csr, awake_mask, awake_mask, self._keys,
+    def round(self, rnd, awake, hood, congest_bound):
+        keys = node_rng_array(self.seed, awake, "luby", rnd)
+        rank, best = least_heard(hood, np.ones(awake.size, dtype=bool), keys,
                                  congest_bound)
         join = rank < best
-        _assert_independent(csr, self._in_s, join)
-        self._in_s |= join
-        out = heard(csr, awake_mask, join, _TOKEN_BITS, congest_bound) & ~join
-        return np.flatnonzero(join | out)
+        joiners = awake[join]
+        self._in_s[joiners] = True
+        _assert_independent(self._csr, self._in_s, True, joiners)
+        done = join | heard(hood, join, _TOKEN_BITS, congest_bound)
+        self.plan.post(rnd + 1, awake[~done])
+        return awake[done]
 
 
 def luby_mis(g: Graph, seed: int, round_cap: Optional[int] = None,
@@ -183,11 +189,13 @@ class Part1Protocol(Protocol):
     """Partial randomized greedy.
 
     Each node draws one 64-bit key; holders of the lowest p-fraction
-    participate.  Participants rebroadcast their key while undecided; the
-    strict (key, id) minimum of a neighborhood joins and announces, which
-    puts its competing neighbors to sleep as dominated.  At the fixed window
-    end every node wakes for one announcement round and terminates; nodes
-    that hear "I" there become dominated too.  ``outputs`` is the status
+    participate.  Participants rebroadcast their key while undecided, and
+    post themselves for the next round until the window ends; the strict
+    (key, id) minimum of a neighborhood joins and announces, which puts its
+    competing neighbors to sleep as dominated.  At the fixed window end,
+    which ``bind`` posts for every node, every node wakes for one
+    announcement round and terminates; nodes that hear "I" there become
+    dominated too.  ``outputs`` is the status
     array: joined nodes are "in", dominated ones "out", and the rest (never
     participated, or still competing) are the residual.
     """
@@ -198,37 +206,39 @@ class Part1Protocol(Protocol):
         self.p = p
         self.window = window
 
-    def bind(self, graph, seed):
-        super().bind(graph, seed)
+    def bind(self, graph, seed, plan):
+        super().bind(graph, seed, plan)
         n = self.n
         ids = np.arange(n, dtype=np.int64)
         self._keys = node_rng_array(seed, ids, "p1key", 0) if n else np.zeros(0, np.uint64)
         # the key is the participation coin
+        competing = below(self._keys, self.p)
         self.outputs = self._status = np.where(
-            below(self._keys, self.p), _P1_COMPETING, _P1_NONPART).astype(np.int8)
+            competing, _P1_COMPETING, _P1_NONPART).astype(np.int8)
         self._csr = graph.csr()
+        if self.window > 0:
+            plan.post(0, ids[competing])
+        plan.post(self.window, ids)
 
-    def wake_set(self, rnd, alive):
-        if rnd >= self.window:
-            return np.nonzero(alive)[0]
-        return np.nonzero(self._status == _P1_COMPETING)[0]
-
-    def round(self, rnd, awake, awake_mask, congest_bound):
-        csr, status = self._csr, self._status
-        joined = status == _P1_JOINED
+    def round(self, rnd, awake, hood, congest_bound):
+        status = self._status
         if rnd >= self.window:
             # announcement: joined nodes say "I", every node decides
-            told = heard(csr, awake_mask, joined, _TOKEN_BITS, congest_bound)
-            status[told & ~joined] = _P1_DOMINATED
+            joined = status[awake] == _P1_JOINED
+            told = heard(hood, joined, _TOKEN_BITS, congest_bound) & ~joined
+            status[awake[told]] = _P1_DOMINATED
             return awake
         # the awake nodes are the competitors: keys, then the minima say "I"
-        rank, best = least_heard(csr, awake_mask, awake_mask, self._keys,
-                                 congest_bound)
+        rank, best = least_heard(hood, np.ones(awake.size, dtype=bool),
+                                 self._keys[awake], congest_bound)
         join = rank < best
-        _assert_independent(csr, joined, join)
-        dominated = heard(csr, awake_mask, join, _TOKEN_BITS, congest_bound) & ~join
-        status[join] = _P1_JOINED
-        status[dominated] = _P1_DOMINATED
+        joiners = awake[join]
+        status[joiners] = _P1_JOINED
+        _assert_independent(self._csr, status, _P1_JOINED, joiners)
+        decided = join | heard(hood, join, _TOKEN_BITS, congest_bound)
+        status[awake[decided & ~join]] = _P1_DOMINATED
+        if rnd + 1 < self.window:
+            self.plan.post(rnd + 1, awake[~decided])
         return ()
 
 
@@ -265,12 +275,17 @@ class Part2Protocol(Protocol):
     """K iterations of phased marking under degree bound d.
 
     Phase i of an iteration marks each undecided node per round with
-    probability min(1, 2^i/d), and one ``rng.coins`` call draws all of an
-    iteration's marks when it begins, for every node with a neighbour.  A
-    node is awake only when it has something to do:
+    probability min(1, 2^i/d).  When an iteration begins (at ``bind``, and
+    in each cleanup round for the next one), one pass of ``rng.coins`` draws
+    all of the iteration's marks for the undecided nodes with a neighbour
+    and for their neighbours, and every alive node is posted at the
+    iteration's cleanup.  A node is awake only when it has something to do:
 
     * an undecided node wakes in the rounds where it marks, plus the
-      cleanup round;
+      cleanup round.  These are posted one marking round ahead: after each
+      round in which undecided nodes marked, the next round in which a
+      still-undecided node marks.  No node joins or leaves in between, as
+      only marking nodes compete or hear "S".
     * a node that joins the set at offset r wakes at each neighbour's first
       mark after r, plus the cleanup round.  It posts these rounds once, at
       its join.  A neighbour that was awake there heard its "S" and left,
@@ -301,77 +316,123 @@ class Part2Protocol(Protocol):
         phase_rounds, probabilities = part2_schedule(self.d, self.C)
         self._marking = sum(phase_rounds)
         self.t_iter = self._marking + 1
-        self._ps = np.array(probabilities, dtype=object)[:, None]
+        self._ps = np.array(probabilities, dtype=object)
 
-    def bind(self, graph, seed):
-        super().bind(graph, seed)
-        n = self.n
+    def bind(self, graph, seed, plan):
+        super().bind(graph, seed, plan)
         self._csr = graph.csr()
-        self._ids = np.arange(n, dtype=np.int64)
-        self._markers = np.flatnonzero(np.diff(self._csr[0]))  # nodes with a neighbour
-        self.outputs = self._status = np.full(n, _P2_UNDECIDED, dtype=np.int8)
-        # _wake[o, v]: node v wakes at offset o of the current iteration.  It
-        # starts as v's marks; when v joins, its later rows become its plan.
-        self._wake = np.zeros((self._marking, n), dtype=bool)
+        self._deg = np.diff(self._csr[0])
+        self.outputs = self._status = np.full(self.n, _P2_UNDECIDED, dtype=np.int8)
+        self._begin_iteration(0, np.arange(self.n))
 
-    def _begin_iteration(self, k: int):
-        # marking coins for the whole iteration, keyed by global round index
-        idx = k * self.t_iter + np.arange(self._marking, dtype=np.uint64)
-        self._wake[:, self._markers] = coins(self.seed, self._markers, "p2mark",
-                                             idx[:, None], self._ps)
+    def _begin_iteration(self, k: int, undecided: np.ndarray):
+        """Post iteration ``k``'s cleanup for the ``undecided`` ids (every
+        alive node), draw its marks and post the first marking round.
 
-    def _post_plan(self, o: int, joiners: np.ndarray):
-        """Joiners at offset ``o`` trade their later marks for a wake at each
-        neighbour's first mark after ``o``.  No neighbour of a joiner is in
-        the set, so the rows read are still marks."""
-        later = self._wake[o + 1:]
-        if not len(later):
+        ``_marks[v]`` holds node v's marks, bit o (``np.packbits`` order)
+        set when v marks at offset o.  They are drawn for the nodes a
+        joiner's plan can read: the undecided ones with a neighbour, which
+        are ``_markers``, and all their neighbours.
+        """
+        M = self._marking
+        self._k = k
+        self.plan.post(k * self.t_iter + M, undecided)
+        own, _, nbrs = gather_neighbours(self._csr, undecided)
+        self._markers = undecided[own]
+        need = np.zeros(self.n, dtype=bool)
+        need[self._markers] = True
+        need[nbrs] = True
+        drawn = np.flatnonzero(need)
+        # marking coins keyed by global round index, a block of nodes at a time
+        idx = k * self.t_iter + np.arange(M, dtype=np.uint64)
+        self._marks = np.zeros((self.n, (M + 7) // 8), dtype=np.uint8)
+        step = max(1, COIN_BLOCK // M)
+        for lo in range(0, drawn.size, step):
+            vs = drawn[lo:lo + step]
+            self._marks[vs] = np.packbits(
+                coins(self.seed, vs[:, None], "p2mark", idx, self._ps), axis=1)
+        self._lo, self._window = 0, []
+        self._posted = -1
+        self._post_marks(-1)
+
+    def _post_marks(self, o: int):
+        """Post the first offset after ``o`` at which an undecided node marks."""
+        for o in range(o + 1, self._marking):
+            if o - self._lo >= len(self._window):
+                self._decode(o)
+            vs = self._window[o - self._lo]
+            vs = vs[self._status[vs] == _P2_UNDECIDED]
+            if vs.size:
+                self.plan.post(self._k * self.t_iter + o, vs)
+                self._posted = o
+                return
+        self._posted = self._marking
+
+    def _decode(self, o: int):
+        """List the markers of each offset in a window from ``o`` on: whole
+        byte columns of ``_marks``, as many as keep the decoded bits within
+        ``COIN_BLOCK``."""
+        m = self._markers.size
+        lo = o >> 3
+        hi = min(self._marks.shape[1], lo + max(1, COIN_BLOCK // (8 * max(1, m))))
+        # row j of ``bits`` is offset 8 * lo + j, column i is marker i
+        bits = np.unpackbits(self._marks[self._markers, lo:hi].T, axis=0).view(bool)
+        at = np.flatnonzero(bits)
+        cut = np.searchsorted(at, m * np.arange(len(bits) + 1))
+        ids = self._markers[at - m * np.repeat(np.arange(len(bits)), np.diff(cut))]
+        cut = cut.tolist()
+        self._lo = 8 * lo
+        self._window = [ids[a:b] for a, b in zip(cut, cut[1:])]
+
+    def _join(self, o: int, joiners: np.ndarray):
+        """Joiners at marking offset ``o`` enter the set and post their
+        plan: a wake at each neighbour's first mark after ``o``.  No
+        neighbour of a joiner is in the set, so every neighbour's marks are
+        in ``_marks``."""
+        status = self._status
+        status[joiners] = _P2_IN
+        nbrs = _assert_independent(self._csr, status, _P2_IN, joiners)
+        if o + 1 == self._marking:
             return
-        later[:, joiners] = False
-        owners, starts, nbrs = gather_neighbours(self._csr, joiners)
-        marks = later[:, nbrs]
-        hit = marks.any(axis=0)
-        owner = np.repeat(owners, np.diff(starts, append=nbrs.size))
-        later[marks.argmax(axis=0)[hit], owner[hit]] = True
+        marks = np.unpackbits(self._marks[nbrs], axis=1, count=self._marking)
+        later = marks[:, o + 1:]
+        hit = later.any(axis=1)
+        first = o + 1 + later.argmax(axis=1)
+        owner = np.repeat(joiners, self._deg[joiners])
+        self.plan.post_each(self._k * self.t_iter + first[hit], owner[hit])
 
-    def wake_set(self, rnd, alive):
-        k, o = divmod(rnd, self.t_iter)
-        if o == self._marking:
-            return np.nonzero(alive)[0]
-        if o == 0:
-            self._begin_iteration(k)
-        return np.nonzero(alive & self._wake[o])[0]
-
-    def round(self, rnd, awake, awake_mask, congest_bound):
+    def round(self, rnd, awake, hood, congest_bound):
         k, o = divmod(rnd, self.t_iter)
         csr, status = self._csr, self._status
-        is_in = status == _P2_IN
-        live = awake_mask & ~is_in
+        is_in = status[awake] == _P2_IN
+        live = ~is_in
         out = ()
-        if (is_in & awake_mask).any():
+        if is_in.any() and live.any():
             # subround 1: in-set nodes say "S"; undecided hearers leave
-            told = heard(csr, awake_mask, is_in, _TOKEN_BITS, congest_bound) & ~is_in
-            status[told] = _P2_OUT
+            told = heard(hood, is_in, _TOKEN_BITS, congest_bound) & live
+            out = awake[told]
+            status[out] = _P2_OUT
             live &= ~told
-            out = np.flatnonzero(told)
         if o == self._marking:
             # cleanup, every alive node awake: the live ones say "A", and
             # those that hear none join
-            join = live & ~heard(csr, awake_mask, live, _TOKEN_BITS, congest_bound)
-            _assert_independent(csr, is_in, join)
-            status[join] = _P2_IN
+            joiners = awake[live & ~heard(hood, live, _TOKEN_BITS, congest_bound)]
+            status[joiners] = _P2_IN
+            _assert_independent(csr, status, _P2_IN, joiners)
             if k == self.K - 1:
                 return awake
-            return awake[status[awake] != _P2_UNDECIDED]
+            undecided = status[awake] == _P2_UNDECIDED
+            if undecided.any():
+                self._begin_iteration(k + 1, awake[undecided])
+            return awake[~undecided]
         # subround 2: the live nodes are the marked ones and send their ids;
         # the least joins
-        rank, best = least_heard(csr, awake_mask, live, self._ids, congest_bound)
-        join = rank < best
-        _assert_independent(csr, is_in, join)
-        joiners = np.flatnonzero(join)
+        rank, best = least_heard(hood, live, awake, congest_bound)
+        joiners = awake[rank < best]
         if joiners.size:
-            status[joiners] = _P2_IN
-            self._post_plan(o, joiners)
+            self._join(o, joiners)
+        if self._posted == o:
+            self._post_marks(o)
         return out
 
 

@@ -120,7 +120,12 @@ class RefPart2(Protocol):
     the set wakes when a neighbour it has not told marks.  It has told a
     neighbour once it was awake, in a round after its join round, where that
     neighbour was awake or marked.  Every alive node attends each
-    iteration's cleanup.  Status codes are those of ``Part2Protocol``.
+    iteration's cleanup.  Each node posts its own wakes, one at a time: at
+    the start of an iteration its cleanup and its first wake, and after each
+    marking round it is awake in, its next wake before the cleanup.  Its
+    state changes only while it is awake, so that wake is the one a node
+    checking every round would find.  Status codes are those of
+    ``Part2Protocol``.
     """
 
     UNDECIDED, OUT, IN = 0, 1, 2
@@ -132,39 +137,49 @@ class RefPart2(Protocol):
         self.t_iter = self._marking + 1
         self._cut = [coin_threshold(p) for p in probabilities]
 
-    def bind(self, graph, seed):
-        super().bind(graph, seed)
+    def bind(self, graph, seed, plan):
+        super().bind(graph, seed, plan)
         indptr, indices = graph.csr()
         self._nbrs = [indices[indptr[v]:indptr[v + 1]].tolist()
                       for v in range(self.n)]
         self.outputs = self._status = np.zeros(self.n, dtype=np.int8)
         self._told = {}  # in-set node -> the neighbours it has told
+        self._begin_iteration(0, range(self.n))
 
     def _marks(self, v, rnd):
         o = rnd % self.t_iter
         return (o < self._marking and bool(self._nbrs[v])
                 and node_rng(self.seed, v, "p2mark", rnd) < self._cut[o])
 
-    def wake_set(self, rnd, alive):
-        cleanup = rnd % self.t_iter == self._marking
-        wake = []
-        for v in np.flatnonzero(alive).tolist():
+    def _begin_iteration(self, k, alive):
+        start = k * self.t_iter
+        for v in alive:
+            self.plan.post(start + self._marking, [v])
+            self._post_next(v, start - 1)
+
+    def _post_next(self, v, rnd):
+        """Post ``v``'s first wake after ``rnd`` and before the cleanup of
+        the iteration that round ``rnd + 1`` belongs to."""
+        first = rnd + 1
+        cleanup = first - first % self.t_iter + self._marking
+        for r in range(first, cleanup):
             if self._status[v] == self.IN:
-                up = any(w not in self._told[v] and self._marks(w, rnd)
+                up = any(w not in self._told[v] and self._marks(w, r)
                          for w in self._nbrs[v])
             else:
-                up = self._marks(v, rnd)
-            if cleanup or up:
-                wake.append(v)
-        return wake
+                up = self._marks(v, r)
+            if up:
+                self.plan.post(r, [v])
+                return
 
-    def round(self, rnd, awake, awake_mask, congest_bound):
+    def round(self, rnd, awake, hood, congest_bound):
         k, o = divmod(rnd, self.t_iter)
         status, nbrs = self._status, self._nbrs
         awake = awake.tolist()
+        up = set(awake)
         tellers = [v for v in awake if status[v] == self.IN]
         out = [v for v in awake if status[v] == self.UNDECIDED
-               and any(awake_mask[w] and status[w] == self.IN for w in nbrs[v])]
+               and any(w in up and status[w] == self.IN for w in nbrs[v])]
         status[out] = self.OUT
         live = {v for v in awake if status[v] == self.UNDECIDED}
         if o == self._marking:
@@ -179,17 +194,23 @@ class RefPart2(Protocol):
             self._told[v] = set()
         for u in tellers:
             self._told[u].update(w for w in nbrs[u]
-                                 if awake_mask[w] or self._marks(w, rnd))
+                                 if w in up or self._marks(w, rnd))
         if o < self._marking:
+            for v in awake:
+                if status[v] != self.OUT:
+                    self._post_next(v, rnd)
             return out
         if k == self.K - 1:
             return awake
+        self._begin_iteration(k + 1, [v for v in awake
+                                      if status[v] == self.UNDECIDED])
         return [v for v in awake if status[v] != self.UNDECIDED]
 
 
 def sleep_checked(proto: Protocol) -> Protocol:
     """Wrap ``proto.round`` with the sleeping model's conformance check:
-    between the round's start and its end, only awake nodes' entries of
+    every call gets a non-empty, sorted array of distinct awake ids; between
+    the round's start and its end, only awake nodes' entries of
     ``proto.state_fields`` change, and only awake nodes terminate.  An entry
     a round adds to a field counts as changed."""
     inner = proto.round
@@ -197,9 +218,15 @@ def sleep_checked(proto: Protocol) -> Protocol:
     def snapshot():
         return [list(getattr(proto, f)) for f in proto.state_fields]
 
-    def round(rnd, awake, awake_mask, congest_bound):
+    def round(rnd, awake, hood, congest_bound):
+        assert isinstance(awake, np.ndarray) and awake.size, (
+            f"round {rnd} was called with no awake node")
+        assert (np.diff(awake) > 0).all(), (
+            f"the awake ids of round {rnd} are not sorted and distinct")
+        awake_mask = np.zeros(proto.n, dtype=bool)
+        awake_mask[awake] = True
         before = snapshot()
-        done = inner(rnd, awake, awake_mask, congest_bound)
+        done = inner(rnd, awake, hood, congest_bound)
         for name, old, new in zip(proto.state_fields, before, snapshot()):
             moved = [v for v in range(len(new)) if v >= len(old) or new[v] != old[v]]
             assert len(new) >= len(old) and awake_mask[moved].all(), (

@@ -6,16 +6,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from awakesim.engine import (AwakeLedger, Protocol, heard, least_heard,
-                             payload_bits, run)
+from awakesim.engine import (AwakeLedger, Hood, Protocol, RunMetrics, WakePlan,
+                             heard, least_heard, payload_bits, run)
 from awakesim.errors import RoundCapExceeded
 from awakesim.graphs import Graph, path_graph, star_graph
 
 
-class CountDown(Protocol):
+class AllAwake(Protocol):
+    """Every node is awake from round 0 until it terminates: ``bind`` posts
+    every node at round 0, and each round posts the awake nodes that
+    ``step`` does not terminate for the next round."""
+
+    def bind(self, graph, seed, plan):
+        super().bind(graph, seed, plan)
+        plan.post(0, np.arange(self.n))
+
+    def round(self, rnd, awake, hood, congest_bound):
+        done = np.asarray(self.step(rnd, awake, hood, congest_bound), dtype=np.int64)
+        self.plan.post(rnd + 1, np.setdiff1d(awake, done))
+        return done
+
+
+class CountDown(AllAwake):
     """Node v is awake for rounds 0..v and then terminates."""
 
-    def round(self, rnd, awake, awake_mask, congest_bound):
+    def step(self, rnd, awake, hood, congest_bound):
         done = awake[awake <= rnd].tolist()
         self.outputs.update(zip(done, done))
         return done
@@ -25,35 +40,57 @@ class Beacon(Protocol):
     """Node 0 broadcasts the round number every round; node 1 sleeps until
     round 2 and terminates on the first payload it hears."""
 
-    def wake_set(self, rnd, alive):
-        return np.nonzero(alive)[0] if rnd >= 2 else [0]
+    def bind(self, graph, seed, plan):
+        super().bind(graph, seed, plan)
+        plan.post(0, [0])
+        plan.post(2, [1])
 
-    def round(self, rnd, awake, awake_mask, congest_bound):
-        sent = np.arange(self.n) == 0
-        got = heard(self.graph.csr(), awake_mask, sent, payload_bits(rnd),
-                    congest_bound)
+    def round(self, rnd, awake, hood, congest_bound):
+        got = heard(hood, awake == 0, payload_bits(rnd), congest_bound)
         done = []
-        if awake_mask[0] and rnd >= 4:
-            self.outputs[0] = "done"
-            done.append(0)
-        if got[1]:
-            self.outputs[1] = ("heard", rnd)
-            done.append(1)
+        for v, hears in zip(awake.tolist(), got.tolist()):
+            if v == 0 and rnd >= 4:
+                self.outputs[0] = "done"
+            elif v == 1 and hears:
+                self.outputs[1] = ("heard", rnd)
+            else:
+                self.plan.post(rnd + 1, [v])
+                continue
+            done.append(v)
         return done
 
 
-class Insomniac(Protocol):
-    def round(self, rnd, awake, awake_mask, congest_bound):
+class Insomniac(AllAwake):
+    def step(self, rnd, awake, hood, congest_bound):
         return ()
 
 
-class BigMouth(Protocol):
+class BigMouth(AllAwake):
     """Every node broadcasts a 4096-character string, then terminates."""
 
-    def round(self, rnd, awake, awake_mask, congest_bound):
-        heard(self.graph.csr(), awake_mask, awake_mask, payload_bits("x" * 4096),
+    def step(self, rnd, awake, hood, congest_bound):
+        heard(hood, np.ones(awake.size, dtype=bool), payload_bits("x" * 4096),
               congest_bound)
         return awake
+
+
+class Scripted(Protocol):
+    """Posts ``script[r]`` for round r at ``bind``, as given (unsorted ids and
+    repeats included), records each round's awake ids and terminates every
+    awake node in the script's last round."""
+
+    def __init__(self, script):
+        self.script = script
+        self.calls = []
+
+    def bind(self, graph, seed, plan):
+        super().bind(graph, seed, plan)
+        for rnd, ids in self.script.items():
+            plan.post(rnd, ids)
+
+    def round(self, rnd, awake, hood, congest_bound):
+        self.calls.append((rnd, awake.tolist()))
+        return awake if rnd == max(self.script) else ()
 
 
 def test_awake_accounting():
@@ -87,24 +124,104 @@ def test_round_cap_carries_partial_ledger():
     assert list(ledger.counts) == [6, 6, 6]
 
 
+def test_round_gets_sorted_unique_ids():
+    """Ids posted unsorted and repeated, within one post and across posts,
+    reach ``round`` sorted and once each, and are charged once."""
+
+    class Thrice(Scripted):
+        def bind(self, graph, seed, plan):
+            super().bind(graph, seed, plan)
+            plan.post(0, [2, 1])
+            plan.post(0, np.array([1, 1]))
+
+    proto = Thrice({0: [3, 1, 3, 0]})
+    _, ledger, _ = run(Graph(4), proto, 0, round_cap=5)
+    assert proto.calls == [(0, [0, 1, 2, 3])]
+    assert list(ledger.counts) == [1, 1, 1, 1]
+
+
+def test_rounds_with_no_awake_node_are_skipped():
+    """Wakes posted only at rounds 0 and 40: ``round`` runs twice, yet the
+    ledger counts all 41 rounds."""
+    g = Graph(2)
+    proto = Scripted({0: [0, 1], 40: [1, 0]})
+    _, ledger, _ = run(g, proto, 0, round_cap=100, record_schedule=True)
+    assert [rnd for rnd, _ in proto.calls] == [0, 40]
+    assert ledger.rounds == 41
+    assert ledger.schedule == [[0, 40], [0, 40]]
+
+
+def test_alive_node_with_no_posted_wake_hits_the_cap():
+    """Node 1 is never posted after round 0, so the run cannot end: it stops
+    at the cap with a ledger of ``round_cap`` rounds."""
+    g = Graph(2)
+
+    class Forgetful(Scripted):
+        def round(self, rnd, awake, hood, congest_bound):
+            super().round(rnd, awake, hood, congest_bound)
+            return [0]
+
+    proto = Forgetful({0: [0, 1]})
+    with pytest.raises(RoundCapExceeded) as e:
+        run(g, proto, 0, round_cap=7)
+    assert proto.calls == [(0, [0, 1])]
+    assert e.value.ledger.rounds == 7
+    assert list(e.value.ledger.counts) == [1, 1]
+
+
+def test_reposted_awake_ids_lose_the_terminated():
+    """A protocol that posts the array it was handed gets it back without
+    the nodes that terminated."""
+
+    class Repost(Scripted):
+        def round(self, rnd, awake, hood, congest_bound):
+            self.calls.append((rnd, awake.tolist()))
+            self.plan.post(rnd + 1, awake)
+            return awake[:1]
+
+    proto = Repost({0: [2, 0, 1]})
+    _, ledger, _ = run(Graph(3), proto, 0, round_cap=9)
+    assert proto.calls == [(0, [0, 1, 2]), (1, [1, 2]), (2, [2])]
+    assert ledger.rounds == 3
+
+
+def test_wake_posted_at_or_past_the_cap_is_not_run():
+    g = Graph(1)
+    proto = Scripted({0: [0], 9: [0]})
+    with pytest.raises(RoundCapExceeded) as e:
+        run(g, proto, 0, round_cap=9)
+    assert [rnd for rnd, _ in proto.calls] == [0]
+    assert e.value.ledger.rounds == 9
+
+
+def test_plan_refuses_a_round_that_is_not_later():
+    plan = WakePlan()
+    plan.post(3, [0])
+    alive = np.ones(2, dtype=bool)
+    assert plan.take(3, alive) is None
+    assert plan.take(4, alive)[0] == 3
+    with pytest.raises(AssertionError, match="posted in round 3"):
+        plan.post(3, [1])
+
+
 def test_congest_bound_enforced():
     g = path_graph(3)
     with pytest.raises(AssertionError, match="bit message bound"):
         run(g, BigMouth(), 0, round_cap=3)
 
 
-class WideKeys(Protocol):
+class WideKeys(AllAwake):
     """Every node broadcasts a 64-bit key and a token of
     ``token_bits``, then terminates."""
 
     def __init__(self, token_bits=8):
         self.token_bits = token_bits
 
-    def round(self, rnd, awake, awake_mask, congest_bound):
-        csr = self.graph.csr()
-        keys = np.full(self.n, 2 ** 64 - 1, dtype=np.uint64)
-        least_heard(csr, awake_mask, awake_mask, keys, congest_bound)
-        heard(csr, awake_mask, awake_mask, self.token_bits, congest_bound)
+    def step(self, rnd, awake, hood, congest_bound):
+        keys = np.full(awake.size, 2 ** 64 - 1, dtype=np.uint64)
+        everyone = np.ones(awake.size, dtype=bool)
+        least_heard(hood, everyone, keys, congest_bound)
+        heard(hood, everyone, self.token_bits, congest_bound)
         self.outputs.update(dict.fromkeys(awake.tolist(), rnd))
         return awake
 
@@ -139,22 +256,19 @@ def graphs_with_masks(draw):
             np.array(keys, dtype=np.uint64))
 
 
-def _recount(g, awake, sent, keys):
-    """Brute force over ``g.adj``: what each node hears, and the least
-    ``(key, id)`` it hears."""
-    n = g.n
-    senders = sorted((int(keys[w]), w) for w in range(n) if sent[w] and awake[w])
-    rank = [n] * n
-    for r, (_, w) in enumerate(senders):
-        rank[w] = r
-    hears, best = [False] * n, [n] * n
-    for v in range(n):
-        if not awake[v]:
-            continue
-        got = [(int(keys[w]), w) for w in g.adj[v] if sent[w] and awake[w]]
-        hears[v] = bool(got)
-        if got:
-            best[v] = rank[min(got)[1]]
+def _recount(g, ids, sent, keys):
+    """Brute force over ``g.adj``, for each awake node ``ids[i]``: whether it
+    hears, its rank among the awake senders in ``(key, id)`` order, and the
+    least rank it hears (``len(ids)`` for none)."""
+    m = len(ids)
+    senders = sorted((int(keys[w]), w) for w in ids.tolist() if sent[w])
+    rank_of = {w: r for r, (_, w) in enumerate(senders)}
+    hears, rank, best = [], [], []
+    for v in ids.tolist():
+        got = [rank_of[w] for w in g.adj[v] if w in rank_of]
+        hears.append(bool(got))
+        rank.append(rank_of.get(v, m))
+        best.append(min(got, default=m))
     return hears, rank, best
 
 
@@ -162,28 +276,39 @@ def _recount(g, awake, sent, keys):
 @given(case=graphs_with_masks())
 def test_primitives_match_a_recount_over_adj(case):
     g, awake, sent, keys = case
-    hears, rank, best = _recount(g, awake, sent, keys)
-    assert heard(g.csr(), awake, sent, 8, 512).tolist() == hears
-    got_rank, got_best = least_heard(g.csr(), awake, sent, keys, 512)
+    ids = np.flatnonzero(awake)
+    slot = np.full(g.n, -1, dtype=np.int64)
+    hood = Hood(g, ids, slot)
+    hears, rank, best = _recount(g, ids, sent, keys)
+    assert heard(hood, sent[ids], 8, 512).tolist() == hears
+    got_rank, got_best = least_heard(hood, sent[ids], keys[ids], 512)
     assert got_rank.tolist() == rank
     assert got_best.tolist() == best
+    # each sender's key is its id
+    _, rank, best = _recount(g, ids, sent, np.arange(g.n))
+    got_rank, got_best = least_heard(hood, sent[ids], ids, 512)
+    assert got_rank.tolist() == rank
+    assert got_best.tolist() == best
+    # the scratch slots are left as they were found
+    assert (slot == -1).all()
 
 
 def test_primitives_edge_cases():
     # edgeless: every segment is empty, nothing is heard
     g = Graph(4)
+    hood = Hood(g, np.arange(4), np.full(4, -1))
     every = np.ones(4, dtype=bool)
-    assert not heard(g.csr(), every, every, 8, None).any()
-    rank, best = least_heard(g.csr(), every, every, np.arange(4), None)
+    assert not heard(hood, every, 8, None).any()
+    rank, best = least_heard(hood, every, np.arange(4), None)
     assert rank.tolist() == [0, 1, 2, 3] and best.tolist() == [4] * 4
     # a sleeping centre hears nothing and its broadcast reaches no one;
     # degree-0 node 6 is awake and hears nothing
     g = Graph(7, star_graph(4).edges())
-    awake = np.array([False, True, True, False, True, False, True])
-    sent = np.ones(7, dtype=bool)
-    assert heard(g.csr(), awake, sent, 8, None).tolist() == [False] * 7
+    slot = np.full(7, -1)
+    hood = Hood(g, np.array([1, 2, 4, 6]), slot)
+    assert heard(hood, np.ones(4, dtype=bool), 8, None).tolist() == [False] * 4
     leaves = np.array([False, True, True, True, True, False, False])
-    rank, best = least_heard(g.csr(), np.ones(7, dtype=bool), leaves,
+    rank, best = least_heard(Hood(g, np.arange(7), slot), leaves,
                              np.zeros(7, dtype=np.uint64), None)
     assert best.tolist() == [0, 7, 7, 7, 7, 7, 7]
     assert rank.tolist() == [7, 0, 1, 2, 3, 7, 7]
@@ -228,6 +353,21 @@ def test_ledger_merge_with_id_map():
     a.merge(b, id_map=[1, 4])
     assert a.schedule == [[0], [0, 3], [], [0], [0, 3]]
     assert a.rounds == 6
+
+
+def test_run_metrics_from_ledger():
+    """Totals per part, and the largest sum of parts over the nodes."""
+    ledger = AwakeLedger(3)
+    ledger.charge("a", np.array([0, 1]), 0)
+    ledger.charge("b", np.array([1, 2]), 1)
+    m = RunMetrics.from_ledger(ledger)
+    assert (m.total_awake, m.max_awake, m.per_part) == (4, 2, {"a": 2, "b": 2})
+    ledger = AwakeLedger(3)
+    ledger.charge("a", np.array([2]), 0)
+    m = RunMetrics.from_ledger(ledger)
+    assert (m.total_awake, m.max_awake, m.avg_awake) == (1, 1, 1 / 3)
+    m = RunMetrics.from_ledger(AwakeLedger(0))
+    assert (m.total_awake, m.max_awake, m.avg_awake, m.per_part) == (0, 0, 0.0, {})
 
 
 def test_ledger_equality():

@@ -22,8 +22,7 @@ from awakesim.graphs import (Graph, Matching, complete_graph, cycle_graph,
                              gen_bipartite, gen_gnp, path_graph,
                              petersen_graph, star_graph)
 from awakesim.oracles import verify_vertex_cover
-from awakesim.rng import (COIN_BLOCK, TWO64, coin_threshold, node_rng,
-                         node_rng_array)
+from awakesim.rng import TWO64, coin_threshold, node_rng
 from conftest import ref_vanilla, ref_vanilla_assignment, sleep_checked
 from test_mis import small_graphs
 
@@ -74,7 +73,9 @@ class RefSampledProtocol(Protocol):
     estimate c~_v > 1-10eps.  From the stop round on, everyone wakes, a
     one-shot reconciliation broadcast distributes freeze rounds, and the
     vanilla tight rule c_v >= 1-eps takes over.  A node terminates once all
-    its incident edges are frozen (never before the stop round).
+    its incident edges are frozen (never before the stop round).  Each node
+    posts its own wakes: every node the stop round, each sample member its
+    first wake, and each awake node that does not terminate the next round.
 
     Masses are integers on the ladder whose top rung is ``round_cap``, the
     last round a run can reach.
@@ -86,8 +87,8 @@ class RefSampledProtocol(Protocol):
         self.sched = schedule
         self.round_cap = schedule.stop_round + schedule.growth_rounds() + 4
 
-    def bind(self, graph, seed):
-        super().bind(graph, seed)
+    def bind(self, graph, seed, plan):
+        super().bind(graph, seed, plan)
         s = self.sched
         n = self.n
         stop = self._stop = s.stop_round
@@ -96,13 +97,16 @@ class RefSampledProtocol(Protocol):
         self.outputs = self._f = [-1] * n
         self._unfrozen = [graph.degree(v) for v in range(n)]
         self._mass = [0] * n
-        self._wake = np.full(n, stop, dtype=np.int64)
         self._memb: List[Dict[int, List[int]]] = [{} for _ in range(n)]
         if stop > 0:
             self._sample(seed, stop)
+        for v in range(n):
+            plan.post(stop, [v])
 
     def _sample(self, seed, stop):
-        """Draw the sample sets S_h^j (h <= j < stop) and scale the estimator.
+        """Draw the sample sets S_h^j (h <= j < stop) node by node with the
+        scalar coins, post each member's first wake, and scale the
+        estimator.
 
         The estimate sum_h (w_h - w_{h-1}) k_h / p_h > 1 - 10 eps, where k_h
         counts reports of h, becomes b * sum_h k_h E_h > (b - 10a) * one * L,
@@ -116,39 +120,37 @@ class RefSampledProtocol(Protocol):
                       * (lcm // p.numerator) if p else 0
                       for h, p in enumerate(ps)]
         self._est_cut = (s.b - 10 * s.a) * self._one * lcm
-        # coin of (v, h, j) is node_rng(seed, v, "sample", h * stop + j);
-        # pairs (j, h) run j-major, so each member list is sorted by h
-        jj, hh = np.tril_indices(stop)
-        thr = [coin_threshold(p) for p in ps]
-        always = np.array([t >= TWO64 for t in thr])[hh]
-        cut = np.array([min(t, TWO64 - 1) for t in thr], dtype=np.uint64)[hh]
-        idx = (hh * stop + jj)[None, :]
-        memb = self._memb
-        rows = max(1, COIN_BLOCK // hh.size)  # bounds the coin matrix
-        for lo in range(0, self.n, rows):
-            ids = np.arange(lo, min(self.n, lo + rows))
-            hit = (node_rng_array(seed, ids[:, None], "sample", idx) < cut) | always
-            vs, ts = np.nonzero(hit)
-            for v, j, h in zip((vs + lo).tolist(), jj[ts].tolist(), hh[ts].tolist()):
-                memb[v].setdefault(j, []).append(h)
-            # a member of S_h^j first wakes at round h-1
-            first = np.where(hit, hh, stop).min(axis=1)
-            self._wake[ids] = np.where(first < stop, np.maximum(first - 1, 0), stop)
+        # coin of (v, h, j) is node_rng(seed, v, "sample", h * stop + j); a
+        # draw is below 2^64, so a p = 1 coin always succeeds
+        cut = [coin_threshold(p) for p in ps]
+        for v in range(self.n):
+            memb = self._memb[v]
+            for j in range(stop):
+                for h in range(j + 1):
+                    if node_rng(seed, v, "sample", h * stop + j) < cut[h]:
+                        memb.setdefault(j, []).append(h)
+            if memb:
+                # a member of S_h^j first wakes at round h-1
+                first = min(min(hs) for hs in memb.values())
+                self.plan.post(max(first - 1, 0), [v])
 
-    def wake_set(self, rnd, alive):
-        if rnd >= self._stop:
-            return np.nonzero(alive)[0]
-        return np.nonzero(alive & (self._wake <= rnd))[0]
-
-    def round(self, rnd, awake, awake_mask, congest_bound):
+    def round(self, rnd, awake, hood, congest_bound):
         adj_np, ids = self.graph.adj_arrays(), awake.tolist()
+        awake_mask = np.zeros(self.n, dtype=bool)
+        awake_mask[awake] = True
         inbox1, inbox2 = {}, {}
         engine._deliver(((v, self.send1(v, rnd)) for v in ids), adj_np, awake_mask,
                         inbox1, congest_bound, engine.payload_bits)
         engine._deliver(((v, self.send2(v, rnd, inbox1.get(v, ()))) for v in ids),
                         adj_np, awake_mask, inbox2, congest_bound, engine.payload_bits)
-        return [v for v in ids
-                if self.finish(v, rnd, inbox1.get(v, ()), inbox2.get(v, ()))]
+        done = []
+        for v in ids:
+            if self.finish(v, rnd, inbox1.get(v, ()), inbox2.get(v, ())):
+                done.append(v)
+            else:
+                # an awake node stays awake until it terminates
+                self.plan.post(rnd + 1, [v])
+        return done
 
     def send1(self, v, rnd):
         if rnd < self._stop:

@@ -39,20 +39,23 @@ def test_luby_edgeless():
 
 
 def test_independence_assertion_fires():
+    """The check reads membership after the round's joins, as a mask or as
+    a status code."""
     csr = path_graph(3).csr()
-    none = np.zeros(3, dtype=bool)
-    _assert_independent(csr, none, np.array([True, False, True]))
+    _assert_independent(csr, np.array([True, False, True]), True, np.array([0, 2]))
+    _assert_independent(csr, np.array([2, 1, 2], dtype=np.int8), 2, np.array([2]))
     # two adjacent nodes joining in the same round
     with pytest.raises(AssertionError, match="independence violated"):
-        _assert_independent(csr, none, np.array([True, True, False]))
+        _assert_independent(csr, np.array([True, True, False]), True,
+                            np.array([0, 1]))
     # a joiner next to a node already in the set
     with pytest.raises(AssertionError, match="independence violated"):
-        _assert_independent(csr, np.array([False, False, True]),
-                            np.array([False, True, False]))
+        _assert_independent(csr, np.array([0, 2, 2], dtype=np.int8), 2,
+                            np.array([1]))
 
     class Rigged(LubyProtocol):
-        def bind(self, graph, seed):
-            super().bind(graph, seed)
+        def bind(self, graph, seed, plan):
+            super().bind(graph, seed, plan)
             self._in_s[:] = True
 
     with pytest.raises(AssertionError, match="independence violated"):
