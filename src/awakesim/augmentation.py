@@ -92,7 +92,7 @@ def delta_maximal(g: Graph, box: MatchBox, delta, *,
                   orig_ids: Optional[Sequence[int]] = None) -> Matching:
     """Union of box matchings on shrinking residual graphs.
 
-    Runs ceil(3*c*ln(1/delta)) rounds (or ``iterations`` when given): apply
+    Runs ceil(3*c*ln(1/delta)) rounds (or ``iterations`` >= 1): apply
     the box to the graph induced by still-unmatched nodes and keep
     everything it returns, until the residual graph has no edge.  The
     output M is delta-maximal: the residual graph G - V(M) has maximum
@@ -108,13 +108,15 @@ def delta_maximal(g: Graph, box: MatchBox, delta, *,
         raise PreconditionViolated("delta must lie in (0, 1)")
     if iterations is None:
         iterations = math.ceil(3 * box.c * math.log(1 / float(delta)))
+    if iterations < 1:
+        raise ValueError(f"delta_maximal needs iterations >= 1, got {iterations}")
     remaining = set(range(g.n))
     out: List[Edge] = []
     # nothing is matched before the first call, so it needs no copy
     sub: Graph = g
     ids: Sequence[int] = range(g.n)
     matched = False
-    for it in range(max(1, iterations)):
+    for it in range(iterations):
         if matched:
             sub, ids = g.induced(sorted(remaining))
         if it == 0 or matched:
@@ -452,14 +454,17 @@ def general_one_plus_eps(g: Graph, box: MatchBox, eps, seed: int, *,
     matched same-side edges by deleting their endpoints, re-solves the
     bipartite instance to near-optimality, and merges.  The result is kept
     only when strictly larger, so the matching size never decreases; the
-    loop ends after ceil(2^(8/eps)) iterations (at most 10^4) or once
-    ceil(4/eps) consecutive iterations bring no improvement.
+    loop ends after ``improve_iterations`` iterations (at least 0; by
+    default ceil(2^(8/eps)), at most 10^4) or once ceil(4/eps) consecutive
+    iterations bring no improvement.
     """
     epsf = float(eps)
     if not 0 < epsf:
         raise PreconditionViolated("eps must be positive")
     if improve_iterations is None:
         improve_iterations = min(10 ** 4, math.ceil(2 ** min(64.0, 8 / epsf)))
+    if improve_iterations < 0:
+        raise ValueError(f"improve_iterations must be >= 0, got {improve_iterations}")
     ell = 8 / epsf + 1
     slack = max(epsf / 8 * 2 ** -ell, epsf / 64)
     inner_eps = slack / 7

@@ -159,17 +159,15 @@ class Protocol:
 
 
 class AwakeLedger:
-    """Per-node awake-round counts, split by part label."""
+    """Per-node awake-round counts, split by part label, and the rounds they
+    span; which rounds a node was awake in is not kept."""
 
-    __slots__ = ("n", "parts", "rounds", "schedule")
+    __slots__ = ("n", "parts", "rounds")
 
-    def __init__(self, n: int, record_schedule: bool = False):
+    def __init__(self, n: int):
         self.n = n
         self.parts: Dict[str, np.ndarray] = {}
         self.rounds = 0
-        self.schedule: Optional[List[List[int]]] = (
-            [[] for _ in range(n)] if record_schedule else None
-        )
 
     def _part(self, label: str) -> np.ndarray:
         arr = self.parts.get(label)
@@ -178,11 +176,8 @@ class AwakeLedger:
             self.parts[label] = arr
         return arr
 
-    def charge(self, label: str, awake_ids: np.ndarray, rnd: int) -> None:
+    def charge(self, label: str, awake_ids: np.ndarray) -> None:
         self._part(label)[awake_ids] += 1
-        if self.schedule is not None:
-            for v in awake_ids:
-                self.schedule[int(v)].append(rnd)
 
     @property
     def counts(self) -> np.ndarray:
@@ -205,8 +200,8 @@ class AwakeLedger:
 
     def merge(self, other: "AwakeLedger", id_map=None) -> None:
         """Fold ``other`` into this ledger, treating it as a sequential stage:
-        its rounds run after this ledger's, so its recorded schedule is
-        offset by ``self.rounds``.
+        its counts add to this ledger's, and its rounds run after this
+        ledger's.
 
         ``id_map[i]`` gives this ledger's node id for ``other``'s node ``i``;
         omit it when both ledgers index the same nodes.
@@ -217,10 +212,6 @@ class AwakeLedger:
                 mine += arr
             else:
                 np.add.at(mine, np.asarray(id_map, dtype=np.int64), arr)
-        if self.schedule is not None and other.schedule is not None:
-            for i, rl in enumerate(other.schedule):
-                tgt = i if id_map is None else id_map[i]
-                self.schedule[tgt].extend(r + self.rounds for r in rl)
         self.rounds += other.rounds
 
     def __eq__(self, other):
@@ -408,11 +399,13 @@ def run(
     master_seed: int,
     round_cap: int,
     part: str = "main",
-    record_schedule: bool = False,
 ):
     """Execute ``protocol`` on ``g`` until all nodes terminate.
 
-    Returns ``(protocol.outputs, ledger, metrics)``.  Raises
+    Returns ``(protocol.outputs, ledger, metrics)``; the ledger counts each
+    node's awake rounds under ``part``.  The ids charged in a round are
+    exactly those ``protocol.round`` receives for it, so a wrapper of
+    ``round`` sees which rounds each node is awake in.  Raises
     :class:`RoundCapExceeded` (with the partial ledger attached) if any node
     is alive when the next posted round is ``round_cap`` or later, or when
     no round is posted at all; the ledger then reads ``round_cap`` rounds.
@@ -420,7 +413,7 @@ def run(
     n = g.n
     plan = WakePlan()
     protocol.bind(g, master_seed, plan)
-    ledger = AwakeLedger(n, record_schedule=record_schedule)
+    ledger = AwakeLedger(n)
     alive = np.ones(n, dtype=bool)
     alive_count = n
     slot = np.full(n, -1, dtype=np.int64)
@@ -437,7 +430,7 @@ def run(
         rnd, awake = taken
         if not awake.size:
             continue
-        ledger.charge(part, awake, rnd)
+        ledger.charge(part, awake)
         done = protocol.round(rnd, awake, Hood(g, awake, slot), congest_bound)
         if len(done):
             done = np.asarray(done, dtype=np.int64)

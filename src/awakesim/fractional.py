@@ -432,6 +432,7 @@ class SampledMatchingProtocol(Protocol):
         jj, hh = np.tril_indices(stop)
         hit = coins(seed, np.arange(self.n)[:, None], "sample", hh * stop + jj,
                     np.array(ps, dtype=object)[hh])
+        hit = np.unpackbits(hit, axis=1, count=hh.size).view(bool)
         vs, ts = np.nonzero(hit)
         # a member of S_h^j first wakes at round h-1
         first = np.where(hit, hh, stop).min(axis=1)
@@ -526,8 +527,7 @@ class SampledMatchingProtocol(Protocol):
 
 def sampled_fractional(g: Graph, eps, seed: int, *, estimator_constant: int = 64,
                        force_stop_round: Optional[int] = None,
-                       force_phase_probabilities=None,
-                       record_schedule: bool = False):
+                       force_phase_probabilities=None):
     """Low-awake fractional matching.
 
     Returns ``(assignment, ledger, diagnostics)``.  Heavy nodes (exact
@@ -546,7 +546,7 @@ def sampled_fractional(g: Graph, eps, seed: int, *, estimator_constant: int = 64
     """
     sched = SampleSchedule(g.n, g.max_degree, eps, estimator_constant,
                            force_stop_round, force_phase_probabilities)
-    return _match(g, sched, seed, record_schedule)
+    return _match(g, sched, seed)
 
 
 def vanilla_fractional(g: Graph, eps) -> FractionalAssignment:
@@ -565,12 +565,11 @@ def vanilla_fractional(g: Graph, eps) -> FractionalAssignment:
     return asg
 
 
-def _match(g: Graph, sched: SampleSchedule, seed: int, record_schedule: bool = False):
+def _match(g: Graph, sched: SampleSchedule, seed: int):
     """Run :class:`SampledMatchingProtocol` on ``sched``; returns
     ``(assignment, ledger, diagnostics)`` as :func:`sampled_fractional`."""
     proto = SampledMatchingProtocol(sched)
-    f, ledger, _ = run(g, proto, seed, proto.round_cap, part="frac",
-                       record_schedule=record_schedule)
+    f, ledger, _ = run(g, proto, seed, proto.round_cap, part="frac")
     one = proto._one
     asg = _assignment(g, f, proto._rungs, one)
     load = asg._load

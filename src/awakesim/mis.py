@@ -43,7 +43,8 @@ from .engine import (AwakeLedger, Protocol, RunMetrics, gather_neighbours, heard
                      least_heard, run)
 from .graphs import Graph
 from .oracles import verify_mis
-from .rng import COIN_BLOCK, below, coins, node_rng_array
+from . import rng
+from .rng import below, coins, node_rng_array
 
 log = logging.getLogger(__name__)
 
@@ -74,6 +75,8 @@ class MisParams:
             raise ValueError("C must be >= 1")
         if self.K is not None and self.K < 1:
             raise ValueError("K must be >= 1")
+        if self.part1_window is not None and self.part1_window < 0:
+            raise ValueError("part1_window must be >= 0")
 
 
 def default_participation(n: int) -> Fraction:
@@ -170,12 +173,11 @@ class LubyProtocol(Protocol):
         return awake[done]
 
 
-def luby_mis(g: Graph, seed: int, round_cap: Optional[int] = None,
-             record_schedule: bool = False) -> Tuple[Set[int], AwakeLedger]:
+def luby_mis(g: Graph, seed: int,
+             round_cap: Optional[int] = None) -> Tuple[Set[int], AwakeLedger]:
     """Luby-style MIS.  Output always satisfies ``verify_mis``."""
     cap = round_cap if round_cap is not None else 64 * (_clog2(g.n) + 2)
-    outputs, ledger, _ = run(g, LubyProtocol(), seed, cap, part="luby",
-                             record_schedule=record_schedule)
+    outputs, ledger, _ = run(g, LubyProtocol(), seed, cap, part="luby")
     return set(np.flatnonzero(outputs).tolist()), ledger
 
 
@@ -242,8 +244,7 @@ class Part1Protocol(Protocol):
         return ()
 
 
-def greedy_partial_mis(g: Graph, seed: int, p, window: Optional[int] = None,
-                       record_schedule: bool = False):
+def greedy_partial_mis(g: Graph, seed: int, p, window: Optional[int] = None):
     """Partial greedy MIS at participation fraction ``p``.
 
     Returns ``(joined, removed, residual_graph, residual_ids, ledger)``.
@@ -255,8 +256,10 @@ def greedy_partial_mis(g: Graph, seed: int, p, window: Optional[int] = None,
     if not (0 < p <= 1):
         raise ValueError("p must lie in (0, 1]")
     window = window if window is not None else default_part1_window(g.n)
+    if window < 0:
+        raise ValueError("window must be >= 0")
     status, ledger, _ = run(g, Part1Protocol(p, window), seed, window + 2,
-                            part="part1", record_schedule=record_schedule)
+                            part="part1")
     joined = set(np.flatnonzero(status == _P1_JOINED).tolist())
     removed = set(np.flatnonzero(status == _P1_DOMINATED).tolist())
     residual, residual_ids = g.induced(np.flatnonzero(status < _P1_JOINED).tolist())
@@ -343,14 +346,10 @@ class Part2Protocol(Protocol):
         need[self._markers] = True
         need[nbrs] = True
         drawn = np.flatnonzero(need)
-        # marking coins keyed by global round index, a block of nodes at a time
+        # marking coins keyed by global round index
         idx = k * self.t_iter + np.arange(M, dtype=np.uint64)
         self._marks = np.zeros((self.n, (M + 7) // 8), dtype=np.uint8)
-        step = max(1, COIN_BLOCK // M)
-        for lo in range(0, drawn.size, step):
-            vs = drawn[lo:lo + step]
-            self._marks[vs] = np.packbits(
-                coins(self.seed, vs[:, None], "p2mark", idx, self._ps), axis=1)
+        self._marks[drawn] = coins(self.seed, drawn[:, None], "p2mark", idx, self._ps)
         self._lo, self._window = 0, []
         self._posted = -1
         self._post_marks(-1)
@@ -371,10 +370,10 @@ class Part2Protocol(Protocol):
     def _decode(self, o: int):
         """List the markers of each offset in a window from ``o`` on: whole
         byte columns of ``_marks``, as many as keep the decoded bits within
-        ``COIN_BLOCK``."""
+        ``rng.COIN_BLOCK``."""
         m = self._markers.size
         lo = o >> 3
-        hi = min(self._marks.shape[1], lo + max(1, COIN_BLOCK // (8 * max(1, m))))
+        hi = min(self._marks.shape[1], lo + max(1, rng.COIN_BLOCK // (8 * max(1, m))))
         # row j of ``bits`` is offset 8 * lo + j, column i is marker i
         bits = np.unpackbits(self._marks[self._markers, lo:hi].T, axis=0).view(bool)
         at = np.flatnonzero(bits)
@@ -441,8 +440,7 @@ def part2_degree(g: Graph) -> int:
     return max(2, g.max_degree)
 
 
-def part2_reduce(g: Graph, seed: int, params: Optional[MisParams] = None,
-                 record_schedule: bool = False):
+def part2_reduce(g: Graph, seed: int, params: Optional[MisParams] = None):
     """Run the marking stage on a residual graph.
 
     Returns ``(added, residual_graph, residual_ids, ledger)``, where
@@ -452,8 +450,7 @@ def part2_reduce(g: Graph, seed: int, params: Optional[MisParams] = None,
     params = params or MisParams()
     K = params.K if params.K is not None else default_iterations(g.n)
     proto = Part2Protocol(part2_degree(g), K, params.C)
-    status, ledger, _ = run(g, proto, seed, K * proto.t_iter + 2, part="part2",
-                            record_schedule=record_schedule)
+    status, ledger, _ = run(g, proto, seed, K * proto.t_iter + 2, part="part2")
     added = set(np.flatnonzero(status == _P2_IN).tolist())
     residual, residual_ids = g.induced(np.flatnonzero(status == _P2_UNDECIDED).tolist())
     return added, residual, residual_ids, ledger
@@ -463,8 +460,7 @@ def part2_reduce(g: Graph, seed: int, params: Optional[MisParams] = None,
 # Full pipeline
 
 
-def awake_mis(g: Graph, seed: int, params: Optional[MisParams] = None,
-              record_schedule: bool = False):
+def awake_mis(g: Graph, seed: int, params: Optional[MisParams] = None):
     """Three-stage MIS with O(1)-style node-averaged awake time.
 
     Runs :func:`greedy_partial_mis`, :func:`part2_reduce` on its residual and
@@ -475,10 +471,9 @@ def awake_mis(g: Graph, seed: int, params: Optional[MisParams] = None,
     """
     params = params or MisParams()
     n = g.n
-    ledger = AwakeLedger(n, record_schedule=record_schedule)
+    ledger = AwakeLedger(n)
     p = params.p if params.p is not None else default_participation(n)
-    mis, _, res1, ids1, led1 = greedy_partial_mis(g, seed, p, params.part1_window,
-                                                  record_schedule)
+    mis, _, res1, ids1, led1 = greedy_partial_mis(g, seed, p, params.part1_window)
     ledger.merge(led1)
     diags: Dict[str, object] = {"part1_in": len(mis), "residual1_n": res1.n}
     if res1.n:
@@ -491,15 +486,13 @@ def awake_mis(g: Graph, seed: int, params: Optional[MisParams] = None,
                      d_used=part2_degree(res1), d_raised=d_raised)
 
     K = params.K if params.K is not None else default_iterations(n)
-    added, res2, ids2, led2 = part2_reduce(res1, seed, replace(params, K=K),
-                                           record_schedule)
+    added, res2, ids2, led2 = part2_reduce(res1, seed, replace(params, K=K))
     ledger.merge(led2, id_map=ids1)
     mis.update(ids1[v] for v in added)
     diags["residual2_n"] = res2.n
 
     host_ids2 = [ids1[v] for v in ids2]
-    s3, led3 = luby_mis(res2, seed, round_cap=64 * (_clog2(n) + 2),
-                        record_schedule=record_schedule)
+    s3, led3 = luby_mis(res2, seed, round_cap=64 * (_clog2(n) + 2))
     ledger.merge(led3, id_map=host_ids2)
     mis.update(host_ids2[v] for v in s3)
 

@@ -113,19 +113,24 @@ def below(draws, ps):
 
 
 def coins(master_seed: int, node_ids, stream_label: str, indices, ps):
-    """:func:`below` applied to the :func:`node_rng_array` draws.
+    """:func:`below` applied to the :func:`node_rng_array` draws, bit-packed.
 
-    The three operands broadcast to one 2-D boolean result.  Its draws are
+    The three operands broadcast to one 2-D boolean matrix, which is
+    returned with its rows packed by ``np.packbits(..., axis=1)``;
+    ``np.unpackbits(out, axis=1, count=cols)`` restores it.  Its draws are
     taken a block of rows at a time, at most ``COIN_BLOCK`` of them unless
-    a single row is wider.
+    a single row is wider, and each block is packed before the next is
+    drawn.
     """
     ops = [np.atleast_2d(node_ids), np.atleast_2d(indices),
            np.atleast_2d(np.asarray(ps, dtype=object))]
-    out = np.empty(np.broadcast_shapes(*(a.shape for a in ops)), dtype=bool)
-    step = max(1, COIN_BLOCK // max(1, out.shape[1]))
-    for lo in range(0, len(out), step):
+    rows, cols = np.broadcast_shapes(*(a.shape for a in ops))
+    out = np.empty((rows, (cols + 7) // 8), dtype=np.uint8)
+    step = max(1, COIN_BLOCK // max(1, cols))
+    for lo in range(0, rows, step):
         v, i, p = (a[lo:lo + step] if len(a) > 1 else a for a in ops)
-        out[lo:lo + step] = below(node_rng_array(master_seed, v, stream_label, i), p)
+        out[lo:lo + step] = np.packbits(
+            below(node_rng_array(master_seed, v, stream_label, i), p), axis=1)
     return out
 
 

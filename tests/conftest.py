@@ -1,11 +1,13 @@
 """Shared fixtures: the MIS scaling sweep, the acceptance result table, the
 Fraction-arithmetic reference of the full-rate fractional matcher, the
 no-reuse reference of the sleeping box and its delta-maximal loop, the
-per-node reference of the MIS marking stage, and a sleeping-model check
-that wraps any protocol."""
+per-node reference of the MIS marking stage, a sleeping-model check that
+wraps any protocol, and a watcher of the rounds each node is awake in."""
 
 import math
+from contextlib import contextmanager
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -238,6 +240,41 @@ def sleep_checked(proto: Protocol) -> Protocol:
     assert proto.state_fields, "the protocol declares no state fields"
     proto.round = round
     return proto
+
+
+@contextmanager
+def watched_wakes(module):
+    """Watch every run that ``module.run`` starts inside the block.
+
+    Each run gets a list ``rounds`` with one list per node of the run's
+    graph, and the protocol's ``round`` is wrapped, as :func:`sleep_checked`
+    wraps it, to append ``rnd`` to the list of each id in ``awake``: the
+    engine calls ``round`` once per round with exactly the ids it charges.
+    The block gets a list to which each run that returns appends
+    ``(rounds, result)``, ``result`` being what the run returned.  Pass the
+    engine module itself for runs started as ``engine.run``, or a module
+    that calls ``run`` by name (``mis``, ``fractional``) for the runs of its
+    stage functions.
+    """
+    runs = []
+    inner_run = module.run
+
+    def run(g, proto, *args, **kwargs):
+        rounds = [[] for _ in range(g.n)]
+        inner_round = proto.round
+
+        def round(rnd, awake, hood, congest_bound):
+            for v in awake.tolist():
+                rounds[v].append(rnd)
+            return inner_round(rnd, awake, hood, congest_bound)
+
+        proto.round = round
+        result = inner_run(g, proto, *args, **kwargs)
+        runs.append((rounds, result))
+        return result
+
+    with mock.patch.object(module, "run", run):
+        yield runs
 
 
 def record_criterion(num: int, name: str, passed: bool, detail: str) -> None:

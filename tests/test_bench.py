@@ -276,6 +276,13 @@ def test_cli_reports_run_time_input_errors(tmp_path, capsys):
         (["amplify", "--mode", "general", "--eps", "inf"], "eps"),
         (["amplify", "--mode", "bipartite", "--graph", "bipartite", "--n", "10",
           "--eps", "5"], "eps"),
+        (["mis", "--n", "10", "--override", "window=-3"], "window"),
+        (["amplify", "--mode", "pipeline", "--n", "10",
+          "--override", "delta_iterations=-5"], "iterations"),
+        (["amplify", "--mode", "pipeline", "--n", "10",
+          "--override", "delta_iterations=0"], "iterations"),
+        (["amplify", "--n", "10", "--override", "improve_iterations=-1"],
+         "improve_iterations"),
     ]
     for argv, needle in cases:
         assert main(argv) == 2

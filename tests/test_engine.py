@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from awakesim import engine
 from awakesim.engine import (AwakeLedger, Hood, Protocol, RunMetrics, WakePlan,
                              heard, least_heard, payload_bits, run)
 from awakesim.errors import RoundCapExceeded
 from awakesim.graphs import Graph, path_graph, star_graph
+from conftest import watched_wakes
 
 
 class AllAwake(Protocol):
@@ -145,10 +147,11 @@ def test_rounds_with_no_awake_node_are_skipped():
     ledger counts all 41 rounds."""
     g = Graph(2)
     proto = Scripted({0: [0, 1], 40: [1, 0]})
-    _, ledger, _ = run(g, proto, 0, round_cap=100, record_schedule=True)
+    with watched_wakes(engine) as runs:
+        _, ledger, _ = engine.run(g, proto, 0, round_cap=100)
     assert [rnd for rnd, _ in proto.calls] == [0, 40]
     assert ledger.rounds == 41
-    assert ledger.schedule == [[0, 40], [0, 40]]
+    assert runs[0][0] == [[0, 40], [0, 40]]
 
 
 def test_alive_node_with_no_posted_wake_hits_the_cap():
@@ -334,16 +337,18 @@ def test_payload_bits():
 
 
 def test_record_schedule():
-    _, ledger, _ = run(Graph(3), CountDown(), 0, round_cap=5,
-                       record_schedule=True)
-    assert ledger.schedule == [[0], [0, 1], [0, 1, 2]]
+    """The watcher sees each node in the rounds it is awake in, and never
+    after it terminates."""
+    with watched_wakes(engine) as runs:
+        engine.run(Graph(3), CountDown(), 0, round_cap=5)
+    assert runs[0][0] == [[0], [0, 1], [0, 1, 2]]
 
 
 def test_ledger_merge_with_id_map():
-    a = AwakeLedger(5, record_schedule=True)
-    a.charge("p1", np.array([0, 1]), 0)
-    b = AwakeLedger(2, record_schedule=True)
-    b.charge("p2", np.array([0, 1]), 0)
+    a = AwakeLedger(5)
+    a.charge("p1", np.array([0, 1]))
+    b = AwakeLedger(2)
+    b.charge("p2", np.array([0, 1]))
     b.rounds = 3
     a.merge(b, id_map=[3, 4])
     assert a.part_totals() == {"p1": 2, "p2": 2}
@@ -351,19 +356,18 @@ def test_ledger_merge_with_id_map():
     assert a.rounds == 3
     # a merged stage runs after the rounds already folded in
     a.merge(b, id_map=[1, 4])
-    assert a.schedule == [[0], [0, 3], [], [0], [0, 3]]
     assert a.rounds == 6
 
 
 def test_run_metrics_from_ledger():
     """Totals per part, and the largest sum of parts over the nodes."""
     ledger = AwakeLedger(3)
-    ledger.charge("a", np.array([0, 1]), 0)
-    ledger.charge("b", np.array([1, 2]), 1)
+    ledger.charge("a", np.array([0, 1]))
+    ledger.charge("b", np.array([1, 2]))
     m = RunMetrics.from_ledger(ledger)
     assert (m.total_awake, m.max_awake, m.per_part) == (4, 2, {"a": 2, "b": 2})
     ledger = AwakeLedger(3)
-    ledger.charge("a", np.array([2]), 0)
+    ledger.charge("a", np.array([2]))
     m = RunMetrics.from_ledger(ledger)
     assert (m.total_awake, m.max_awake, m.avg_awake) == (1, 1, 1 / 3)
     m = RunMetrics.from_ledger(AwakeLedger(0))
@@ -373,7 +377,7 @@ def test_run_metrics_from_ledger():
 def test_ledger_equality():
     a = AwakeLedger(2)
     b = AwakeLedger(2)
-    a.charge("x", np.array([0]), 0)
+    a.charge("x", np.array([0]))
     assert a != b
-    b.charge("x", np.array([0]), 0)
+    b.charge("x", np.array([0]))
     assert a == b

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from awakesim import engine, rng
+from awakesim import engine, fractional, rng
 from awakesim.engine import BROADCAST, Protocol, run
 from awakesim.errors import InvalidAssignment
 from awakesim.fractional import (FractionalAssignment,
@@ -23,7 +23,8 @@ from awakesim.graphs import (Graph, Matching, complete_graph, cycle_graph,
                              petersen_graph, star_graph)
 from awakesim.oracles import verify_vertex_cover
 from awakesim.rng import TWO64, coin_threshold, node_rng
-from conftest import ref_vanilla, ref_vanilla_assignment, sleep_checked
+from conftest import (ref_vanilla, ref_vanilla_assignment, sleep_checked,
+                      watched_wakes)
 from test_mis import small_graphs
 
 
@@ -589,9 +590,11 @@ def test_schedule_rejects_bad_knobs(kwargs, knob):
 def test_sampled_ledger_matches_its_recorded_schedule(g, eps, seed, stop, p):
     kw = {} if stop is None else dict(force_stop_round=stop,
                                       force_phase_probabilities=p)
-    asg, ledger, _ = sampled_fractional(g, eps, seed, record_schedule=True, **kw)
-    assert ledger.counts.tolist() == [len(rs) for rs in ledger.schedule]
-    for rs in ledger.schedule:
+    with watched_wakes(fractional) as runs:
+        asg, ledger, _ = sampled_fractional(g, eps, seed, **kw)
+    rounds = runs[0][0]
+    assert ledger.counts.tolist() == [len(rs) for rs in rounds]
+    for rs in rounds:
         assert all(a < b for a, b in zip(rs, rs[1:]))
         assert all(0 <= r < ledger.rounds for r in rs)
     assert all(c <= 1 for c in asg.node_values().values())
@@ -612,11 +615,12 @@ def _protocol_outcome(cls, g, sched, seed, congest_factor):
     if congest_factor is not None:
         proto.congest_factor = congest_factor
     try:
-        outputs, ledger, _ = run(g, proto, seed, proto.round_cap, part="frac",
-                                 record_schedule=True)
+        with watched_wakes(engine) as runs:
+            outputs, ledger, _ = engine.run(g, proto, seed, proto.round_cap,
+                                            part="frac")
     except AssertionError:
         return AssertionError
-    return list(outputs), ledger, ledger.schedule
+    return list(outputs), ledger, runs[0][0]
 
 
 @settings(max_examples=200, deadline=None)

@@ -9,18 +9,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from awakesim import rng
+from awakesim import engine, rng
+from awakesim import mis as mis_module
 from awakesim.graphs import (Graph, complete_graph, cycle_graph, gen_bipartite,
                              gen_gnp, path_graph, petersen_graph, star_graph)
 from awakesim.engine import run
 from awakesim.mis import (LubyProtocol, MisParams, Part1Protocol,
                           Part2Protocol, _assert_independent,
-                          awake_mis, default_participation, greedy_partial_mis,
+                          awake_mis, default_iterations, default_participation,
+                          greedy_partial_mis,
                           luby_mis, part2_degree, part2_reduce,
                           part2_round_count, part2_schedule)
 from awakesim.oracles import verify_mis
 from awakesim.rng import coin_threshold, node_rng
-from conftest import RefPart2, sleep_checked
+from conftest import RefPart2, sleep_checked, watched_wakes
 
 
 def test_luby_validity_over_seeds():
@@ -160,7 +162,8 @@ def test_part2_wakes_only_to_mark_or_to_tell(g, params):
     nodes sleep between their marks, unlike a node that stays awake from
     its first mark on."""
     seed = 11
-    added, _, _, ledger = part2_reduce(g, seed, params, record_schedule=True)
+    with watched_wakes(mis_module) as runs:
+        added, _, _, _ = part2_reduce(g, seed, params)
     _, probabilities = part2_schedule(part2_degree(g), params.C)
     t_iter = len(probabilities) + 1
     indptr, indices = g.csr()
@@ -171,7 +174,7 @@ def test_part2_wakes_only_to_mark_or_to_tell(g, params):
                 and node_rng(seed, v, "p2mark", r) < coin_threshold(probabilities[o]))
 
     resleeps = 0
-    for v, rounds in enumerate(ledger.schedule):
+    for v, rounds in enumerate(runs[0][0]):
         nbrs = indices[indptr[v]:indptr[v + 1]].tolist()
         rounds = [r for r in rounds if r % t_iter != t_iter - 1]
         resleeps += any(b > a + 1 for a, b in zip(rounds, rounds[1:]))
@@ -198,8 +201,9 @@ def test_part2_sleeps_until_its_first_mark_in_every_iteration():
     t_iter = marking + 1
     later_marks = 0
     for seed in range(3):
-        _, _, _, ledger = part2_reduce(g, seed, params, record_schedule=True)
-        for v, rounds in enumerate(ledger.schedule):
+        with watched_wakes(mis_module) as runs:
+            part2_reduce(g, seed, params)
+        for v, rounds in enumerate(runs[0][0]):
             for k in sorted({r // t_iter for r in rounds}):
                 first = min(r for r in rounds if r // t_iter == k) - k * t_iter
                 want = next((o for o, p in enumerate(probabilities)
@@ -211,13 +215,28 @@ def test_part2_sleeps_until_its_first_mark_in_every_iteration():
 
 
 def test_part2_marks_drawn_in_blocks(monkeypatch):
+    """Stage 2 reads ``rng.COIN_BLOCK`` when it runs: smaller blocks cut its
+    mark draw and the windows of marks it decodes, and change nothing
+    else."""
     g = gen_gnp(400, 0.02, seed=11)
-    whole = part2_reduce(g, seed=11, record_schedule=True)
+    with watched_wakes(mis_module) as runs:
+        whole = part2_reduce(g, seed=11)
+    decoded = []
+    decode = Part2Protocol._decode
+
+    def counted(self, o):
+        decoded.append(o)
+        return decode(self, o)
+
+    monkeypatch.setattr(Part2Protocol, "_decode", counted)
     for block in (1, 1000):  # one row per draw; blocks cutting an iteration
         monkeypatch.setattr(rng, "COIN_BLOCK", block)
-        added, residual, ids, ledger = part2_reduce(g, seed=11, record_schedule=True)
-        assert (added, residual, ids) == whole[:3]
-        assert ledger.schedule == whole[3].schedule
+        decoded.clear()
+        with watched_wakes(mis_module) as cut:
+            added, residual, ids, ledger = part2_reduce(g, seed=11)
+        assert (added, residual, ids, ledger) == whole
+        assert cut[0][0] == runs[0][0]
+        assert len(decoded) > 1
 
 
 def test_mis_never_builds_the_python_views():
@@ -261,9 +280,11 @@ def test_awake_mis_small_and_degenerate():
     assert metrics.validity
     assert metrics.diagnostics == {"part1_in": 0, "residual1_n": 0,
                                    "residual2_n": 0}
-    # the empty graph runs the general path: a recorded schedule is a list
-    assert luby_mis(Graph(0), 1, record_schedule=True)[1].schedule == []
-    assert part2_reduce(Graph(0), 1, record_schedule=True)[3].schedule == []
+    # the empty graph runs the general path: one run, on no node
+    with watched_wakes(mis_module) as runs:
+        luby_mis(Graph(0), 1)
+        part2_reduce(Graph(0), 1)
+    assert [rounds for rounds, _ in runs] == [[], []]
     mis, _, metrics = awake_mis(Graph(1), seed=1)
     assert mis == {0} and metrics.validity
     mis, _, _ = awake_mis(path_graph(2), seed=3)
@@ -311,36 +332,39 @@ def test_awake_mis_golden_digest():
         "dfd63b12041bf81a2677102c111a0d7a57ed4aed3c068537dfa1669a582d89c9")
 
 
-def _hash_ledger(h, ledger):
+def _hash_ledger(h, ledger, rounds=None):
+    """Hash a ledger's rounds and parts, then ``rounds``: the wake rounds the
+    watcher saw in its run, or ``None`` for a ledger no watcher saw (a
+    merged one)."""
     h.update(repr(ledger.rounds).encode())
     for label, arr in ledger.parts.items():
         h.update(repr((label, arr.tolist())).encode())
-    h.update(repr(ledger.schedule).encode())
+    h.update(repr(rounds).encode())
 
 
 def _stage_schedule_digest():
     h = hashlib.sha256()
-    for g in _digest_corpus():
-        for seed in (1, 2):
-            s, ledger = luby_mis(g, seed, record_schedule=True)
-            h.update(repr(sorted(s)).encode())
-            _hash_ledger(h, ledger)
-            for p in (default_participation(g.n), Fraction(1, 2)):
-                joined, removed, _, ids, ledger = greedy_partial_mis(
-                    g, seed, p, record_schedule=True)
-                h.update(repr((sorted(joined), sorted(removed), ids)).encode())
-                _hash_ledger(h, ledger)
-            for prm in (None, MisParams(K=1), MisParams(C=2)):
-                added, _, ids, ledger = part2_reduce(g, seed, prm,
-                                                     record_schedule=True)
-                h.update(repr((sorted(added), tuple(ids))).encode())
-                _hash_ledger(h, ledger)
+    with watched_wakes(mis_module) as runs:
+        for g in _digest_corpus():
+            for seed in (1, 2):
+                s, ledger = luby_mis(g, seed)
+                h.update(repr(sorted(s)).encode())
+                _hash_ledger(h, ledger, runs[-1][0])
+                for p in (default_participation(g.n), Fraction(1, 2)):
+                    joined, removed, _, ids, ledger = greedy_partial_mis(g, seed, p)
+                    h.update(repr((sorted(joined), sorted(removed), ids)).encode())
+                    _hash_ledger(h, ledger, runs[-1][0])
+                for prm in (None, MisParams(K=1), MisParams(C=2)):
+                    added, _, ids, ledger = part2_reduce(g, seed, prm)
+                    h.update(repr((sorted(added), tuple(ids))).encode())
+                    _hash_ledger(h, ledger, runs[-1][0])
     return h.hexdigest()
 
 
 def test_stage_schedule_golden_digest():
     """Standalone Luby, stage 1 and stage 2 on the golden corpus: sets,
-    residual ids, ledger parts, rounds and per-node awake schedules, as
+    residual ids, ledger parts, rounds and per-node awake rounds (as the
+    watcher sees them), as
     computed by the per-node hook implementation of the three protocols,
     with the empty graph's schedules recorded as ``[]`` and stage 2 under
     the wake rule that :class:`RefPart2` restates node by node."""
@@ -407,13 +431,25 @@ def test_mis_validity_and_ledger_totals_on_arbitrary_graphs(g, seed):
 @settings(max_examples=60, deadline=None)
 @given(g=small_graphs(), seed=st.integers(0, 2 ** 32))
 def test_awake_mis_ledger_matches_its_recorded_schedule(g, seed):
-    """The stages run one after another, so the merged schedule of every node
-    is strictly increasing and ends before the pipeline's last round."""
-    _, ledger, _ = awake_mis(g, seed, record_schedule=True)
-    assert ledger.counts.tolist() == [len(rs) for rs in ledger.schedule]
-    for rs in ledger.schedule:
-        assert all(a < b for a, b in zip(rs, rs[1:]))
-        assert all(0 <= r < ledger.rounds for r in rs)
+    """Each stage's ledger counts the rounds the watcher saw each node awake
+    in, which rise strictly and end before the stage's last round, and the
+    merged ledger sums the stage counts through the residual ids."""
+    with watched_wakes(mis_module) as runs:
+        _, ledger, _ = awake_mis(g, seed)
+    # the residual ids of stages 1 and 2, as awake_mis computes them
+    _, _, res1, ids1, _ = greedy_partial_mis(g, seed, default_participation(g.n))
+    _, _, ids2, _ = part2_reduce(res1, seed, MisParams(K=default_iterations(g.n)))
+    ids1 = np.array(ids1, dtype=np.int64)
+    id_maps = (np.arange(g.n), ids1, ids1[np.array(ids2, dtype=np.int64)])
+    assert len(runs) == len(id_maps)
+    merged = np.zeros(g.n, dtype=np.int64)
+    for (rounds, (_, stage, _)), ids in zip(runs, id_maps):
+        assert stage.counts.tolist() == [len(rs) for rs in rounds]
+        for rs in rounds:
+            assert all(a < b for a, b in zip(rs, rs[1:]))
+            assert all(0 <= r < stage.rounds for r in rs)
+        np.add.at(merged, ids, stage.counts)
+    assert ledger.counts.tolist() == merged.tolist()
 
 
 @st.composite
@@ -428,13 +464,14 @@ def part2_cases(draw):
 
 
 def _run_both(g, d, K, C, seed):
-    """Status lists and ledgers, with recorded schedules, of the array stage
-    2 and of its reference."""
+    """Status lists, ledgers and watched wake rounds of the array stage 2
+    and of its reference."""
     runs = []
     for proto in (Part2Protocol(d, K, C), RefPart2(d, K, C)):
-        status, ledger, _ = run(g, proto, seed, K * proto.t_iter + 2,
-                                part="part2", record_schedule=True)
-        runs.append((status.tolist(), ledger))
+        with watched_wakes(engine) as watched:
+            status, ledger, _ = engine.run(g, proto, seed, K * proto.t_iter + 2,
+                                           part="part2")
+        runs.append((status.tolist(), ledger, watched[0][0]))
     return runs
 
 
@@ -444,12 +481,13 @@ def _run_both(g, d, K, C, seed):
 def test_part2_matches_its_per_node_reference(case, seed):
     """The array stage 2 and :class:`RefPart2`, where each node computes its
     neighbours' marks with the scalar coins and keeps its own told flags,
-    agree on status, ledger parts, rounds and recorded schedules."""
+    agree on status, ledger parts, rounds and watched wake rounds."""
     g, d, K, C = case
-    (status, ledger), (ref_status, ref_ledger) = _run_both(g, d, K, C, seed)
+    (status, ledger, rounds), (ref_status, ref_ledger, ref_rounds) = _run_both(
+        g, d, K, C, seed)
     assert status == ref_status
     assert ledger == ref_ledger  # parts node by node, and rounds
-    assert ledger.schedule == ref_ledger.schedule
+    assert rounds == ref_rounds
 
 
 def test_part2_reference_covers_later_iterations():
@@ -461,10 +499,11 @@ def test_part2_reference_covers_later_iterations():
     t_iter = RefPart2(3, 3, 2).t_iter
     later = 0
     for seed in range(4):
-        (status, ledger), (ref_status, ref_ledger) = _run_both(g, 3, 3, 2, seed)
+        (status, ledger, rounds), (ref_status, ref_ledger, ref_rounds) = _run_both(
+            g, 3, 3, 2, seed)
         assert status == ref_status and ledger == ref_ledger
-        assert ledger.schedule == ref_ledger.schedule
-        later += sum(1 for rs in ledger.schedule for r in rs
+        assert rounds == ref_rounds
+        later += sum(1 for rs in rounds for r in rs
                      if r >= t_iter and r % t_iter != t_iter - 1)
     assert later > 0
 

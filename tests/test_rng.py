@@ -110,8 +110,9 @@ def coin_cases(draw):
 def test_coins_match_the_scalar_rule(case, block):
     seed, nodes, indices, ps, shape = case
     with mock.patch.object(rng, "COIN_BLOCK", block):
-        got = coins(seed, nodes, "trial", indices, ps)
-    assert got.shape == shape and got.dtype == bool
+        packed = coins(seed, nodes, "trial", indices, ps)
+    assert packed.shape == (shape[0], (shape[1] + 7) // 8) and packed.dtype == np.uint8
+    got = np.unpackbits(packed, axis=1, count=shape[1]).view(bool)
     v, i, p = np.broadcast_arrays(nodes, indices, ps)
     want = [[node_rng(seed, int(v[r, c]), "trial", int(i[r, c]))
              < coin_threshold(p[r, c]) for c in range(shape[1])]
@@ -132,7 +133,8 @@ def test_coins_draw_in_bounded_blocks(block, rows, cols):
     ids, idx = np.arange(rows)[:, None], np.arange(cols)
     with mock.patch.object(rng, "COIN_BLOCK", block), \
             mock.patch.object(rng, "node_rng_array", counted):
-        got = coins(5, ids, "trial", idx, Fraction(1, 3))
+        got = np.unpackbits(coins(5, ids, "trial", idx, Fraction(1, 3)),
+                            axis=1, count=cols)
     assert max(sizes) <= max(block, cols)
     assert sum(sizes) == rows * cols
     assert (got == below(node_rng_array(5, ids, "trial", idx), Fraction(1, 3))).all()
