@@ -132,8 +132,19 @@ def _ovr(overrides: Dict[str, str], key: str, cast,
     return {param or key: cast(overrides[key])} if key in overrides else {}
 
 
+def _participation(text: str) -> Fraction:
+    """The ``participation`` override as a fraction in (0, 1]."""
+    try:
+        p = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        p = None
+    if p is None or not 0 < p <= 1:
+        raise ValueError(f"participation must be a fraction in (0, 1], got {text!r}")
+    return p
+
+
 def _mis_params(overrides: Dict[str, str]) -> mis.MisParams:
-    return mis.MisParams(**_ovr(overrides, "participation", Fraction, "p"),
+    return mis.MisParams(**_ovr(overrides, "participation", _participation, "p"),
                          **_ovr(overrides, "C", int), **_ovr(overrides, "K", int),
                          **_ovr(overrides, "window", int, "part1_window"))
 

@@ -8,8 +8,9 @@ masses are sums of rungs, so every freeze, heavy, light and proposal
 decision is an exact comparison of Python integers; nothing is decided in
 floating point.  There is one matcher, :class:`SampledMatchingProtocol`;
 ``vanilla_fractional`` is its run with stop round 0.  A run reduces to its
-node freeze rounds, and its :class:`FractionalAssignment` keeps integers
-only: one rung index per adjacency slot and each node's load times ONE.
+node freeze rounds and the node loads its tight tests tracked, and its
+:class:`FractionalAssignment` keeps integers only: one rung index per
+adjacency slot and each node's load times ONE.
 The heavy clean-up, the rounding, the loads and ``dump`` read those
 integers; ``Fraction`` values are built only when a view asks for them.
 """
@@ -30,7 +31,9 @@ import numpy as np
 from .engine import Protocol, check_width, gather_neighbours, run
 from .errors import InvalidAssignment
 from .graphs import Graph, Matching
-from .rng import TWO64, coins, node_rng
+# node_rng is unused here but stays importable as fractional.node_rng,
+# which the perfbench tracer patches.
+from .rng import TWO64, coins, node_rng, node_rng_list  # noqa: F401
 
 Edge = Tuple[int, int]
 
@@ -141,6 +144,15 @@ class SampleSchedule:
     the sub-1 sampling machinery.  Every knob is checked here, and a bad one
     raises ``ValueError`` naming it.  What depends only on ``(n, Delta,
     eps)`` is computed once per key (:func:`_schedule_shape`).
+
+    A forced stop round is at most ``2 (growth_rounds() + 4)``, twice the
+    round cap of the full-rate run.  That run freezes every edge by rung
+    ``growth_rounds() + 1``, the first rung above 1, so a later stop only
+    adds sampled rounds in which every weight exceeds 1.  Twice the cap
+    still admits such runs, whose late freezes make heavy nodes: up to stop
+    8 when Delta is 1.  The bound is checked before anything is allocated:
+    a run draws n stop (stop + 1) / 2 sample coins, so a stop of 10^5 would
+    never finish on 10 nodes.
     """
 
     def __init__(self, n: int, delta: int, eps, estimator_constant: int = 64,
@@ -155,8 +167,14 @@ class SampleSchedule:
         self.C = _check_integer(estimator_constant, "estimator_constant", 1)
         self._forced_p = _forced_probabilities(force_phase_probabilities,
                                                self.i_max)
-        self.stop_round = (stop if force_stop_round is None else
-                           _check_integer(force_stop_round, "force_stop_round", 0))
+        self.stop_round = stop
+        if force_stop_round is not None:
+            self.stop_round = _check_integer(force_stop_round, "force_stop_round", 0)
+            top = 2 * (self._growth + 4)
+            if self.stop_round > top:
+                raise ValueError(f"force_stop_round must be at most {top} here, "
+                                 f"twice the full-rate run's round cap, "
+                                 f"got {force_stop_round!r}")
 
     def ladder(self, top: int) -> Tuple[int, int, Iterator[int]]:
         """The rungs as integers, exact up to rung ``top``.
@@ -323,28 +341,26 @@ class FractionalAssignment:
                 f"frozen_nodes={len(self.frozen_nodes)})")
 
 
-def _assignment(g: Graph, f: List[int], rungs: List[int], one: int
-                ) -> FractionalAssignment:
-    """The assignment of the node freeze rounds ``f`` (-1: never froze) on
-    the ladder ``rungs`` scaled by ``one``, before any clean-up.
+def _assignment(g: Graph, f: List[int], load: List[int], rungs: List[int],
+                one: int) -> FractionalAssignment:
+    """The assignment of the node freeze rounds ``f`` (-1: never froze) and
+    node loads ``load`` on the ladder ``rungs`` scaled by ``one``, before any
+    clean-up.  The loads are the matcher's own (see
+    :class:`SampledMatchingProtocol`); nothing here adds rungs.
 
-    Every edge freezes when its first endpoint does, at that rung; every
-    edge must have a frozen endpoint.  A slot's value index is its freeze
-    round, so both start as one list.
+    Every edge freezes when its first endpoint does, at that rung, so slot
+    (v, u) has rung index min(f[v], f[u]), taken over ``g.csr()`` in one
+    array step; every edge must have a frozen endpoint.  A slot's value
+    index is its freeze round, so both start as one list.
     """
-    zero = len(rungs)  # the index of the 0 entry, and "never froze" below
-    vals = rungs + [0]
-    key = [fv if fv >= 0 else zero for fv in f]
-    fr: List[int] = []
-    load = []
-    for v, nb in enumerate(g.adj):
-        kv = key[v]
-        row = [ku if ku < kv else kv for ku in map(key.__getitem__, nb)]
-        fr += row
-        load.append(sum(map(vals.__getitem__, row)))
-    assert zero not in fr, "an edge has no frozen endpoint"
+    indptr, indices = g.csr()
+    # -1 (never froze) wraps to 2^64 - 1, so a slot's min is a rung index
+    # unless neither endpoint froze
+    key = np.array(f, dtype=np.int64).view(np.uint64)
+    fr = np.minimum(key.repeat(np.diff(indptr)), key[indices]).tolist()
+    assert max(fr, default=0) < len(rungs), "an edge has no frozen endpoint"
     return FractionalAssignment.__new__(FractionalAssignment)._fill(
-        g, vals, fr, fr, f, load, one)
+        g, rungs + [0], fr, fr, f, load, one)
 
 
 # ---------------------------------------------------------------------------
@@ -382,8 +398,14 @@ class SampledMatchingProtocol(Protocol):
     for its round r.
 
     Masses are integers on the ladder whose top rung is ``round_cap``, the
-    last round a run can reach.  ``outputs`` is the list of node freeze
-    rounds (-1: never froze).
+    last round a run can reach.  An unfrozen node's ``_mass`` is the load
+    of its frozen edges; a frozen node's is its whole load, every edge at
+    the rung of its first-frozen endpoint.  A node that freezes from the
+    stop round on adds its unfrozen edges at its rung, which is the value
+    its tight test passed; one frozen earlier gets its load at the
+    reconciliation.  So when the run ends, ``_mass`` holds every node's
+    load, and the assignment takes it as it is.  ``outputs`` is the list
+    of node freeze rounds (-1: never froze).
     """
 
     congest_factor = 256  # report payloads carry one round index per phase
@@ -460,8 +482,11 @@ class SampledMatchingProtocol(Protocol):
         if froze:
             check_width(26 + max(1, rnd.bit_length()), congest_bound,
                         "a freeze message")
+            w = self._rungs[rnd]
             for v in froze:
+                # its unfrozen edges freeze now, at w: the load just tested
                 f[v] = rnd
+                mass[v] += unf[v] * w
                 unf[v] = 0
             gained: Dict[int, int] = {}
             adj = self.graph.adj
@@ -469,7 +494,6 @@ class SampledMatchingProtocol(Protocol):
                 for u in adj[v]:
                     if f[u] < 0:
                         gained[u] = gained.get(u, 0) + 1
-            w = self._rungs[rnd]
             for u, k in gained.items():
                 unf[u] -= k
                 mass[u] += k * w
@@ -505,7 +529,9 @@ class SampledMatchingProtocol(Protocol):
 
     def _reconcile(self, congest_bound):
         """Stop round: rebuild ``_unfrozen`` and ``_mass`` from the freeze
-        rounds every node broadcasts, walking the frozen nodes' edges."""
+        rounds every node broadcasts, walking the frozen nodes' edges.  A
+        node frozen before now gets its load: each of its edges at the rung
+        of the edge's first-frozen endpoint."""
         f, rungs, adj = self._f, self._rungs, self.graph.adj
         check_width(26 + max(1, max(f).bit_length()), congest_bound,
                     "a reconciliation message")
@@ -515,9 +541,11 @@ class SampledMatchingProtocol(Protocol):
             if fv >= 0:
                 unf[v] = 0
                 for u in adj[v]:
-                    if f[u] < 0:
+                    fu = f[u]
+                    if fu < 0:
                         unf[u] -= 1
                         mass[u] += rungs[fv]
+                    mass[v] += rungs[fv if fu < 0 or fv < fu else fu]
 
     def _is_tight(self, cands, rnd) -> List[int]:
         """The nodes of ``cands`` with c_v >= 1-eps at rung ``rnd``."""
@@ -571,7 +599,7 @@ def _match(g: Graph, sched: SampleSchedule, seed: int):
     proto = SampledMatchingProtocol(sched)
     f, ledger, _ = run(g, proto, seed, proto.round_cap, part="frac")
     one = proto._one
-    asg = _assignment(g, f, proto._rungs, one)
+    asg = _assignment(g, f, proto._mass, proto._rungs, one)
     load = asg._load
 
     heavy = [v for v, c in enumerate(load) if c > one]
@@ -619,7 +647,8 @@ def round_matching(assignment: FractionalAssignment, seed: int) -> Matching:
     neighbour order, with U * 10 one < 2^64 * (X_e summed so far).  Any
     common multiple of the denominators would give the same proposals.  A
     node with U * 10 one >= 2^64 * load proposes nowhere, so it skips the
-    walk.
+    walk.  The draws U = node_rng(seed, v, "propose", 0) of all nodes with
+    a positive load come from one :func:`~awakesim.rng.node_rng_list` call.
     """
     a = assignment
     one, vals, idx, load = a._one, a._vals, a._idx, a._load
@@ -628,19 +657,18 @@ def round_matching(assignment: FractionalAssignment, seed: int) -> Matching:
             raise InvalidAssignment(f"node {v} carries value > 1")
 
     marked: Set[Edge] = set()
-    s = 0
-    for v, nb in enumerate(a.g.adj):
-        c = load[v]
-        if c:
-            draw = node_rng(seed, v, "propose", 0) * 10 * one
-            if draw < TWO64 * c:
-                acc = 0
-                for i, u in enumerate(nb, s):
-                    acc += vals[idx[i]]
-                    if draw < TWO64 * acc:
-                        marked.add((v, u) if v < u else (u, v))
-                        break
-        s += len(nb)
+    adj, start = a.g.adj, a.g.csr()[0].tolist()
+    ten = 10 * one
+    live = [v for v, c in enumerate(load) if c]
+    for v, r in zip(live, node_rng_list(seed, live, "propose", 0)):
+        draw = r * ten
+        if draw < TWO64 * load[v]:
+            acc = 0
+            for i, u in enumerate(adj[v], start[v]):
+                acc += vals[idx[i]]
+                if draw < TWO64 * acc:
+                    marked.add((v, u) if v < u else (u, v))
+                    break
 
     marked_deg: Dict[int, int] = {}
     for (u, v) in marked:

@@ -8,7 +8,7 @@ shrink a graph work on induced subgraphs and map node ids back at the end.
 from __future__ import annotations
 
 import math
-from itertools import chain
+from itertools import accumulate, chain
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -37,19 +37,24 @@ class Graph:
         Edges in any orientation; canonicalized and deduplicated.  An array
         is turned into the CSR adjacency by a few numpy calls, and ``adj``
         and ``edge_set`` are built from that on first use.  Pairs take a
-        Python loop, which is the faster of the two on tiny graphs.
+        Python loop, which is the faster of the two on tiny graphs; such a
+        graph builds its CSR only when :meth:`csr` is first called.  The
+        kind of input also fixes the path :meth:`induced` takes, so a view
+        built later never moves a graph onto the other path.
     sides : optional sequence of 0/1
         Bipartition labels, populated by :func:`gen_bipartite` and by
         algorithms that build two-sided instances.
     """
 
-    __slots__ = ("n", "m", "max_degree", "sides", "_adj", "_edge_set", "_adj_np", "_csr")
+    __slots__ = ("n", "m", "max_degree", "sides", "_adj", "_edge_set", "_adj_np", "_csr",
+                 "_from_array")
 
     def __init__(self, n: int, edges: Iterable[Edge] = (), sides: Optional[Sequence[int]] = None):
         if n < 0:
             raise ValueError("n must be nonnegative")
         self.n = n
-        if isinstance(edges, np.ndarray):
+        self._from_array = isinstance(edges, np.ndarray)
+        if self._from_array:
             indptr, indices, self.max_degree = _csr_from_array(n, edges)
             self._csr = (indptr, indices)
             self.m = len(indices) // 2
@@ -141,11 +146,10 @@ class Graph:
         sorted neighbours are ``indices[indptr[v]:indptr[v + 1]]``.  A graph
         built from pairs builds it lazily from ``adj``."""
         if self._csr is None:
-            indptr = np.zeros(self.n + 1, dtype=np.int64)
-            np.cumsum([len(a) for a in self.adj], out=indptr[1:])
+            bounds = list(accumulate(map(len, self.adj), initial=0))
             indices = np.fromiter(chain.from_iterable(self.adj), dtype=np.int64,
-                                  count=int(indptr[-1]))
-            self._csr = (indptr, indices)
+                                  count=bounds[-1])
+            self._csr = (np.array(bounds, dtype=np.int64), indices)
         return self._csr
 
     # -- derived graphs ---------------------------------------------------
@@ -154,15 +158,18 @@ class Graph:
         """Induced subgraph on ``nodes``; returns (subgraph, original_ids).
 
         ``original_ids[i]`` is the id in this graph of subgraph node ``i``.
-        Side labels are carried over when present.  A graph that holds its
-        CSR relabels it with numpy; one that does not loops over ``adj``.
+        Side labels are carried over when present.  The path follows how
+        the graph was built, not which views it holds: one built from an
+        edge array relabels its CSR with numpy, and one built from pairs
+        loops over ``adj``, which is faster on tiny graphs, even after
+        :meth:`csr` has been called on it.
         """
         ids = tuple(sorted(set(nodes)))
         if ids and not (0 <= ids[0] and ids[-1] < self.n):
             bad = ids[0] if ids[0] < 0 else ids[-1]
             raise ValueError(f"node {bad} out of range for n={self.n}")
         sides = tuple(self.sides[orig] for orig in ids) if self.sides is not None else None
-        if self._csr is not None:
+        if self._from_array:
             indptr, indices = self._csr
             new = np.full(self.n, -1, dtype=np.int64)
             new[np.fromiter(ids, dtype=np.int64, count=len(ids))] = np.arange(len(ids))

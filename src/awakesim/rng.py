@@ -10,6 +10,8 @@ can be recomputed lazily or in bulk.
 :func:`node_rng_array` is the vectorized twin.  It applies the exact same
 mixing function over numpy ``uint64`` arrays and is bit-identical to the
 scalar path, so hot loops can draw whole coin matrices at once.
+:func:`node_rng_list` draws one label and index for a list of nodes,
+mixing the seed once per call.
 :func:`coins` is the one place a probability becomes a coin flip: every
 sampled protocol draws its coin matrices through it, in bounded memory.
 """
@@ -55,6 +57,21 @@ def node_rng(master_seed: int, node_id: int, stream_label: str, index: int) -> i
     h = _splitmix(h ^ _label_hash(stream_label))
     h = _splitmix(h ^ ((index * _INDEX_PRIME) & MASK64))
     return h
+
+
+def node_rng_list(master_seed: int, node_ids, stream_label: str, index: int) -> list:
+    """``[node_rng(master_seed, v, stream_label, index) for v in node_ids]``.
+
+    The seed, label and index are mixed once per call rather than once per
+    id.  A plain loop: on lists of tens to hundreds of ids it is faster
+    than :func:`node_rng_array`, whose fixed cost is tens of microseconds.
+    """
+    h0 = _splitmix((master_seed ^ _GOLDEN) & MASK64)
+    label = _label_hash(stream_label)
+    idx = (index * _INDEX_PRIME) & MASK64
+    mix = _splitmix
+    return [mix(mix(mix(h0 ^ ((v * _NODE_PRIME) & MASK64)) ^ label) ^ idx)
+            for v in node_ids]
 
 
 def _splitmix_np(z):

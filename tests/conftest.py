@@ -1,8 +1,9 @@
 """Shared fixtures: the MIS scaling sweep, the acceptance result table, the
-Fraction-arithmetic reference of the full-rate fractional matcher, the
-no-reuse reference of the sleeping box and its delta-maximal loop, the
-per-node reference of the MIS marking stage, a sleeping-model check that
-wraps any protocol, and a watcher of the rounds each node is awake in."""
+Fraction-arithmetic reference of the full-rate fractional matcher, the slot
+re-summation of the matcher's node loads, the no-reuse reference of the
+sleeping box and its delta-maximal loop, the per-node reference of the MIS
+marking stage, a sleeping-model check that wraps any protocol, and a
+watcher of the rounds each node is awake in."""
 
 import math
 from contextlib import contextmanager
@@ -66,6 +67,22 @@ def ref_vanilla_assignment(g, eps) -> FractionalAssignment:
     x, edge_frozen, node_frozen = ref_vanilla(g, eps)
     return FractionalAssignment(g.n, x, edge_frozen,
                                 {v: node_frozen.get(v) for v in range(g.n)})
+
+
+def ref_slot_loads(g, f, rungs):
+    """Each node's load re-added from its adjacency slots, every edge at the
+    rung of its first-frozen endpoint (``f``: node freeze rounds, -1 for
+    never): the summation the assignment made before the matcher handed
+    over its own loads."""
+    zero = len(rungs)
+    vals = rungs + [0]
+    key = [fv if fv >= 0 else zero for fv in f]
+    loads = []
+    for v, nb in enumerate(g.adj):
+        row = [min(key[u], key[v]) for u in nb]
+        assert zero not in row, "an edge has no frozen endpoint"
+        loads.append(sum(vals[k] for k in row))
+    return loads
 
 
 class RefSleepingBox(MatchBox):

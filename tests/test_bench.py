@@ -267,6 +267,11 @@ def test_cli_reports_run_time_input_errors(tmp_path, capsys):
          "needs a bipartite family"),
         (["match", "--n", "10", "--override", "stop_round=-1"],
          "force_stop_round"),
+        (["match", "--n", "10", "--override", "stop_round=100000"],
+         "force_stop_round"),
+        (["mis", "--n", "10", "--override", "participation=1/0"], "participation"),
+        (["mis", "--n", "10", "--override", "participation=0"], "participation"),
+        (["mis", "--n", "10", "--override", "participation=3/2"], "participation"),
         (["vc", "--n", "10", "--override", "estimator_constant=0"],
          "estimator_constant"),
         (["amplify", "--eps", "0"], "eps"),

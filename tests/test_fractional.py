@@ -23,8 +23,8 @@ from awakesim.graphs import (Graph, Matching, complete_graph, cycle_graph,
                              petersen_graph, star_graph)
 from awakesim.oracles import verify_vertex_cover
 from awakesim.rng import TWO64, coin_threshold, node_rng
-from conftest import (ref_vanilla, ref_vanilla_assignment, sleep_checked,
-                      watched_wakes)
+from conftest import (ref_slot_loads, ref_vanilla, ref_vanilla_assignment,
+                      sleep_checked, watched_wakes)
 from test_mis import small_graphs
 
 
@@ -568,6 +568,7 @@ def test_views_are_fresh_copies():
 @pytest.mark.parametrize("kwargs, knob", [
     (dict(force_stop_round=-3), "force_stop_round"),
     (dict(force_stop_round=2.7), "force_stop_round"),
+    (dict(force_stop_round=10 ** 5), "force_stop_round"),
     (dict(estimator_constant=0), "estimator_constant"),
     (dict(estimator_constant=-64), "estimator_constant"),
     (dict(force_phase_probabilities=Fraction(3, 2)), "force_phase_probabilities"),
@@ -581,6 +582,56 @@ def test_schedule_rejects_bad_knobs(kwargs, knob):
         sampled_fractional(Graph(0), Fraction(1, 10), seed=1, **kwargs)
     SampleSchedule(64, 5, Fraction(1, 10), force_stop_round=0,
                    force_phase_probabilities={1: 0, 2: 1})
+
+
+def test_forced_stop_bound_is_twice_the_full_rate_round_cap():
+    # with Delta 1, growth_rounds() is 0 and the bound is 8
+    for eps in (Fraction(1, 3), Fraction(1, 40)):
+        assert SampleSchedule(2, 1, eps, force_stop_round=8).stop_round == 8
+        with pytest.raises(ValueError, match="force_stop_round must be at most 8 "):
+            SampleSchedule(2, 1, eps, force_stop_round=9)
+    g = gen_gnp(40, 0.15, seed=0)
+    eps = Fraction(1, 10)
+    top = 2 * (SampleSchedule(g.n, g.max_degree, eps).growth_rounds() + 4)
+    assert SampleSchedule(g.n, g.max_degree, eps,
+                          force_stop_round=top).stop_round == top
+    with pytest.raises(ValueError, match="force_stop_round"):
+        SampleSchedule(g.n, g.max_degree, eps, force_stop_round=top + 1)
+
+
+def _run_protocol(g, sched, seed):
+    """``(protocol, node freeze rounds)`` of one matcher run on ``sched``."""
+    proto = SampledMatchingProtocol(sched)
+    f, _, _ = run(g, proto, seed, proto.round_cap, part="frac")
+    return proto, f
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=small_graphs(), eps=eps_fractions(), seed=st.integers(0, 2 ** 32),
+       stop=st.integers(1, 6),
+       p=st.sampled_from((Fraction(1, 7), Fraction(1, 5), Fraction(1, 2), 1)))
+def test_handed_over_loads_equal_the_slot_sums(g, eps, seed, stop, p):
+    for sched in (SampleSchedule(g.n, g.max_degree, eps),
+                  SampleSchedule(g.n, g.max_degree, eps, force_stop_round=stop,
+                                 force_phase_probabilities=p)):
+        proto, f = _run_protocol(g, sched, seed)
+        assert proto._mass == ref_slot_loads(g, f, proto._rungs)
+
+
+def test_handed_over_loads_with_early_freezes_and_heavy_nodes():
+    g, eps, seed = gen_gnp(21, 0.05, seed=152), Fraction(1, 40), 24
+    kw = dict(force_stop_round=3, force_phase_probabilities=Fraction(1, 7))
+    proto, f = _run_protocol(g, SampleSchedule(g.n, g.max_degree, eps, **kw), seed)
+    loads = ref_slot_loads(g, f, proto._rungs)
+    # nodes frozen in the sampled rounds get their loads at the reconciliation
+    assert any(0 <= fv < 3 for fv in f)
+    heavy = {v for v, c in enumerate(loads) if c > proto._one}
+    assert heavy and proto._mass == loads
+    asg, _, diag = sampled_fractional(g, eps, seed, **kw)
+    assert diag.heavy_events == len(heavy)
+    # the clean-up zeroes exactly the edges at heavy nodes
+    assert all((w == 0) == (u in heavy or v in heavy) for (u, v), w in asg.x.items())
+    _assert_agrees_with_its_rebuild(asg)
 
 
 @settings(max_examples=40, deadline=None)

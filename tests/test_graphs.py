@@ -108,6 +108,21 @@ def test_array_and_pair_backings_agree(case, data):
     _assert_same_graph(sub_a, sub_b)
 
 
+@settings(max_examples=100, deadline=None)
+@given(case=edge_lists(), data=st.data())
+def test_csr_view_keeps_a_pair_built_graph_on_the_pair_path(case, data):
+    n, pairs, sides = case
+    nodes = [] if n == 0 else data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n))
+    g = Graph(n, pairs, sides=sides)
+    sub_a, ids_a = g.induced(nodes)
+    g.csr()
+    sub_b, ids_b = g.induced(nodes)
+    # the pair path builds its subgraph from pairs, so with no CSR
+    assert sub_a._csr is None and sub_b._csr is None
+    assert ids_b == ids_a and sub_b.sides == sub_a.sides
+    _assert_same_graph(sub_a, sub_b)
+
+
 @settings(max_examples=200, deadline=None)
 @given(n=st.integers(0, 6),
        pairs=st.lists(st.tuples(st.integers(-3, 8), st.integers(-3, 8)), max_size=8))

@@ -5,13 +5,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
 from awakesim import rng
 from awakesim.rng import (MASK64, TWO64, below, coin_threshold, coins, node_rng,
-                          node_rng_array, uniform01)
+                          node_rng_array, node_rng_list, uniform01)
 
 
 def test_deterministic_and_distinct():
@@ -30,6 +30,17 @@ def test_vector_matches_scalar():
     vec = node_rng_array(7, ids, "gnp", 9)
     for v in ids:
         assert int(vec[v]) == node_rng(7, int(v), "gnp", 9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 70), ids=st.lists(st.integers(0, MASK64), max_size=40),
+       label=st.text(max_size=12), index=st.integers(0, MASK64))
+@example(seed=3, ids=[], label="propose", index=0)
+def test_list_draws_match_scalar_and_vector(seed, ids, label, index):
+    drawn = node_rng_list(seed, ids, label, index)
+    assert drawn == [node_rng(seed, v, label, index) for v in ids]
+    assert drawn == node_rng_array(seed, np.array(ids, dtype=np.uint64), label,
+                                   index).tolist()
 
 
 def test_uniformity_chi_square():
