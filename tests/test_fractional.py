@@ -568,12 +568,12 @@ def test_views_are_fresh_copies():
 @pytest.mark.parametrize("kwargs, knob", [
     (dict(force_stop_round=-3), "force_stop_round"),
     (dict(force_stop_round=2.7), "force_stop_round"),
-    (dict(force_stop_round=10 ** 5), "force_stop_round"),
     (dict(estimator_constant=0), "estimator_constant"),
     (dict(estimator_constant=-64), "estimator_constant"),
     (dict(force_phase_probabilities=Fraction(3, 2)), "force_phase_probabilities"),
     (dict(force_phase_probabilities={1: -0.5}), "force_phase_probabilities"),
     (dict(force_phase_probabilities=[None, 2]), "force_phase_probabilities"),
+    (dict(force_stop_round=10 ** 5), "force_stop_round"),
 ])
 def test_schedule_rejects_bad_knobs(kwargs, knob):
     with pytest.raises(ValueError, match=knob):
