@@ -16,7 +16,7 @@ import statistics
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Sized, Tuple
 
 from . import fractional, mis
 from .augmentation import (MatchBox, bipartite_one_plus_eps, full_matching_pipeline,
@@ -29,9 +29,6 @@ from .oracles import (exact_max_matching, exact_min_vertex_cover, verify_matchin
                       verify_mis, verify_vertex_cover)
 from .rng import node_rng
 
-ALGORITHMS = ("luby", "awake_mis", "vanilla_match", "sampled_match",
-              "vertex_cover", "bipartite_amplify", "general_amplify", "pipeline")
-
 COLUMNS = ("trial", "n", "m", "algorithm", "rounds", "total_awake", "avg_awake",
            "max_awake", "parts", "size", "validity", "optimum", "ratio",
            "heavy", "light", "spoiled", "wall_time")
@@ -42,15 +39,45 @@ SWEEP_COLUMNS = ("n", "trials", "mean_rounds", "mean_avg_awake",
 _SUMMARY_FIELDS = ("rounds", "total_awake", "avg_awake", "max_awake", "size",
                    "ratio")
 
-# every --override key some algorithm reads; anything else is a typo
-OVERRIDE_KEYS = ("participation", "C", "K", "window",            # awake_mis
-                 "estimator_constant", "stop_round",             # sampled, cover
-                 "box", "improve_iterations", "delta_iterations")  # amplify
 
-# the exact optimum a row's size is compared with: a minimum cover for
-# vertex_cover, none for the MIS rows, a maximum matching for the rest
-_ORACLES = {"luby": None, "awake_mis": None,
-            "vertex_cover": exact_min_vertex_cover}
+def _participation(text: str) -> Fraction:
+    """The ``participation`` override as a fraction in (0, 1]."""
+    try:
+        p = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        p = None
+    if p is None or not 0 < p <= 1:
+        raise ValueError(f"participation must be a fraction in (0, 1], got {text!r}")
+    return p
+
+
+class Algorithm(NamedTuple):
+    """An algorithm's oracle, the exact optimum its row's size is compared
+    with, and for each override key it reads, the keyword the key fills and its cast."""
+    oracle: Optional[Callable[[Graph], Sized]]
+    reads: Dict[str, Tuple[str, Callable[[str], Any]]]
+
+
+_SAMPLED = {"estimator_constant": ("estimator_constant", int),
+            "stop_round": ("force_stop_round", int)}
+ALGORITHM_TABLE = {
+    "luby": Algorithm(None, {}),
+    "awake_mis": Algorithm(None, {"participation": ("p", _participation),
+                                  "C": ("C", int), "K": ("K", int),
+                                  "window": ("part1_window", int)}),
+    "vanilla_match": Algorithm(exact_max_matching, {}),
+    "sampled_match": Algorithm(exact_max_matching, _SAMPLED),
+    "vertex_cover": Algorithm(exact_min_vertex_cover, _SAMPLED),
+    "bipartite_amplify": Algorithm(exact_max_matching, {"box": ("mode", str)}),
+    "general_amplify": Algorithm(exact_max_matching, {
+        "box": ("mode", str), "improve_iterations": ("improve_iterations", int)}),
+    "pipeline": Algorithm(exact_max_matching, {
+        "improve_iterations": ("improve_iterations", int),
+        "delta_iterations": ("delta_iterations", int)}),
+}
+ALGORITHMS = tuple(ALGORITHM_TABLE)
+# every override key some algorithm reads; anything else is a typo
+OVERRIDE_KEYS = tuple(dict.fromkeys(k for a in ALGORITHM_TABLE.values() for k in a.reads))
 
 
 @dataclass
@@ -81,10 +108,13 @@ class ExperimentConfig:
         negative = [k for k in [self.n, *(self.n_list or ())] if k < 0]
         if negative:
             raise ValueError(f"n must be >= 0, got {negative[0]}")
-        unknown = sorted(set(self.overrides) - set(OVERRIDE_KEYS))
-        if unknown:
-            raise ValueError(f"unknown override {unknown[0]!r}; "
-                             f"choose from {', '.join(OVERRIDE_KEYS)}")
+        reads = ALGORITHM_TABLE[self.algorithm].reads
+        for key in sorted(set(self.overrides) - set(reads)):
+            if key not in OVERRIDE_KEYS:
+                raise ValueError(f"unknown override {key!r}; "
+                                 f"choose from {', '.join(OVERRIDE_KEYS)}")
+            raise ValueError(f"{self.algorithm} does not read override {key!r}; "
+                             f"it reads {', '.join(reads) or 'none'}")
 
 
 def build_graph(family: str, n: int, p: Optional[float], seed: int) -> Graph:
@@ -124,31 +154,6 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _ovr(overrides: Dict[str, str], key: str, cast,
-         param: Optional[str] = None) -> Dict[str, Any]:
-    """``{param: cast(value)}`` when override ``key`` is set, else ``{}``, so
-    an unset override leaves the algorithm's own default in force.
-    ``param`` is the keyword it fills, ``key`` itself unless given."""
-    return {param or key: cast(overrides[key])} if key in overrides else {}
-
-
-def _participation(text: str) -> Fraction:
-    """The ``participation`` override as a fraction in (0, 1]."""
-    try:
-        p = Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        p = None
-    if p is None or not 0 < p <= 1:
-        raise ValueError(f"participation must be a fraction in (0, 1], got {text!r}")
-    return p
-
-
-def _mis_params(overrides: Dict[str, str]) -> mis.MisParams:
-    return mis.MisParams(**_ovr(overrides, "participation", _participation, "p"),
-                         **_ovr(overrides, "C", int), **_ovr(overrides, "K", int),
-                         **_ovr(overrides, "window", int, "part1_window"))
-
-
 def _ledger_columns(led: Optional[AwakeLedger]) -> Dict[str, Any]:
     """The rounds / total_awake / avg_awake / max_awake columns of a ledger;
     zeros when no stage ran."""
@@ -161,7 +166,9 @@ def run_trial(cfg: ExperimentConfig, t: int) -> Dict[str, Any]:
     """Execute trial ``t`` and return one result row (dict keyed by COLUMNS)."""
     seed = node_rng(cfg.master_seed, 0, "trial", t)
     g = build_graph(cfg.graph, cfg.n, cfg.p, seed)
-    ovr = cfg.overrides
+    algo = ALGORITHM_TABLE[cfg.algorithm]
+    kw = {param: cast(cfg.overrides[key])
+          for key, (param, cast) in algo.reads.items() if key in cfg.overrides}
     row: Dict[str, Any] = {k: "" for k in COLUMNS}
     row.update(trial=t, n=g.n, m=g.m, algorithm=cfg.algorithm)
     t0 = time.perf_counter()
@@ -170,7 +177,7 @@ def run_trial(cfg: ExperimentConfig, t: int) -> Dict[str, Any]:
         s, led = mis.luby_mis(g, seed)
         row.update(_ledger_columns(led), size=len(s), validity=verify_mis(g, s))
     elif cfg.algorithm == "awake_mis":
-        s, led, met = mis.awake_mis(g, seed, params=_mis_params(ovr))
+        s, led, met = mis.awake_mis(g, seed, params=mis.MisParams(**kw))
         parts = ";".join(f"{k}={v}" for k, v in sorted(led.part_totals().items()))
         row.update(_ledger_columns(led), parts=parts, size=len(s),
                    validity=met.validity)
@@ -181,10 +188,7 @@ def run_trial(cfg: ExperimentConfig, t: int) -> Dict[str, Any]:
         row.update(rounds=rounds, total_awake=g.n * rounds, avg_awake=float(rounds),
                    max_awake=rounds, size=asg.total_float(), validity=True)
     elif cfg.algorithm in ("sampled_match", "vertex_cover"):
-        asg, led, diag = fractional.sampled_fractional(
-            g, cfg.eps, seed,
-            **_ovr(ovr, "estimator_constant", int),
-            **_ovr(ovr, "stop_round", int, "force_stop_round"))
+        asg, led, diag = fractional.sampled_fractional(g, cfg.eps, seed, **kw)
         row.update(_ledger_columns(led), heavy=diag.heavy_events,
                    light=diag.light_events, spoiled=float(diag.spoiled_value))
         if cfg.algorithm == "sampled_match":
@@ -194,13 +198,10 @@ def run_trial(cfg: ExperimentConfig, t: int) -> Dict[str, Any]:
             row.update(size=len(cover), validity=verify_vertex_cover(g, cover))
     elif cfg.algorithm in ("bipartite_amplify", "general_amplify", "pipeline"):
         if cfg.algorithm == "pipeline":
-            m, led = full_matching_pipeline(
-                g, cfg.eps, seed,
-                **_ovr(ovr, "improve_iterations", int),
-                **_ovr(ovr, "delta_iterations", int))
+            m, led = full_matching_pipeline(g, cfg.eps, seed, **kw)
         else:
-            box = MatchBox(**_ovr(ovr, "box", str, "mode"),
-                           master_seed=seed, host_n=g.n)
+            box_kw = {"mode": kw.pop("mode")} if "mode" in kw else {}
+            box = MatchBox(**box_kw, master_seed=seed, host_n=g.n)
             if cfg.algorithm == "bipartite_amplify":
                 if g.sides is None:
                     raise ValueError("bipartite_amplify needs a bipartite family")
@@ -208,18 +209,16 @@ def run_trial(cfg: ExperimentConfig, t: int) -> Dict[str, Any]:
                     raise ValueError(f"bipartite_amplify needs eps < 2, got {cfg.eps}")
                 m = bipartite_one_plus_eps(g, box, cfg.eps)
             else:
-                m = general_one_plus_eps(g, box, cfg.eps, seed,
-                                         **_ovr(ovr, "improve_iterations", int))
+                m = general_one_plus_eps(g, box, cfg.eps, seed, **kw)
             led = box.ledger
         row.update(_ledger_columns(led), size=len(m),
                    validity=verify_matching(g, m))
     else:  # pragma: no cover - guarded by ExperimentConfig
         raise AssertionError(cfg.algorithm)
 
-    oracle = _ORACLES.get(cfg.algorithm, exact_max_matching)
-    if cfg.oracle and oracle is not None:
+    if cfg.oracle and algo.oracle is not None:
         try:
-            row["optimum"] = len(oracle(g))
+            row["optimum"] = len(algo.oracle(g))
         except OracleTooLarge:
             pass                 # too large to solve: optimum and ratio stay blank
         if row["optimum"]:

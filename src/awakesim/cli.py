@@ -13,8 +13,8 @@ import argparse
 import sys
 from typing import Dict, List, Optional, Tuple
 
-from .bench import (ALGORITHMS, COLUMNS, SWEEP_COLUMNS, ExperimentConfig,
-                    rows_to_csv, run_experiment, sweep)
+from .bench import (ALGORITHM_TABLE, COLUMNS, OVERRIDE_KEYS, SWEEP_COLUMNS,
+                    ExperimentConfig, rows_to_csv, run_experiment, sweep)
 
 # subcommand -> (help, choice flag, {choice: algorithm}, default choice);
 # ``vc`` runs one algorithm and has no choice flag
@@ -27,7 +27,7 @@ _SUBCOMMANDS = {
     "amplify": ("matching amplification", "mode",
                 {"general": "general_amplify", "bipartite": "bipartite_amplify",
                  "pipeline": "pipeline"}, "general"),
-    "sweep": ("scaling table over sizes", "algo", {a: a for a in ALGORITHMS},
+    "sweep": ("scaling table over sizes", "algo", {a: a for a in ALGORITHM_TABLE},
               "awake_mis"),
 }
 
@@ -104,27 +104,28 @@ def _load_config_file(path: str) -> Dict[str, str]:
     with open(path, "r", encoding="utf-8") as fh:
         lines = [raw.split("#", 1)[0].strip() for raw in fh]
     filed = dict(_split(line, "config line") for line in lines if line)
-    known = set(_SETTINGS) | {flag for _, flag, _, _ in _SUBCOMMANDS.values()}
+    known = (set(_SETTINGS) | {flag for _, flag, _, _ in _SUBCOMMANDS.values()}
+             | {f"override.{k}" for k in OVERRIDE_KEYS})
     for k in filed:
-        if k not in known and not k.startswith("override."):
+        if k not in known:
             raise ValueError(f"unknown config key {k!r}")
     return filed
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     """The run's config: each setting from its flag, else from the config
-    file, else ``ExperimentConfig``'s default."""
+    file, else ``ExperimentConfig``'s default.  A file's ``override.KEY`` applies
+    where KEY is read; a ``--override`` flag must be read by the chosen algorithm."""
     filed = _load_config_file(args.config) if args.config else {}
-    overrides = {k[len("override."):]: v for k, v in filed.items()
-                 if k.startswith("override.")}
-    overrides.update(_split(item, "override") for item in args.override or ())
-
     _, flag, algos, choice = _SUBCOMMANDS[args.command]
     if flag:
         choice = getattr(args, flag) or filed.get(flag, choice)
     if choice not in algos:
         raise ValueError(f"bad {flag} {choice!r} for {args.command}; "
                          f"choose from {', '.join(algos)}")
+    reads = ALGORITHM_TABLE[algos[choice]].reads
+    overrides = {k: filed[f"override.{k}"] for k in reads if f"override.{k}" in filed}
+    overrides.update(_split(item, "override") for item in args.override or ())
 
     settings = {}
     for key, (dest, name, cast) in _SETTINGS.items():

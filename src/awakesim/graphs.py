@@ -61,17 +61,22 @@ class Graph:
             self._adj = self._edge_set = None
         else:
             es = set()
-            for u, v in edges:
-                if u == v:
-                    raise ValueError(f"self-loop at node {u}")
-                if not (0 <= u < n and 0 <= v < n):
-                    raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-                es.add(canon(u, v))
-            self._edge_set = frozenset(es)
             adj: List[List[int]] = [[] for _ in range(n)]
-            for u, v in es:
-                adj[u].append(v)
-                adj[v].append(u)
+            u = v = None
+            try:    # a float or a string node id fails a comparison or an index
+                for u, v in edges:
+                    if u == v:
+                        raise ValueError(f"self-loop at node {u}")
+                    if not (0 <= u < n and 0 <= v < n):
+                        raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+                    es.add(canon(u, v))
+                for u, v in es:
+                    adj[u].append(v)
+                    adj[v].append(u)
+            except TypeError as exc:
+                raise ValueError(f"edge ({u!r}, {v!r}) is not a pair of integer "
+                                 f"node ids") from exc
+            self._edge_set = frozenset(es)
             self._adj = tuple(tuple(sorted(a)) for a in adj)
             self._csr = None
             self.m = len(es)

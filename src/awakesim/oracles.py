@@ -148,18 +148,18 @@ def _greedy_matching_size(adj_mask: List[int], avail: int) -> int:
     return size
 
 
-def exact_max_matching(g: Graph, node_cap: int = ORACLE_NODE_CAP) -> Matching:
+def exact_max_matching(g: Graph) -> Matching:
     """Maximum-cardinality matching.
 
     Bipartite graphs (detected or labeled) are solved exactly at any size.
-    General graphs use branch and bound and must have at most ``node_cap``
-    nodes; larger inputs raise :class:`OracleTooLarge`.
+    General graphs use branch and bound and must have at most
+    ``ORACLE_NODE_CAP`` nodes; larger inputs raise :class:`OracleTooLarge`.
     """
     sides = _bipartite_sides(g)
     if sides is not None:
         return max_bipartite_matching(g, sides)
-    if g.n > node_cap:
-        raise OracleTooLarge(f"general graph has {g.n} > {node_cap} nodes")
+    if g.n > ORACLE_NODE_CAP:
+        raise OracleTooLarge(f"general graph has {g.n} > {ORACLE_NODE_CAP} nodes")
 
     adj_mask = [0] * g.n
     for u, v in g.edge_set:
@@ -217,14 +217,14 @@ def exact_max_matching(g: Graph, node_cap: int = ORACLE_NODE_CAP) -> Matching:
     return Matching(best_edges)
 
 
-def exact_min_vertex_cover(g: Graph, node_cap: int = ORACLE_NODE_CAP) -> Set[int]:
+def exact_min_vertex_cover(g: Graph) -> Set[int]:
     """Minimum vertex cover; Konig construction on bipartite graphs, branch
-    and bound (cap ``node_cap``) otherwise."""
+    and bound (cap ``ORACLE_NODE_CAP``) otherwise."""
     sides = _bipartite_sides(g)
     if sides is not None:
         return _koenig_cover(g, sides)
-    if g.n > node_cap:
-        raise OracleTooLarge(f"general graph has {g.n} > {node_cap} nodes")
+    if g.n > ORACLE_NODE_CAP:
+        raise OracleTooLarge(f"general graph has {g.n} > {ORACLE_NODE_CAP} nodes")
 
     adj_mask = [0] * g.n
     for u, v in g.edge_set:

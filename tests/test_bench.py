@@ -7,9 +7,9 @@ import json
 
 import pytest
 
-from awakesim.bench import (COLUMNS, SWEEP_COLUMNS, ExperimentConfig,
-                            build_graph, fit_log_scaling, rows_to_csv,
-                            run_experiment, sweep)
+from awakesim.bench import (ALGORITHM_TABLE, COLUMNS, OVERRIDE_KEYS,
+                            SWEEP_COLUMNS, ExperimentConfig, build_graph,
+                            fit_log_scaling, rows_to_csv, run_experiment, sweep)
 from awakesim.cli import main
 
 
@@ -28,6 +28,36 @@ def test_config_validation():
         with pytest.raises(ValueError, match=f"unknown override '{key}'"):
             ExperimentConfig(algorithm="awake_mis", overrides={key: "3"})
     ExperimentConfig(algorithm="awake_mis", overrides={"K": "2", "window": "5"})
+
+
+# a valid value of every override key
+_VALID_OVERRIDES = {"participation": "1/2", "C": "2", "K": "2", "window": "5",
+                    "estimator_constant": "2", "stop_round": "1", "box": "exact",
+                    "improve_iterations": "1", "delta_iterations": "2"}
+
+
+@pytest.mark.parametrize("algorithm", list(ALGORITHM_TABLE))
+def test_each_algorithm_reads_exactly_its_table_keys(algorithm):
+    """Every key the table lists for an algorithm runs with a valid value and
+    reaches a callee that refuses a bad one; every other known key is
+    refused up front, naming the algorithm and the keys it does read."""
+    reads = ALGORITHM_TABLE[algorithm].reads
+
+    def cfg(overrides):
+        return ExperimentConfig(algorithm=algorithm, graph="bipartite", n=10,
+                                eps=0.25, overrides=overrides)
+
+    assert set(_VALID_OVERRIDES) == set(OVERRIDE_KEYS)
+    assert run_experiment(cfg({}))[1]
+    for key in reads:
+        assert run_experiment(cfg({key: _VALID_OVERRIDES[key]}))[1]
+        with pytest.raises(ValueError):
+            run_experiment(cfg({key: "-7"}))
+    for key in set(OVERRIDE_KEYS) - set(reads):
+        with pytest.raises(ValueError) as err:
+            cfg({key: _VALID_OVERRIDES[key]})
+        assert str(err.value) == (f"{algorithm} does not read override {key!r}; "
+                                  f"it reads {', '.join(reads) or 'none'}")
 
 
 def test_build_graph_families():
@@ -218,6 +248,20 @@ def test_cli_config_file_and_precedence(tmp_path, capsys):
     assert trial_rows[0]["n"] == "8"     # file fills the rest
 
 
+def test_cli_file_override_applies_where_read(tmp_path, capsys):
+    """A config file's ``override.KEY`` reaches the algorithms that read KEY
+    and is left out, also from the sidecar, for the others."""
+    cfgfile = tmp_path / "exp.cfg"
+    cfgfile.write_text("n = 12\noverride.stop_round = 2\n")
+    out = tmp_path / "x.csv"
+    for argv, applied in ((["mis", "--algo", "luby"], {}),
+                          (["match"], {"stop_round": "2"})):
+        assert main(argv + ["--config", str(cfgfile), "--out", str(out)]) == 0
+        sidecar = json.loads((tmp_path / "x.csv.json").read_text())
+        assert sidecar["overrides"] == applied
+    assert capsys.readouterr().err == ""
+
+
 def test_cli_config_file_choice_keys(tmp_path, capsys):
     """``algo``, ``variant`` and ``mode`` from a config file pick the
     algorithm; an explicit choice flag still beats the file."""
@@ -288,6 +332,13 @@ def test_cli_reports_run_time_input_errors(tmp_path, capsys):
           "--override", "delta_iterations=0"], "iterations"),
         (["amplify", "--n", "10", "--override", "improve_iterations=-1"],
          "improve_iterations"),
+        (["amplify", "--mode", "general", "--n", "12", "--eps", "0.5",
+          "--override", "delta_iterations=1", "--out", str(tmp_path / "r.csv")],
+         "delta_iterations"),
+        (["mis", "--override", "stop_round=3"], "stop_round"),
+        (["amplify", "--mode", "pipeline", "--override", "box=exact"], "box"),
+        (["vc", "--override", "delta_iterations=0"], "delta_iterations"),
+        (["sweep", "--algo", "luby", "--n-list", "16", "--override", "K=2"], "'K'"),
     ]
     for argv, needle in cases:
         assert main(argv) == 2

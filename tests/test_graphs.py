@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 import sys
 import warnings
 
@@ -40,6 +41,9 @@ def test_graph_rejects_bad_edges():
         Graph(3, [(0, 5)])
     with pytest.raises(ValueError):
         Graph(2, [(0, 1)], sides=[0, 2])
+    for edge in ((0.5, 1), (1.0, 2.0), ("a", 1)):
+        with pytest.raises(ValueError, match=re.escape(f"edge {edge!r} is not")):
+            Graph(3, [edge])
 
 
 def test_induced_keeps_sides_and_ids():
