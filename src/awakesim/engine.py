@@ -2,13 +2,16 @@
 
 A :class:`Protocol` describes node behavior; :func:`run` executes it.  Each
 protocol posts into the run's :class:`WakePlan` the future rounds each node
-wakes in.  :func:`run` jumps from one posted round to the next, keeps the
-posted ids that are still alive, charges them on an :class:`AwakeLedger`
-(sleeping is free), and calls the protocol's ``round`` once with them.
-``round`` does the whole round, posts later wakes, and returns the ids that
-terminate; a terminated node is removed and never charged again.  A round
-in which no alive node is posted costs no host time, yet it still counts in
-the ledger's rounds.  Each protocol keeps its per-node results in
+wakes in: one round at a time, or every round from one on until the node
+terminates (:meth:`WakePlan.stay`).  :func:`run` jumps from one round with
+a waking node to the next, keeps the waking ids that are still alive,
+charges them on an :class:`AwakeLedger` (sleeping is free), and calls the
+protocol's ``round`` once with them.  ``round`` does the whole round, posts
+later wakes, and returns the ids that terminate; a terminated node is
+removed and never charged again.  A round in which no alive node wakes
+costs no host time, yet it still counts in the ledger's rounds.  The
+ledger counts the charged ids in bulk, with O(n) of them waiting, so a
+short run counts once.  Each protocol keeps its per-node results in
 ``outputs``, which :func:`run` returns.
 
 Neighbourhoods come from a :class:`Hood`: one gather per round of the awake
@@ -55,23 +58,44 @@ def payload_bits(payload) -> int:
     return 64
 
 
-class WakePlan:
-    """Per-round buckets of the node ids that wake in each future round.
+def _sorted_unique(chunks: list) -> np.ndarray:
+    """The ids of ``chunks`` (lists and arrays of ints, at least one),
+    sorted and unique; one already sorted and unique chunk comes back as
+    an array without a sort."""
+    ids = np.asarray(chunks[0] if len(chunks) == 1 else np.concatenate(chunks),
+                     dtype=np.int64)
+    rising = ids[1:] > ids[:-1]
+    if np.count_nonzero(rising) < rising.size:
+        ids = np.sort(ids)
+        ids = ids[np.concatenate(([True], ids[1:] != ids[:-1]))]
+    return ids
 
-    A protocol posts with :meth:`post` or :meth:`post_each`; :func:`run`
-    takes the earliest bucket.  Posting a round that is not later than the
-    one running is an error.  Ids may come unsorted and repeated, in lists
-    or arrays; :meth:`take` hands the alive ones over sorted and unique.  A
-    bucket is one list of ints, which collects every id posted in a list,
-    followed by the posted arrays; a posted array must not change until its
-    round is taken.
+
+class WakePlan:
+    """The future rounds each node wakes in.
+
+    A protocol posts one round with :meth:`post` or :meth:`post_each`, and
+    every round from one on with :meth:`stay`; :func:`run` takes the
+    rounds in order.  Posting or staying into a round that is not later
+    than the one running is an error.  Ids may come unsorted and repeated,
+    in lists or arrays; :meth:`take` hands the alive ones over sorted and
+    unique.  A posted array must not change until its round is taken.
+
+    A round's posts collect in one bucket: one list of ints, which collects
+    every id posted in a list, followed by the posted arrays.  The staying
+    ids are one sorted array, which joins the ids stayed from a round when
+    that round is taken, and drops the terminated ones only when told that
+    some node terminated.  A round with no bucket hands that array over as
+    it is.
     """
 
-    __slots__ = ("_buckets", "_rounds", "now")
+    __slots__ = ("_buckets", "_joins", "_rounds", "_stay", "now")
 
     def __init__(self):
         self._buckets: Dict[int, list] = {}
+        self._joins: Dict[int, list] = {}  # round -> the ids staying from it
         self._rounds: List[int] = []  # heap of the bucket keys
+        self._stay = np.zeros(0, dtype=np.int64)
         self.now = -1
 
     def _bucket(self, rnd: int) -> list:
@@ -98,24 +122,45 @@ class WakePlan:
         for rnd, v in zip(rounds.tolist(), ids.tolist()):
             (buckets.get(rnd) or self._bucket(rnd))[0].append(v)
 
-    def take(self, before: int,
-             alive: np.ndarray) -> Optional[Tuple[int, np.ndarray]]:
-        """Remove the earliest bucket and return its round and its ids that
-        are ``alive``, sorted and unique; ``None`` if there is no bucket
-        before round ``before``."""
-        if not self._rounds or self._rounds[0] >= before:
+    def stay(self, rnd: int, ids) -> None:
+        """Wake every node of ``ids`` in every round from ``rnd`` on, until
+        it terminates."""
+        if len(ids):
+            if rnd not in self._buckets:
+                self._bucket(rnd)
+            self._joins.setdefault(rnd, []).append(ids)
+
+    def take(self, before: int, alive: np.ndarray,
+             dropped: bool = True) -> Optional[Tuple[int, np.ndarray]]:
+        """Move on to the next round in which a node wakes and return it
+        with its ``alive`` waking ids, sorted and unique; ``None`` if there
+        is no such round before round ``before``.  ``dropped`` says whether
+        a node may have terminated since the last call; if not, the staying
+        ids are not filtered again."""
+        stay, rounds = self._stay, self._rounds
+        if dropped and stay.size:
+            stay = self._stay = stay[alive[stay]]
+        # staying nodes wake in the very next round
+        rnd = self.now + 1 if stay.size else rounds[0] if rounds else before
+        if rnd >= before:
             return None
-        rnd = self.now = heapq.heappop(self._rounds)
+        self.now = rnd
+        if not rounds or rounds[0] != rnd:
+            return rnd, stay
+        heapq.heappop(rounds)
+        joins = self._joins.pop(rnd, None)
+        if joins:
+            joins = _sorted_unique(joins)
+            joins = joins[alive[joins]]
+            stay = self._stay = _sorted_unique([stay, joins]) if stay.size else joins
         chunks = self._buckets.pop(rnd)
         if not chunks[0]:
             del chunks[0]
-        ids = np.asarray(chunks[0] if len(chunks) == 1 else np.concatenate(chunks),
-                         dtype=np.int64)
-        rising = ids[1:] > ids[:-1]
-        if np.count_nonzero(rising) < rising.size:
-            ids = np.sort(ids)
-            ids = ids[np.concatenate(([True], ids[1:] != ids[:-1]))]
-        return rnd, ids[alive[ids]]
+        if not chunks:
+            return rnd, stay
+        ids = _sorted_unique(chunks)
+        ids = ids[alive[ids]]
+        return rnd, _sorted_unique([stay, ids]) if stay.size else ids
 
 
 class Protocol:
@@ -126,7 +171,9 @@ class Protocol:
     first wakes in ``bind`` and later ones from ``round``, and decides each
     node's wakes only from that node's own state and the coin streams it can
     compute: its own, and its neighbours', whose ids and master seed it
-    knows.  A posted node that has terminated stays asleep.
+    knows.  A node that is awake in every round until it terminates is
+    stayed once (``plan.stay``) rather than posted round by round.  A
+    posted or staying node that has terminated stays asleep.
 
     Subclasses override ``round``, doing a whole round at once, and keep
     each node's result in ``outputs`` (``bind`` starts it as an empty dict;
@@ -152,9 +199,10 @@ class Protocol:
     def round(self, rnd: int, awake: np.ndarray, hood: Hood,
               congest_bound: int):
         """Run round ``rnd`` for the ``awake`` ids, which are sorted, unique
-        and never empty, and return the ids that terminate.  ``hood`` holds
-        their neighbourhoods; ``congest_bound`` is the payload width limit
-        in bits."""
+        and never empty, and return the ids that terminate.  ``awake`` may
+        be the plan's own array of staying ids, so it must not be changed.
+        ``hood`` holds their neighbourhoods; ``congest_bound`` is the
+        payload width limit in bits."""
         raise NotImplementedError
 
 
@@ -176,8 +224,12 @@ class AwakeLedger:
             self.parts[label] = arr
         return arr
 
-    def charge(self, label: str, awake_ids: np.ndarray) -> None:
-        self._part(label)[awake_ids] += 1
+    def charge(self, label: str, awake_ids) -> None:
+        """One awake round under ``label`` for each occurrence of an id in
+        ``awake_ids``: an id given k times is charged k rounds."""
+        part = self._part(label)
+        part += np.bincount(np.asarray(awake_ids, dtype=np.int64),
+                            minlength=self.n)
 
     @property
     def counts(self) -> np.ndarray:
@@ -222,6 +274,44 @@ class AwakeLedger:
         if set(self.parts) != set(other.parts):
             return False
         return all(np.array_equal(self.parts[k], other.parts[k]) for k in self.parts)
+
+
+# a run of fewer nodes may still keep this many ids waiting for a count
+TALLY_FLOOR = 1 << 12
+
+
+class _Tally:
+    """The awake arrays of the rounds a run has not yet counted into its
+    ledger part.
+
+    :meth:`add` keeps each array as it is, so it must not change until it
+    is counted.  At most ``limit = max(n, TALLY_FLOOR)`` ids wait:
+    :meth:`add` first counts what waits if the new array would take it
+    past ``limit``.  :meth:`flush` counts them all with one
+    :meth:`AwakeLedger.charge`.  So a run keeps O(n) ids waiting, and a
+    run with at most ``TALLY_FLOOR`` awake node-rounds counts once.
+    """
+
+    __slots__ = ("ledger", "part", "limit", "chunks", "size")
+
+    def __init__(self, ledger: AwakeLedger, part: str):
+        self.ledger = ledger
+        self.part = part
+        self.limit = max(ledger.n, TALLY_FLOOR)
+        self.chunks: List[np.ndarray] = []
+        self.size = 0
+
+    def add(self, awake: np.ndarray) -> None:
+        if self.size + awake.size > self.limit:
+            self.flush()
+        self.chunks.append(awake)
+        self.size += awake.size
+
+    def flush(self) -> None:
+        if self.chunks:
+            self.ledger.charge(self.part, np.concatenate(self.chunks))
+            self.chunks = []
+            self.size = 0
 
 
 @dataclass
@@ -405,37 +495,48 @@ def run(
     Returns ``(protocol.outputs, ledger, metrics)``; the ledger counts each
     node's awake rounds under ``part``.  The ids charged in a round are
     exactly those ``protocol.round`` receives for it, so a wrapper of
-    ``round`` sees which rounds each node is awake in.  Raises
-    :class:`RoundCapExceeded` (with the partial ledger attached) if any node
-    is alive when the next posted round is ``round_cap`` or later, or when
-    no round is posted at all; the ledger then reads ``round_cap`` rounds.
+    ``round`` sees which rounds each node is awake in.  Each round's ids
+    are charged, but the ledger counts them in bulk: before the ids waiting
+    would exceed ``max(n, TALLY_FLOOR)``, at the end of the run and before
+    it raises, so a short run counts once.
+
+    Raises :class:`RoundCapExceeded` (with the partial ledger attached) if
+    any node is alive when the next round in which a node wakes is
+    ``round_cap`` or later, or when no node will wake again; the ledger
+    then reads ``round_cap`` rounds.
     """
     n = g.n
     plan = WakePlan()
     protocol.bind(g, master_seed, plan)
     ledger = AwakeLedger(n)
+    tally = _Tally(ledger, part)
     alive = np.ones(n, dtype=bool)
     alive_count = n
     slot = np.full(n, -1, dtype=np.int64)
     congest_bound = protocol.congest_factor * max(8, (max(n, 2) - 1).bit_length())
 
     rnd = -1
+    dropped = False
     while alive_count > 0:
-        taken = plan.take(round_cap, alive)
+        taken = plan.take(round_cap, alive, dropped)
         if taken is None:
+            tally.flush()
             ledger.rounds = round_cap
             raise RoundCapExceeded(
                 f"{alive_count} nodes still alive after {round_cap} rounds", ledger
             )
         rnd, awake = taken
+        dropped = False
         if not awake.size:
             continue
-        ledger.charge(part, awake)
+        tally.add(awake)
         done = protocol.round(rnd, awake, Hood(g, awake, slot), congest_bound)
         if len(done):
             done = np.asarray(done, dtype=np.int64)
             alive[done] = False
             alive_count -= done.size
+            dropped = True
 
+    tally.flush()
     ledger.rounds = rnd + 1
     return protocol.outputs, ledger, RunMetrics.from_ledger(ledger)

@@ -24,7 +24,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -136,6 +136,18 @@ def _schedule_shape(n: int, delta: int, eps: Fraction) -> Tuple[int, int, int, i
     return i_max, growth, i_stop, stop
 
 
+@lru_cache(maxsize=256)
+def _ladder(delta: int, a: int, b: int, top: int) -> Tuple[int, int, List[int]]:
+    """:meth:`SampleSchedule.ladder` for max degree ``delta`` and eps = a/b
+    (integers hash faster than a ``Fraction``)."""
+    rungs = []
+    w = b ** (top + 1)
+    for _ in range(top + 1):
+        rungs.append(w)
+        w = w * (a + b) // b
+    return delta * b ** (top + 1), (b - a) * delta * b ** top, rungs
+
+
 class SampleSchedule:
     """Weight ladder, phase map, sampling probabilities, and the stop round.
 
@@ -176,23 +188,16 @@ class SampleSchedule:
                                  f"twice the full-rate run's round cap, "
                                  f"got {force_stop_round!r}")
 
-    def ladder(self, top: int) -> Tuple[int, int, Iterator[int]]:
+    def ladder(self, top: int) -> Tuple[int, int, List[int]]:
         """The rungs as integers, exact up to rung ``top``.
 
         Returns ``(one, tight, rungs)``: ``one = Delta b^(top+1)`` stands for
-        1, ``tight = (b-a) Delta b^top`` for 1-eps, and ``rungs`` yields
-        ``W_j = b (a+b)^j b^(top-j) = w_j * one`` for j = 0..top.
+        1, ``tight = (b-a) Delta b^top`` for 1-eps, and ``rungs`` lists
+        ``W_j = b (a+b)^j b^(top-j) = w_j * one`` for j = 0..top.  The list
+        is built once per ``(Delta, eps, top)`` and shared by every call
+        (:func:`_ladder`): never change it.
         """
-        a, b = self.a, self.b
-        return (self.delta * b ** (top + 1), (b - a) * self.delta * b ** top,
-                self._rungs(top))
-
-    def _rungs(self, top: int) -> Iterator[int]:
-        a, b = self.a, self.b
-        w = b ** (top + 1)
-        for _ in range(top + 1):
-            yield w
-            w = w * (a + b) // b
+        return _ladder(self.delta, self.a, self.b, top)
 
     def phase(self, j: int) -> int:
         """The first phase i with w_j <= 1 / iterated_log(n, i)^5."""
@@ -387,10 +392,10 @@ class SampledMatchingProtocol(Protocol):
       such neighbours.  A node terminates once all its incident edges are
       frozen (never before the stop round).
 
-    ``bind`` posts each sample member's first wake and every node at the
-    stop round, and each round posts its awake nodes for the next round:
-    an awake node stays awake until it terminates.  Only awake nodes send
-    or hear.  Each round checks its widest message
+    ``bind`` stays each sample member from its first wake and every node
+    from the stop round (:meth:`~awakesim.engine.WakePlan.stay`): an awake
+    node stays awake until it terminates, and ``round`` posts nothing.
+    Only awake nodes send or hear.  Each round checks its widest message
     against the CONGEST bound once.  A message is a ``(tag, field)`` pair
     with a three-letter tag, measured as the engine measures envelopes: a
     report of rounds ``hs`` is 26 + len(hs) + sum(max(1, h.bit_length()))
@@ -419,8 +424,8 @@ class SampledMatchingProtocol(Protocol):
         super().bind(graph, seed, plan)
         s = self.sched
         stop = self._stop = s.stop_round
-        self._one, self._tight, rungs = s.ladder(self.round_cap)
-        self._rungs = list(rungs)
+        # shared with every run of the same ladder: read, never changed
+        self._one, self._tight, self._rungs = s.ladder(self.round_cap)
         self.outputs = self._f = [-1] * self.n
         # rebuilt by _reconcile at the stop round
         self._unfrozen: List[int] = []
@@ -429,7 +434,7 @@ class SampledMatchingProtocol(Protocol):
         self._memb: List[Tuple[np.ndarray, np.ndarray]] = []
         if stop > 0 and self.n > 0:
             self._sample(seed, stop)
-        plan.post(stop, np.arange(self.n))
+        plan.stay(stop, np.arange(self.n))
 
     def _sample(self, seed, stop):
         """Draw the sample sets S_h^j (h <= j < stop) and scale the estimator.
@@ -459,13 +464,13 @@ class SampledMatchingProtocol(Protocol):
         # a member of S_h^j first wakes at round h-1
         first = np.where(hit, hh, stop).min(axis=1)
         members = np.flatnonzero(first < stop)
-        self.plan.post_each(np.maximum(first[members] - 1, 0), members)
+        wake = np.maximum(first[members] - 1, 0)
+        for r in range(stop):
+            self.plan.stay(r, members[wake == r])
         jt = jj[ts]
         self._memb = [(vs[jt == j], hh[ts[jt == j]]) for j in range(stop)]
 
     def round(self, rnd, awake, hood, congest_bound):
-        # every awake node stays awake; those that terminate are dropped
-        self.plan.post(rnd + 1, awake)
         if rnd < self._stop:
             self._sampled_round(rnd, awake, congest_bound)
             return ()

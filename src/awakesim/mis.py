@@ -145,8 +145,8 @@ def _assert_independent(csr, member: np.ndarray, code, joiners: np.ndarray) -> n
 class LubyProtocol(Protocol):
     """Fresh random key each round; strictly-smallest key in the closed
     undecided neighborhood joins, neighbors of joiners leave.  Every undecided
-    node is awake every round until it decides: each survivor posts itself
-    for the next round.
+    node is awake every round until it decides: ``bind`` stays every node
+    from round 0.
 
     Subround 1: every node broadcasts its key.  Subround 2: the strict
     ``(key, id)`` minima join and announce "I"; hearers terminate.
@@ -158,7 +158,7 @@ class LubyProtocol(Protocol):
         super().bind(graph, seed, plan)
         self._csr = graph.csr()
         self.outputs = self._in_s = np.zeros(self.n, dtype=bool)
-        plan.post(0, np.arange(self.n))
+        plan.stay(0, np.arange(self.n))
 
     def round(self, rnd, awake, hood, congest_bound):
         keys = node_rng_array(self.seed, awake, "luby", rnd)
@@ -169,7 +169,6 @@ class LubyProtocol(Protocol):
         self._in_s[joiners] = True
         _assert_independent(self._csr, self._in_s, True, joiners)
         done = join | heard(hood, join, _TOKEN_BITS, congest_bound)
-        self.plan.post(rnd + 1, awake[~done])
         return awake[done]
 
 

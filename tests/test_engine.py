@@ -1,6 +1,8 @@
 """Engine semantics: awake accounting, sleeping drops, caps, congest bound,
 and the neighbourhood primitives."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -207,6 +209,212 @@ def test_plan_refuses_a_round_that_is_not_later():
         plan.post(3, [1])
 
 
+class Survivors(Protocol):
+    """Node v wakes in the rounds ``visits[v]`` and in every round from
+    ``start[v]`` on (``None``: never), and terminates in its first awake
+    round at or after ``end[v]`` (``None``: never).  Its every-round wakes
+    are posted at ``bind``, or, if ``late[v]`` and v has a visit before
+    ``start[v]``, in its first awake round.  This one posts ``start[v]``
+    and then each survivor for the next round; :class:`Stayers` stays it
+    once."""
+
+    def __init__(self, start, end, visits=None, late=None):
+        self.start, self.end = start, end
+        self.visits = visits or [[] for _ in start]
+        self.late = late or [False] * len(start)
+        self.calls = []
+
+    def bind(self, graph, seed, plan):
+        super().bind(graph, seed, plan)
+        self._waiting = set()
+        for v in range(self.n):
+            for r in self.visits[v]:
+                plan.post(r, [v])
+            if self.start[v] is None:
+                continue
+            if self.late[v] and any(r < self.start[v] for r in self.visits[v]):
+                self._waiting.add(v)
+            else:
+                self._begin(v)
+
+    def _begin(self, v):
+        self.plan.post(self.start[v], [v])
+
+    def _keep(self, rnd, staying):
+        self.plan.post(rnd + 1, staying)
+
+    def round(self, rnd, awake, hood, congest_bound):
+        self.calls.append((rnd, awake.tolist()))
+        start, end = self.start, self.end
+        done, staying = [], []
+        for v in awake.tolist():
+            if v in self._waiting:
+                self._waiting.discard(v)
+                self._begin(v)
+            if end[v] is not None and rnd >= end[v]:
+                done.append(v)
+            elif start[v] is not None and rnd >= start[v]:
+                staying.append(v)
+        self.outputs.update(dict.fromkeys(done, rnd))
+        self._keep(rnd, staying)
+        return done
+
+
+class Stayers(Survivors):
+    def _begin(self, v):
+        self.plan.stay(self.start[v], [v])
+
+    def _keep(self, rnd, staying):
+        pass
+
+
+def test_stayed_node_is_awake_until_it_terminates():
+    """Node 0 stays from round 0 and ends at 2, node 1 stays from round 3
+    and ends at 5, node 2 stays from round 1 and ends at 1: each is awake
+    and charged in every round from its stay until it terminates."""
+    proto = Stayers(start=[0, 3, 1], end=[2, 5, 1])
+    outputs, ledger, _ = run(Graph(3), proto, 0, round_cap=10)
+    assert proto.calls == [(0, [0]), (1, [0, 2]), (2, [0]), (3, [1]), (4, [1]),
+                           (5, [1])]
+    assert outputs == {0: 2, 1: 5, 2: 1}
+    assert list(ledger.counts) == [3, 3, 1]
+    assert ledger.rounds == 6
+
+
+def test_stay_and_post_in_one_round():
+    """Ids stayed and posted for the same round reach ``round`` once each,
+    sorted; only the stayed ones wake in the rounds after it."""
+
+    class Mixed(Scripted):
+        def bind(self, graph, seed, plan):
+            super().bind(graph, seed, plan)
+            plan.stay(2, np.array([3, 1]))
+            plan.post(2, [1, 0])
+
+    proto = Mixed({4: [2, 0]})
+    _, ledger, _ = run(Graph(4), proto, 0, round_cap=10)
+    assert proto.calls == [(2, [0, 1, 3]), (3, [1, 3]), (4, [0, 1, 2, 3])]
+    assert list(ledger.counts) == [2, 3, 1, 3]
+
+
+def test_unsorted_repeated_stays_reach_round_once_each():
+    class Repeats(Scripted):
+        def bind(self, graph, seed, plan):
+            super().bind(graph, seed, plan)
+            plan.stay(0, [2, 0, 2])
+            plan.stay(0, np.array([1, 0]))
+
+    proto = Repeats({1: [0]})
+    _, ledger, _ = run(Graph(3), proto, 0, round_cap=5)
+    assert proto.calls == [(0, [0, 1, 2]), (1, [0, 1, 2])]
+    assert list(ledger.counts) == [2, 2, 2]
+
+
+def test_plan_refuses_to_stay_into_a_taken_round():
+    plan = WakePlan()
+    plan.stay(3, [0])
+    alive = np.ones(2, dtype=bool)
+    assert plan.take(4, alive)[0] == 3
+    for rnd in (2, 3):
+        with pytest.raises(AssertionError, match="posted in round 3"):
+            plan.stay(rnd, [1])
+    # the staying node wakes in the next round without a post
+    rnd, awake = plan.take(5, alive)
+    assert rnd == 4 and awake.tolist() == [0]
+
+
+@st.composite
+def wake_scripts(draw):
+    n = draw(st.integers(1, 6))
+    cap = draw(st.integers(1, 30))
+    rounds = st.integers(0, 34)  # past the cap too
+    maybe = st.one_of(st.none(), rounds)
+    start = draw(st.lists(maybe, min_size=n, max_size=n))
+    end = draw(st.lists(maybe, min_size=n, max_size=n))
+    visits = draw(st.lists(st.lists(rounds, max_size=3), min_size=n, max_size=n))
+    late = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return n, cap, (start, end, visits, late)
+
+
+def _outcome(proto, n, cap):
+    """``(outputs, ledger, wake schedule)`` of a run, or the partial ledger
+    and the schedule if it hit the cap."""
+    with watched_wakes(engine) as runs:
+        try:
+            outputs, ledger, _ = engine.run(Graph(n), proto, 0, round_cap=cap)
+        except RoundCapExceeded as e:
+            return "cap", e.ledger, proto.calls
+    return outputs, ledger, runs[0][0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=wake_scripts())
+def test_staying_matches_reposting(case):
+    """A protocol that re-posts its survivors each round and the same
+    protocol staying them once give equal outputs, ledgers and wake
+    schedules, and hit the round cap alike."""
+    n, cap, script = case
+    assert _outcome(Survivors(*script), n, cap) == _outcome(Stayers(*script), n, cap)
+
+
+def test_tally_counts_at_most_n_waiting_ids(monkeypatch):
+    monkeypatch.setattr(engine, "TALLY_FLOOR", 0)
+    ledger = AwakeLedger(3)
+    tally = engine._Tally(ledger, "a")
+    tally.add(np.array([0, 1]))
+    assert tally.size == 2 and ledger.parts == {}
+    # 2 + 2 ids would exceed n = 3: the waiting two are counted first
+    tally.add(np.array([1, 2]))
+    assert tally.size == 2 and list(ledger.counts) == [1, 1, 0]
+    tally.add(np.array([2]))
+    tally.flush()
+    assert tally.size == 0 and list(ledger.counts) == [1, 2, 2]
+    tally.flush()
+    assert list(ledger.counts) == [1, 2, 2]
+    # a small run keeps up to TALLY_FLOOR ids waiting
+    monkeypatch.undo()
+    assert engine._Tally(AwakeLedger(3), "a").limit == engine.TALLY_FLOOR
+    assert engine._Tally(AwakeLedger(10 ** 5), "a").limit == 10 ** 5
+
+
+@pytest.mark.parametrize("floor", [0, None])
+@pytest.mark.parametrize("end", [[2999, 6000, 9999], [2999, 6000, None]])
+def test_long_run_counts_in_bulk(monkeypatch, end, floor):
+    """n = 3 over 10^4 rounds, ending at the cap or hitting it, with no
+    floor (at most n ids wait) and with the engine's: the ledger equals the
+    per-round count, and no more ids wait than the tally's limit."""
+    if floor is not None:
+        monkeypatch.setattr(engine, "TALLY_FLOOR", floor)
+    limit = max(3, engine.TALLY_FLOOR)
+    waiting, counts = [], []
+    add, flush = engine._Tally.add, engine._Tally.flush
+
+    def watched_add(self, awake):
+        add(self, awake)
+        waiting.append(self.size)
+
+    def watched_flush(self):
+        counts.append(self.size)
+        flush(self)
+
+    proto = Stayers(start=[0, 0, 0], end=end)
+    with mock.patch.object(engine._Tally, "add", watched_add), \
+            mock.patch.object(engine._Tally, "flush", watched_flush):
+        try:
+            _, ledger, _ = run(Graph(3), proto, 0, round_cap=10 ** 4)
+        except RoundCapExceeded as e:
+            ledger = e.ledger
+    per_round = np.bincount(np.concatenate([ids for _, ids in proto.calls]),
+                            minlength=3)
+    assert list(ledger.counts) == per_round.tolist() == [3000, 6001, 10000]
+    assert ledger.rounds == 10 ** 4
+    assert len(waiting) == 10 ** 4 and max(waiting) <= limit
+    # every id is counted once; a count before the last comes only when the
+    # next round's (at most 3) ids would take the waiting ones past the limit
+    assert sum(counts) == per_round.sum()
+    assert len(counts) > 1 and all(c > limit - 3 for c in counts[:-1])
+
+
 def test_congest_bound_enforced():
     g = path_graph(3)
     with pytest.raises(AssertionError, match="bit message bound"):
@@ -342,6 +550,14 @@ def test_record_schedule():
     with watched_wakes(engine) as runs:
         engine.run(Graph(3), CountDown(), 0, round_cap=5)
     assert runs[0][0] == [[0], [0, 1], [0, 1, 2]]
+
+
+def test_ledger_charges_every_occurrence():
+    ledger = AwakeLedger(3)
+    ledger.charge("a", [1, 1, 2])
+    assert list(ledger.counts) == [0, 2, 1]
+    ledger.charge("a", np.array([2, 2, 2, 0]))
+    assert list(ledger.counts) == [1, 2, 4]
 
 
 def test_ledger_merge_with_id_map():

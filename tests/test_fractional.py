@@ -302,6 +302,22 @@ def test_schedule_ladder_and_phases():
     assert phases[0] == 2 and phases[-1] == 3
 
 
+def test_ladder_is_shared_per_key_and_never_changed():
+    """Schedules with the same Delta and eps share one rung list per top
+    rung, and the runs that read it leave it as it was built."""
+    g = complete_graph(6)
+    sched = SampleSchedule(g.n, g.max_degree, Fraction(1, 10))
+    top = sched.growth_rounds() + 4
+    one, tight, rungs = sched.ladder(top)
+    built = list(rungs)
+    assert SampleSchedule(50, g.max_degree, "1/10").ladder(top)[2] is rungs
+    assert SampleSchedule(50, g.max_degree, "1/10").ladder(top + 1)[2] is not rungs
+    # both runs have stop round 0, so their round cap is top
+    sampled_fractional(g, Fraction(1, 10), 5)
+    vanilla_fractional(g, Fraction(1, 10))
+    assert sched.ladder(top) == (one, tight, built)
+
+
 def test_schedule_shape_cache_is_per_key_only():
     # a bad eps raises on every call, and the forced knobs stay per call
     for _ in range(2):
