@@ -18,9 +18,10 @@ Neighbourhoods come from a :class:`Hood`: one gather per round of the awake
 nodes' neighbour lists, read by the primitives :func:`heard` ("some awake
 neighbour sent") and :func:`least_heard` ("least ``(key, id)`` over awake
 sending neighbours").  Both take and return one entry per awake node.  Only
-awake nodes send, and only awake nodes hear.  Every round checks its widest
-message once with :func:`check_width` against
-``congest_factor * max(8, ceil(log2 n))`` bits.
+awake nodes send, and only awake nodes hear.  The hood also carries the
+run's CONGEST bound, ``congest_factor * max(8, ceil(log2 n))`` bits, which
+:func:`run` computes once: every message width a round sends is checked
+against it with :meth:`Hood.check`, and the primitives check theirs.
 
 Determinism: protocols draw all randomness through ``node_rng`` streams keyed
 by the master seed, so a fixed (graph, protocol, seed) triple replays
@@ -196,13 +197,14 @@ class Protocol:
         self.plan = plan
         self.outputs: Any = {}
 
-    def round(self, rnd: int, awake: np.ndarray, hood: Hood,
-              congest_bound: int):
+    def round(self, rnd: int, awake: np.ndarray, hood: Hood):
         """Run round ``rnd`` for the ``awake`` ids, which are sorted, unique
         and never empty, and return the ids that terminate.  ``awake`` may
         be the plan's own array of staying ids, so it must not be changed.
-        ``hood`` holds their neighbourhoods; ``congest_bound`` is the
-        payload width limit in bits."""
+        ``hood`` holds their neighbourhoods and the message bound
+        ``hood.bound`` in bits; a message the round sends other than
+        through :func:`heard` or :func:`least_heard` is checked with
+        ``hood.check``."""
         raise NotImplementedError
 
 
@@ -375,15 +377,6 @@ def _deliver(msgs_by_sender, adj_np, awake_mask, inboxes, congest_bound, measure
                     box.append((v, payload))
 
 
-def check_width(bits: int, congest_bound: Optional[int], what: str) -> None:
-    """Assert that a ``bits``-wide payload fits the CONGEST bound, if any."""
-    if congest_bound is not None:
-        assert bits <= congest_bound, (
-            f"payload of {bits} bits in {what} exceeds the "
-            f"{congest_bound}-bit message bound"
-        )
-
-
 def gather_neighbours(csr, nodes: np.ndarray):
     """Neighbour lists of ``nodes`` laid end to end.
 
@@ -404,23 +397,34 @@ def gather_neighbours(csr, nodes: np.ndarray):
 
 
 class Hood:
-    """The awake nodes of one round and their neighbourhoods.
+    """The awake nodes of one round, their neighbourhoods and the round's
+    message bound.
 
     ``ids`` are the round's awake nodes, sorted and unique.  :meth:`gather`
     lays their neighbour lists end to end, once per round, as
     :func:`gather_neighbours` does, with each neighbour replaced by its
     position in ``ids``, or by -1 if it sleeps.  ``slot`` is a scratch array
     of ``n`` entries of -1, which :meth:`gather` leaves as it found it; the
-    engine reuses one for a whole run.
+    engine reuses one for a whole run.  ``bound`` is the CONGEST bound in
+    bits, which every message of the round must fit (:meth:`check`).
     """
 
-    __slots__ = ("ids", "_graph", "_slot", "_gathered")
+    __slots__ = ("ids", "bound", "_graph", "_slot", "_gathered")
 
-    def __init__(self, graph: Graph, ids: np.ndarray, slot: np.ndarray):
+    def __init__(self, graph: Graph, ids: np.ndarray, slot: np.ndarray,
+                 bound: int):
         self.ids = ids
+        self.bound = bound
         self._graph = graph
         self._slot = slot
         self._gathered = None
+
+    def check(self, bits: int, what: str) -> None:
+        """Assert that a ``bits``-wide message in ``what`` fits ``bound``."""
+        assert bits <= self.bound, (
+            f"payload of {bits} bits in {what} exceeds the "
+            f"{self.bound}-bit message bound"
+        )
 
     def gather(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(own, starts, pos)``: the neighbours of ``ids[own[i]]`` are at
@@ -435,14 +439,13 @@ class Hood:
         return self._gathered
 
 
-def heard(hood: Hood, sent: np.ndarray, bits: int,
-          congest_bound: Optional[int]) -> np.ndarray:
+def heard(hood: Hood, sent: np.ndarray, bits: int) -> np.ndarray:
     """Which awake nodes have an awake neighbour that sent.
 
     ``sent`` and the result have one entry per awake node of ``hood``.
     Each sender broadcasts one ``bits``-wide token.
     """
-    check_width(bits, congest_bound, "a broadcast token")
+    hood.check(bits, "a broadcast token")
     out = np.zeros(sent.size, dtype=bool)
     if not sent.any():
         return out
@@ -453,8 +456,7 @@ def heard(hood: Hood, sent: np.ndarray, bits: int,
     return out
 
 
-def least_heard(hood: Hood, sent: np.ndarray, keys: np.ndarray,
-                congest_bound: Optional[int]):
+def least_heard(hood: Hood, sent: np.ndarray, keys: np.ndarray):
     """Least ``(key, id)`` over the awake neighbours that sent.
 
     ``sent``, ``keys`` and both results have one entry per awake node of
@@ -474,7 +476,7 @@ def least_heard(hood: Hood, sent: np.ndarray, keys: np.ndarray,
     sent_keys = keys[src]
     widest = int(sent_keys.max())
     order = src[np.lexsort((src, sent_keys))]
-    check_width(max(1, widest.bit_length()), congest_bound, "a broadcast key")
+    hood.check(max(1, widest.bit_length()), "a broadcast key")
     rank[order] = np.arange(src.size)
     own, starts, pos = hood.gather()
     if own.size:
@@ -530,7 +532,7 @@ def run(
         if not awake.size:
             continue
         tally.add(awake)
-        done = protocol.round(rnd, awake, Hood(g, awake, slot), congest_bound)
+        done = protocol.round(rnd, awake, Hood(g, awake, slot, congest_bound))
         if len(done):
             done = np.asarray(done, dtype=np.int64)
             alive[done] = False

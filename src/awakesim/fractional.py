@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from .engine import Protocol, check_width, gather_neighbours, run
+from .engine import Protocol, gather_neighbours, run
 from .errors import InvalidAssignment
 from .graphs import Graph, Matching
 # node_rng is unused here but stays importable as fractional.node_rng,
@@ -371,6 +371,16 @@ def _assignment(g: Graph, f: List[int], load: List[int], rungs: List[int],
 # ---------------------------------------------------------------------------
 # Sampled low-awake variant, and vanilla as its stop-round-0 run
 
+# Width of a matcher message's ``(tag, field)`` pair with its three-letter
+# tag, as ``engine.payload_bits`` measures an envelope: 2 + 3 * 8 bits.
+_TAG_BITS = 26
+
+
+def _check_message(hood, field_bits: int, what: str) -> None:
+    """Check a ``(tag, field)`` message whose field is ``field_bits`` wide
+    against the round's bound."""
+    hood.check(_TAG_BITS + field_bits, what)
+
 
 class SampledMatchingProtocol(Protocol):
     """Distributed fractional matching with sampled congestion estimates.
@@ -396,11 +406,12 @@ class SampledMatchingProtocol(Protocol):
     from the stop round (:meth:`~awakesim.engine.WakePlan.stay`): an awake
     node stays awake until it terminates, and ``round`` posts nothing.
     Only awake nodes send or hear.  Each round checks its widest message
-    against the CONGEST bound once.  A message is a ``(tag, field)`` pair
-    with a three-letter tag, measured as the engine measures envelopes: a
-    report of rounds ``hs`` is 26 + len(hs) + sum(max(1, h.bit_length()))
-    bits, a reconciliation or freeze message 26 + max(1, r.bit_length())
-    for its round r.
+    once against the hood's CONGEST bound (:func:`_check_message`).  A
+    message is a ``(tag, field)`` pair with a three-letter tag, measured as
+    the engine measures envelopes: ``_TAG_BITS`` = 26 bits plus the field,
+    which is len(hs) + sum(max(1, h.bit_length())) bits for a report of
+    rounds ``hs``, and max(1, r.bit_length()) for the round r of a
+    reconciliation or freeze message.
 
     Masses are integers on the ladder whose top rung is ``round_cap``, the
     last round a run can reach.  An unfrozen node's ``_mass`` is the load
@@ -408,9 +419,10 @@ class SampledMatchingProtocol(Protocol):
     the rung of its first-frozen endpoint.  A node that freezes from the
     stop round on adds its unfrozen edges at its rung, which is the value
     its tight test passed; one frozen earlier gets its load at the
-    reconciliation.  So when the run ends, ``_mass`` holds every node's
-    load, and the assignment takes it as it is.  ``outputs`` is the list
-    of node freeze rounds (-1: never froze).
+    reconciliation, which replays the sampled rounds' freezes.  Both go
+    through one freeze step, :meth:`_freeze`.  So when the run ends,
+    ``_mass`` holds every node's load, and the assignment takes it as it
+    is.  ``outputs`` is the list of node freeze rounds (-1: never froze).
     """
 
     congest_factor = 256  # report payloads carry one round index per phase
@@ -470,43 +482,48 @@ class SampledMatchingProtocol(Protocol):
         jt = jj[ts]
         self._memb = [(vs[jt == j], hh[ts[jt == j]]) for j in range(stop)]
 
-    def round(self, rnd, awake, hood, congest_bound):
+    def round(self, rnd, awake, hood):
         if rnd < self._stop:
-            self._sampled_round(rnd, awake, congest_bound)
+            self._sampled_round(rnd, awake, hood)
             return ()
         ids = awake.tolist()
         done: List[int] = []
         if rnd == self._stop:
-            self._reconcile(congest_bound)
+            self._reconcile(hood)
             # nodes already frozen, and those with no unfrozen edge, are done;
             # every node alive after the stop round has an unfrozen edge
             done = [v for v in ids if not self._unfrozen[v]]
             ids = [v for v in ids if self._unfrozen[v]]
-        f, unf, mass = self._f, self._unfrozen, self._mass
         froze = self._is_tight(ids, rnd)
         if froze:
-            check_width(26 + max(1, rnd.bit_length()), congest_bound,
-                        "a freeze message")
-            w = self._rungs[rnd]
-            for v in froze:
-                # its unfrozen edges freeze now, at w: the load just tested
-                f[v] = rnd
-                mass[v] += unf[v] * w
-                unf[v] = 0
-            gained: Dict[int, int] = {}
-            adj = self.graph.adj
-            for v in froze:
-                for u in adj[v]:
-                    if f[u] < 0:
-                        gained[u] = gained.get(u, 0) + 1
-            for u, k in gained.items():
-                unf[u] -= k
-                mass[u] += k * w
+            _check_message(hood, max(1, rnd.bit_length()), "a freeze message")
+            gained = self._freeze(froze, rnd)
             done += froze
-            done += [u for u in gained if not unf[u]]
+            done += [u for u in gained if not self._unfrozen[u]]
         return done
 
-    def _sampled_round(self, rnd, awake, congest_bound):
+    def _freeze(self, froze: List[int], r: int) -> Dict[int, int]:
+        """The nodes ``froze`` freeze at round ``r``: each adds its unfrozen
+        edges to its mass at rung r, and each neighbour not frozen by round
+        r gains rung r once per such edge.  Returns the gainers, each with
+        its number of gained edges."""
+        f, unf, mass, w = self._f, self._unfrozen, self._mass, self._rungs[r]
+        for v in froze:
+            f[v] = r
+            mass[v] += unf[v] * w
+            unf[v] = 0
+        gained: Dict[int, int] = {}
+        adj = self.graph.adj
+        for v in froze:
+            for u in adj[v]:
+                if not 0 <= f[u] <= r:
+                    gained[u] = gained.get(u, 0) + 1
+        for u, k in gained.items():
+            unf[u] -= k
+            mass[u] += k * w
+        return gained
+
+    def _sampled_round(self, rnd, awake, hood):
         """Reports of round ``rnd`` and the silent freezes they cause."""
         f = np.array(self._f)
         # every member of S_h^rnd is awake: it woke by round max(h-1, 0) <= rnd
@@ -516,7 +533,7 @@ class SampledMatchingProtocol(Protocol):
         if vs.size == 0:
             return
         widest = np.bincount(vs, weights=self._hbits[hs] + 1).max()
-        check_width(26 + int(widest), congest_bound, "a report")
+        _check_message(hood, int(widest), "a report")
         sent = np.zeros((self.n, rnd + 1), dtype=np.int64)
         sent[vs, hs] = 1
         listeners = awake[f[awake] < 0]
@@ -532,25 +549,23 @@ class SampledMatchingProtocol(Protocol):
         for v in listeners[own[some]][self.sched.b * est > self._est_cut].tolist():
             self._f[v] = rnd
 
-    def _reconcile(self, congest_bound):
+    def _reconcile(self, hood):
         """Stop round: rebuild ``_unfrozen`` and ``_mass`` from the freeze
-        rounds every node broadcasts, walking the frozen nodes' edges.  A
-        node frozen before now gets its load: each of its edges at the rung
-        of the edge's first-frozen endpoint."""
-        f, rungs, adj = self._f, self._rungs, self.graph.adj
-        check_width(26 + max(1, max(f).bit_length()), congest_bound,
-                    "a reconciliation message")
-        unf = self._unfrozen = [len(a) for a in adj]
-        mass = self._mass = [0] * self.n
+        rounds every node broadcasts, by replaying the sampled rounds'
+        freezes through :meth:`_freeze` in round order.  A node frozen
+        before now gets its load: each of its edges at the rung of the
+        edge's first-frozen endpoint."""
+        f = self._f
+        _check_message(hood, max(1, max(f).bit_length()),
+                       "a reconciliation message")
+        self._unfrozen = [len(a) for a in self.graph.adj]
+        self._mass = [0] * self.n
+        froze_at: Dict[int, List[int]] = {}
         for v, fv in enumerate(f):
             if fv >= 0:
-                unf[v] = 0
-                for u in adj[v]:
-                    fu = f[u]
-                    if fu < 0:
-                        unf[u] -= 1
-                        mass[u] += rungs[fv]
-                    mass[v] += rungs[fv if fu < 0 or fv < fu else fu]
+                froze_at.setdefault(fv, []).append(v)
+        for r in sorted(froze_at):
+            self._freeze(froze_at[r], r)
 
     def _is_tight(self, cands, rnd) -> List[int]:
         """The nodes of ``cands`` with c_v >= 1-eps at rung ``rnd``."""

@@ -131,15 +131,34 @@ def part2_round_count(d: int, K: int, C: int = 4) -> int:
 _TOKEN_BITS = 8
 
 
-def _assert_independent(csr, member: np.ndarray, code, joiners: np.ndarray) -> np.ndarray:
-    """No joiner may neighbour the set, the other joiners of its round
-    included: after the joins, no neighbour of a joiner has ``member == code``.
-    Returns the joiners' neighbour lists, laid end to end."""
+def _join_set(csr, member: np.ndarray, code, joiners: np.ndarray) -> np.ndarray:
+    """The ``joiners`` enter the set: ``member[joiners] = code``.  No joiner
+    may neighbour the set, the other joiners of its round included: after
+    the joins, no neighbour of a joiner has ``member == code``.  Returns the
+    joiners' neighbour lists, laid end to end."""
+    member[joiners] = code
     if not joiners.size:
         return joiners
     _, _, nbrs = gather_neighbours(csr, joiners)
     assert not (member[nbrs] == code).any(), "independence violated"
     return nbrs
+
+
+def _compete(hood, keys: np.ndarray, csr, member: np.ndarray, code):
+    """One key competition of every awake node of ``hood``: each sends its
+    key, and the strict ``(key, id)`` minima of their awake neighbourhoods
+    join the set (:func:`_join_set`) and say "I".  Returns ``(join,
+    decided)``, masks over the awake nodes: the joiners, and the joiners
+    together with the nodes that heard "I"."""
+    rank, best = least_heard(hood, np.ones(keys.size, dtype=bool), keys)
+    join = rank < best
+    _join_set(csr, member, code, hood.ids[join])
+    return join, join | heard(hood, join, _TOKEN_BITS)
+
+
+def _luby_cap(n: int) -> int:
+    """Round cap of a Luby run on a graph of ``n`` nodes."""
+    return 64 * (_clog2(n) + 2)
 
 
 class LubyProtocol(Protocol):
@@ -160,22 +179,16 @@ class LubyProtocol(Protocol):
         self.outputs = self._in_s = np.zeros(self.n, dtype=bool)
         plan.stay(0, np.arange(self.n))
 
-    def round(self, rnd, awake, hood, congest_bound):
+    def round(self, rnd, awake, hood):
         keys = node_rng_array(self.seed, awake, "luby", rnd)
-        rank, best = least_heard(hood, np.ones(awake.size, dtype=bool), keys,
-                                 congest_bound)
-        join = rank < best
-        joiners = awake[join]
-        self._in_s[joiners] = True
-        _assert_independent(self._csr, self._in_s, True, joiners)
-        done = join | heard(hood, join, _TOKEN_BITS, congest_bound)
-        return awake[done]
+        _, decided = _compete(hood, keys, self._csr, self._in_s, True)
+        return awake[decided]
 
 
 def luby_mis(g: Graph, seed: int,
              round_cap: Optional[int] = None) -> Tuple[Set[int], AwakeLedger]:
     """Luby-style MIS.  Output always satisfies ``verify_mis``."""
-    cap = round_cap if round_cap is not None else 64 * (_clog2(g.n) + 2)
+    cap = round_cap if round_cap is not None else _luby_cap(g.n)
     outputs, ledger, _ = run(g, LubyProtocol(), seed, cap, part="luby")
     return set(np.flatnonzero(outputs).tolist()), ledger
 
@@ -221,22 +234,17 @@ class Part1Protocol(Protocol):
             plan.post(0, ids[competing])
         plan.post(self.window, ids)
 
-    def round(self, rnd, awake, hood, congest_bound):
+    def round(self, rnd, awake, hood):
         status = self._status
         if rnd >= self.window:
             # announcement: joined nodes say "I", every node decides
             joined = status[awake] == _P1_JOINED
-            told = heard(hood, joined, _TOKEN_BITS, congest_bound) & ~joined
+            told = heard(hood, joined, _TOKEN_BITS) & ~joined
             status[awake[told]] = _P1_DOMINATED
             return awake
-        # the awake nodes are the competitors: keys, then the minima say "I"
-        rank, best = least_heard(hood, np.ones(awake.size, dtype=bool),
-                                 self._keys[awake], congest_bound)
-        join = rank < best
-        joiners = awake[join]
-        status[joiners] = _P1_JOINED
-        _assert_independent(self._csr, status, _P1_JOINED, joiners)
-        decided = join | heard(hood, join, _TOKEN_BITS, congest_bound)
+        # the awake nodes are the competitors
+        join, decided = _compete(hood, self._keys[awake], self._csr, status,
+                                 _P1_JOINED)
         status[awake[decided & ~join]] = _P1_DOMINATED
         if rnd + 1 < self.window:
             self.plan.post(rnd + 1, awake[~decided])
@@ -387,9 +395,7 @@ class Part2Protocol(Protocol):
         plan: a wake at each neighbour's first mark after ``o``.  No
         neighbour of a joiner is in the set, so every neighbour's marks are
         in ``_marks``."""
-        status = self._status
-        status[joiners] = _P2_IN
-        nbrs = _assert_independent(self._csr, status, _P2_IN, joiners)
+        nbrs = _join_set(self._csr, self._status, _P2_IN, joiners)
         if o + 1 == self._marking:
             return
         marks = np.unpackbits(self._marks[nbrs], axis=1, count=self._marking)
@@ -399,24 +405,23 @@ class Part2Protocol(Protocol):
         owner = np.repeat(joiners, self._deg[joiners])
         self.plan.post_each(self._k * self.t_iter + first[hit], owner[hit])
 
-    def round(self, rnd, awake, hood, congest_bound):
+    def round(self, rnd, awake, hood):
         k, o = divmod(rnd, self.t_iter)
-        csr, status = self._csr, self._status
+        status = self._status
         is_in = status[awake] == _P2_IN
         live = ~is_in
         out = ()
         if is_in.any() and live.any():
             # subround 1: in-set nodes say "S"; undecided hearers leave
-            told = heard(hood, is_in, _TOKEN_BITS, congest_bound) & live
+            told = heard(hood, is_in, _TOKEN_BITS) & live
             out = awake[told]
             status[out] = _P2_OUT
             live &= ~told
         if o == self._marking:
             # cleanup, every alive node awake: the live ones say "A", and
             # those that hear none join
-            joiners = awake[live & ~heard(hood, live, _TOKEN_BITS, congest_bound)]
-            status[joiners] = _P2_IN
-            _assert_independent(csr, status, _P2_IN, joiners)
+            _join_set(self._csr, status, _P2_IN,
+                      awake[live & ~heard(hood, live, _TOKEN_BITS)])
             if k == self.K - 1:
                 return awake
             undecided = status[awake] == _P2_UNDECIDED
@@ -425,7 +430,7 @@ class Part2Protocol(Protocol):
             return awake[~undecided]
         # subround 2: the live nodes are the marked ones and send their ids;
         # the least joins
-        rank, best = least_heard(hood, live, awake, congest_bound)
+        rank, best = least_heard(hood, live, awake)
         joiners = awake[rank < best]
         if joiners.size:
             self._join(o, joiners)
@@ -491,7 +496,7 @@ def awake_mis(g: Graph, seed: int, params: Optional[MisParams] = None):
     diags["residual2_n"] = res2.n
 
     host_ids2 = [ids1[v] for v in ids2]
-    s3, led3 = luby_mis(res2, seed, round_cap=64 * (_clog2(n) + 2))
+    s3, led3 = luby_mis(res2, seed, round_cap=_luby_cap(n))
     ledger.merge(led3, id_map=host_ids2)
     mis.update(host_ids2[v] for v in s3)
 

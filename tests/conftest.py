@@ -191,7 +191,7 @@ class RefPart2(Protocol):
                 self.plan.post(r, [v])
                 return
 
-    def round(self, rnd, awake, hood, congest_bound):
+    def round(self, rnd, awake, hood):
         k, o = divmod(rnd, self.t_iter)
         status, nbrs = self._status, self._nbrs
         awake = awake.tolist()
@@ -237,7 +237,7 @@ def sleep_checked(proto: Protocol) -> Protocol:
     def snapshot():
         return [list(getattr(proto, f)) for f in proto.state_fields]
 
-    def round(rnd, awake, hood, congest_bound):
+    def round(rnd, awake, hood):
         assert isinstance(awake, np.ndarray) and awake.size, (
             f"round {rnd} was called with no awake node")
         assert (np.diff(awake) > 0).all(), (
@@ -245,7 +245,7 @@ def sleep_checked(proto: Protocol) -> Protocol:
         awake_mask = np.zeros(proto.n, dtype=bool)
         awake_mask[awake] = True
         before = snapshot()
-        done = inner(rnd, awake, hood, congest_bound)
+        done = inner(rnd, awake, hood)
         for name, old, new in zip(proto.state_fields, before, snapshot()):
             moved = [v for v in range(len(new)) if v >= len(old) or new[v] != old[v]]
             assert len(new) >= len(old) and awake_mask[moved].all(), (
@@ -280,10 +280,10 @@ def watched_wakes(module):
         rounds = [[] for _ in range(g.n)]
         inner_round = proto.round
 
-        def round(rnd, awake, hood, congest_bound):
+        def round(rnd, awake, hood):
             for v in awake.tolist():
                 rounds[v].append(rnd)
-            return inner_round(rnd, awake, hood, congest_bound)
+            return inner_round(rnd, awake, hood)
 
         proto.round = round
         result = inner_run(g, proto, *args, **kwargs)

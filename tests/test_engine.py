@@ -1,6 +1,7 @@
 """Engine semantics: awake accounting, sleeping drops, caps, congest bound,
 and the neighbourhood primitives."""
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -12,6 +13,7 @@ from awakesim import engine
 from awakesim.engine import (AwakeLedger, Hood, Protocol, RunMetrics, WakePlan,
                              heard, least_heard, payload_bits, run)
 from awakesim.errors import RoundCapExceeded
+from awakesim.fractional import SampledMatchingProtocol
 from awakesim.graphs import Graph, path_graph, star_graph
 from conftest import watched_wakes
 
@@ -25,8 +27,8 @@ class AllAwake(Protocol):
         super().bind(graph, seed, plan)
         plan.post(0, np.arange(self.n))
 
-    def round(self, rnd, awake, hood, congest_bound):
-        done = np.asarray(self.step(rnd, awake, hood, congest_bound), dtype=np.int64)
+    def round(self, rnd, awake, hood):
+        done = np.asarray(self.step(rnd, awake, hood), dtype=np.int64)
         self.plan.post(rnd + 1, np.setdiff1d(awake, done))
         return done
 
@@ -34,7 +36,7 @@ class AllAwake(Protocol):
 class CountDown(AllAwake):
     """Node v is awake for rounds 0..v and then terminates."""
 
-    def step(self, rnd, awake, hood, congest_bound):
+    def step(self, rnd, awake, hood):
         done = awake[awake <= rnd].tolist()
         self.outputs.update(zip(done, done))
         return done
@@ -49,8 +51,8 @@ class Beacon(Protocol):
         plan.post(0, [0])
         plan.post(2, [1])
 
-    def round(self, rnd, awake, hood, congest_bound):
-        got = heard(hood, awake == 0, payload_bits(rnd), congest_bound)
+    def round(self, rnd, awake, hood):
+        got = heard(hood, awake == 0, payload_bits(rnd))
         done = []
         for v, hears in zip(awake.tolist(), got.tolist()):
             if v == 0 and rnd >= 4:
@@ -65,16 +67,15 @@ class Beacon(Protocol):
 
 
 class Insomniac(AllAwake):
-    def step(self, rnd, awake, hood, congest_bound):
+    def step(self, rnd, awake, hood):
         return ()
 
 
 class BigMouth(AllAwake):
     """Every node broadcasts a 4096-character string, then terminates."""
 
-    def step(self, rnd, awake, hood, congest_bound):
-        heard(hood, np.ones(awake.size, dtype=bool), payload_bits("x" * 4096),
-              congest_bound)
+    def step(self, rnd, awake, hood):
+        heard(hood, np.ones(awake.size, dtype=bool), payload_bits("x" * 4096))
         return awake
 
 
@@ -92,7 +93,7 @@ class Scripted(Protocol):
         for rnd, ids in self.script.items():
             plan.post(rnd, ids)
 
-    def round(self, rnd, awake, hood, congest_bound):
+    def round(self, rnd, awake, hood):
         self.calls.append((rnd, awake.tolist()))
         return awake if rnd == max(self.script) else ()
 
@@ -162,8 +163,8 @@ def test_alive_node_with_no_posted_wake_hits_the_cap():
     g = Graph(2)
 
     class Forgetful(Scripted):
-        def round(self, rnd, awake, hood, congest_bound):
-            super().round(rnd, awake, hood, congest_bound)
+        def round(self, rnd, awake, hood):
+            super().round(rnd, awake, hood)
             return [0]
 
     proto = Forgetful({0: [0, 1]})
@@ -179,7 +180,7 @@ def test_reposted_awake_ids_lose_the_terminated():
     the nodes that terminated."""
 
     class Repost(Scripted):
-        def round(self, rnd, awake, hood, congest_bound):
+        def round(self, rnd, awake, hood):
             self.calls.append((rnd, awake.tolist()))
             self.plan.post(rnd + 1, awake)
             return awake[:1]
@@ -243,7 +244,7 @@ class Survivors(Protocol):
     def _keep(self, rnd, staying):
         self.plan.post(rnd + 1, staying)
 
-    def round(self, rnd, awake, hood, congest_bound):
+    def round(self, rnd, awake, hood):
         self.calls.append((rnd, awake.tolist()))
         start, end = self.start, self.end
         done, staying = [], []
@@ -428,11 +429,11 @@ class WideKeys(AllAwake):
     def __init__(self, token_bits=8):
         self.token_bits = token_bits
 
-    def step(self, rnd, awake, hood, congest_bound):
+    def step(self, rnd, awake, hood):
         keys = np.full(awake.size, 2 ** 64 - 1, dtype=np.uint64)
         everyone = np.ones(awake.size, dtype=bool)
-        least_heard(hood, everyone, keys, congest_bound)
-        heard(hood, everyone, self.token_bits, congest_bound)
+        least_heard(hood, everyone, keys)
+        heard(hood, everyone, self.token_bits)
         self.outputs.update(dict.fromkeys(awake.tolist(), rnd))
         return awake
 
@@ -448,6 +449,29 @@ def test_congest_bound_enforced_on_the_array_path():
         run(g, narrow, 0, round_cap=3)
     with pytest.raises(AssertionError, match="bit message bound"):
         run(g, WideKeys(token_bits=4096), 0, round_cap=3)
+
+
+class BoundProbe(AllAwake):
+    """Records the bound its hood carries, then terminates every node."""
+
+    def __init__(self, factor):
+        self.congest_factor = factor
+
+    def step(self, rnd, awake, hood):
+        self.outputs = hood.bound
+        return awake
+
+
+@pytest.mark.parametrize("factor", [Protocol.congest_factor,
+                                    SampledMatchingProtocol.congest_factor])
+def test_hood_carries_the_congest_bound(factor):
+    """``congest_factor * max(8, ceil(log2 n))`` bits, for the MIS
+    protocols' factor 64 and the matcher's 256."""
+    assert factor in (64, 256)
+    for n, width in ((1, 8), (2, 8), (256, 8), (257, 9), (65537, 17)):
+        assert width == max(8, math.ceil(math.log2(n)))
+        bound, _, _ = run(Graph(n), BoundProbe(factor), 0, round_cap=1)
+        assert bound == factor * width
 
 
 @st.composite
@@ -489,15 +513,15 @@ def test_primitives_match_a_recount_over_adj(case):
     g, awake, sent, keys = case
     ids = np.flatnonzero(awake)
     slot = np.full(g.n, -1, dtype=np.int64)
-    hood = Hood(g, ids, slot)
+    hood = Hood(g, ids, slot, 512)
     hears, rank, best = _recount(g, ids, sent, keys)
-    assert heard(hood, sent[ids], 8, 512).tolist() == hears
-    got_rank, got_best = least_heard(hood, sent[ids], keys[ids], 512)
+    assert heard(hood, sent[ids], 8).tolist() == hears
+    got_rank, got_best = least_heard(hood, sent[ids], keys[ids])
     assert got_rank.tolist() == rank
     assert got_best.tolist() == best
     # each sender's key is its id
     _, rank, best = _recount(g, ids, sent, np.arange(g.n))
-    got_rank, got_best = least_heard(hood, sent[ids], ids, 512)
+    got_rank, got_best = least_heard(hood, sent[ids], ids)
     assert got_rank.tolist() == rank
     assert got_best.tolist() == best
     # the scratch slots are left as they were found
@@ -507,20 +531,20 @@ def test_primitives_match_a_recount_over_adj(case):
 def test_primitives_edge_cases():
     # edgeless: every segment is empty, nothing is heard
     g = Graph(4)
-    hood = Hood(g, np.arange(4), np.full(4, -1))
+    hood = Hood(g, np.arange(4), np.full(4, -1), 512)
     every = np.ones(4, dtype=bool)
-    assert not heard(hood, every, 8, None).any()
-    rank, best = least_heard(hood, every, np.arange(4), None)
+    assert not heard(hood, every, 8).any()
+    rank, best = least_heard(hood, every, np.arange(4))
     assert rank.tolist() == [0, 1, 2, 3] and best.tolist() == [4] * 4
     # a sleeping centre hears nothing and its broadcast reaches no one;
     # degree-0 node 6 is awake and hears nothing
     g = Graph(7, star_graph(4).edges())
     slot = np.full(7, -1)
-    hood = Hood(g, np.array([1, 2, 4, 6]), slot)
-    assert heard(hood, np.ones(4, dtype=bool), 8, None).tolist() == [False] * 4
+    hood = Hood(g, np.array([1, 2, 4, 6]), slot, 512)
+    assert heard(hood, np.ones(4, dtype=bool), 8).tolist() == [False] * 4
     leaves = np.array([False, True, True, True, True, False, False])
-    rank, best = least_heard(Hood(g, np.arange(7), slot), leaves,
-                             np.zeros(7, dtype=np.uint64), None)
+    rank, best = least_heard(Hood(g, np.arange(7), slot, 512), leaves,
+                             np.zeros(7, dtype=np.uint64))
     assert best.tolist() == [0, 7, 7, 7, 7, 7, 7]
     assert rank.tolist() == [7, 0, 1, 2, 3, 7, 7]
 

@@ -135,15 +135,15 @@ class RefSampledProtocol(Protocol):
                 first = min(min(hs) for hs in memb.values())
                 self.plan.post(max(first - 1, 0), [v])
 
-    def round(self, rnd, awake, hood, congest_bound):
+    def round(self, rnd, awake, hood):
         adj_np, ids = self.graph.adj_arrays(), awake.tolist()
         awake_mask = np.zeros(self.n, dtype=bool)
         awake_mask[awake] = True
         inbox1, inbox2 = {}, {}
         engine._deliver(((v, self.send1(v, rnd)) for v in ids), adj_np, awake_mask,
-                        inbox1, congest_bound, engine.payload_bits)
+                        inbox1, hood.bound, engine.payload_bits)
         engine._deliver(((v, self.send2(v, rnd, inbox1.get(v, ()))) for v in ids),
-                        adj_np, awake_mask, inbox2, congest_bound, engine.payload_bits)
+                        adj_np, awake_mask, inbox2, hood.bound, engine.payload_bits)
         done = []
         for v in ids:
             if self.finish(v, rnd, inbox1.get(v, ()), inbox2.get(v, ())):

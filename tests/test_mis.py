@@ -15,7 +15,7 @@ from awakesim.graphs import (Graph, complete_graph, cycle_graph, gen_bipartite,
                              gen_gnp, path_graph, petersen_graph, star_graph)
 from awakesim.engine import run
 from awakesim.mis import (LubyProtocol, MisParams, Part1Protocol,
-                          Part2Protocol, _assert_independent,
+                          Part2Protocol, _join_set,
                           awake_mis, default_iterations, default_participation,
                           greedy_partial_mis,
                           luby_mis, part2_degree, part2_reduce,
@@ -41,19 +41,26 @@ def test_luby_edgeless():
 
 
 def test_independence_assertion_fires():
-    """The check reads membership after the round's joins, as a mask or as
-    a status code."""
+    """The join step sets the joiners' membership, as a mask or as a status
+    code, and checks it after the round's joins."""
     csr = path_graph(3).csr()
-    _assert_independent(csr, np.array([True, False, True]), True, np.array([0, 2]))
-    _assert_independent(csr, np.array([2, 1, 2], dtype=np.int8), 2, np.array([2]))
+    _join_set(csr, np.array([True, False, True]), True, np.array([0, 2]))
+    _join_set(csr, np.array([2, 1, 2], dtype=np.int8), 2, np.array([2]))
+    member = np.array([0, 1, 0], dtype=np.int8)
+    _join_set(csr, member, 2, np.array([0, 2]))
+    assert member.tolist() == [2, 1, 2]
+    _join_set(csr, member, 2, np.array([], dtype=np.int64))
+    assert member.tolist() == [2, 1, 2]
     # two adjacent nodes joining in the same round
     with pytest.raises(AssertionError, match="independence violated"):
-        _assert_independent(csr, np.array([True, True, False]), True,
-                            np.array([0, 1]))
+        _join_set(csr, np.array([True, True, False]), True, np.array([0, 1]))
+    with pytest.raises(AssertionError, match="independence violated"):
+        _join_set(csr, np.zeros(3, dtype=bool), True, np.array([0, 1]))
     # a joiner next to a node already in the set
     with pytest.raises(AssertionError, match="independence violated"):
-        _assert_independent(csr, np.array([0, 2, 2], dtype=np.int8), 2,
-                            np.array([1]))
+        _join_set(csr, np.array([0, 2, 2], dtype=np.int8), 2, np.array([1]))
+    with pytest.raises(AssertionError, match="independence violated"):
+        _join_set(csr, np.array([0, 0, 2], dtype=np.int8), 2, np.array([1]))
 
     class Rigged(LubyProtocol):
         def bind(self, graph, seed, plan):
