@@ -8,11 +8,12 @@ a waking node to the next, keeps the waking ids that are still alive,
 charges them on an :class:`AwakeLedger` (sleeping is free), and calls the
 protocol's ``round`` once with them.  ``round`` does the whole round, posts
 later wakes, and returns the ids that terminate; a terminated node is
-removed and never charged again.  A round in which no alive node wakes
-costs no host time, yet it still counts in the ledger's rounds.  The
-ledger counts the charged ids in bulk, with O(n) of them waiting, so a
-short run counts once.  Each protocol keeps its per-node results in
-``outputs``, which :func:`run` returns.
+removed and never charged again, and a node outside the run's start set
+is never alive.  A round in which no alive node wakes costs no host time,
+yet it still counts in the ledger's rounds.  The ledger counts the charged
+ids in bulk, with O(n) of them waiting, so a short run counts once.  Each
+protocol keeps its per-node results in ``outputs``, which :func:`run`
+returns.
 
 Neighbourhoods come from a :class:`Hood`: one gather per round of the awake
 nodes' neighbour lists, read by the primitives :func:`heard` ("some awake
@@ -167,8 +168,10 @@ class WakePlan:
 class Protocol:
     """Behavior contract executed by :func:`run`.
 
-    ``bind`` receives the run's :class:`WakePlan` and keeps it as ``plan``;
-    a node wakes only in the rounds posted there.  A subclass posts the
+    ``bind`` receives the run's :class:`WakePlan`, which it keeps as
+    ``plan``, and the run's start set, the sorted ids of the nodes alive at
+    the start.  A start node wakes only in the rounds posted in the plan,
+    and no other node ever wakes.  A subclass posts the
     first wakes in ``bind`` and later ones from ``round``, and decides each
     node's wakes only from that node's own state and the coin streams it can
     compute: its own, and its neighbours', whose ids and master seed it
@@ -190,7 +193,7 @@ class Protocol:
     congest_factor = 64
     state_fields: Tuple[str, ...] = ()
 
-    def bind(self, graph: Graph, seed: int, plan: WakePlan) -> None:
+    def bind(self, graph: Graph, seed: int, plan: WakePlan, start: np.ndarray) -> None:
         self.graph = graph
         self.seed = seed
         self.n = graph.n
@@ -491,8 +494,10 @@ def run(
     master_seed: int,
     round_cap: int,
     part: str = "main",
+    start=None,
 ):
-    """Execute ``protocol`` on ``g`` until all nodes terminate.
+    """Execute ``protocol`` on ``g`` from the nodes of ``start`` (default:
+    every node), handed to ``bind`` sorted and unique, until all terminate.
 
     Returns ``(protocol.outputs, ledger, metrics)``; the ledger counts each
     node's awake rounds under ``part``.  The ids charged in a round are
@@ -508,12 +513,14 @@ def run(
     then reads ``round_cap`` rounds.
     """
     n = g.n
+    start = np.arange(n, dtype=np.int64) if start is None else _sorted_unique([start])
     plan = WakePlan()
-    protocol.bind(g, master_seed, plan)
+    protocol.bind(g, master_seed, plan, start)
     ledger = AwakeLedger(n)
     tally = _Tally(ledger, part)
-    alive = np.ones(n, dtype=bool)
-    alive_count = n
+    alive = np.zeros(n, dtype=bool)
+    alive[start] = True
+    alive_count = start.size
     slot = np.full(n, -1, dtype=np.int64)
     congest_bound = protocol.congest_factor * max(8, (max(n, 2) - 1).bit_length())
 

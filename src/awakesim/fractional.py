@@ -114,12 +114,12 @@ def _phase(n: int, delta: int, a: int, b: int, i_max: int, j: int) -> int:
 
 
 @lru_cache(maxsize=256)
-def _schedule_shape(n: int, delta: int, eps: Fraction) -> Tuple[int, int, int, int]:
+def _schedule_shape(n: int, delta: int, a: int, b: int) -> Tuple[int, int, int, int]:
     """``(i_max, growth, i_stop, analytic stop round)`` for ``n`` >= 2 nodes
-    of max degree ``delta`` >= 1.  A bad ``eps`` raises on every call, since
-    ``lru_cache`` does not cache exceptions."""
-    _check_eps(eps)
-    a, b = eps.numerator, eps.denominator
+    of max degree ``delta`` >= 1 and eps = a/b in lowest terms (integers
+    hash faster than a ``Fraction``).  A bad eps raises on every call,
+    since ``lru_cache`` does not cache exceptions."""
+    eps = _check_eps(Fraction(a, b))
     i_max = saturation_phase(n)
     # growth: the first j with w_j >= 1, i.e. (a+b)^j >= Delta b^j
     up, down, growth = 1, delta, 0
@@ -173,9 +173,9 @@ class SampleSchedule:
         self.n = max(2, n)
         self.delta = max(1, delta)
         self.eps = _as_fraction(eps)
-        self.i_max, self._growth, self.i_stop, stop = _schedule_shape(
-            self.n, self.delta, self.eps)
         self.a, self.b = self.eps.numerator, self.eps.denominator
+        self.i_max, self._growth, self.i_stop, stop = _schedule_shape(
+            self.n, self.delta, self.a, self.b)
         self.C = _check_integer(estimator_constant, "estimator_constant", 1)
         self._forced_p = _forced_probabilities(force_phase_probabilities,
                                                self.i_max)
@@ -362,7 +362,7 @@ def _assignment(g: Graph, f: List[int], load: List[int], rungs: List[int],
     # -1 (never froze) wraps to 2^64 - 1, so a slot's min is a rung index
     # unless neither endpoint froze
     key = np.array(f, dtype=np.int64).view(np.uint64)
-    fr = np.minimum(key.repeat(np.diff(indptr)), key[indices]).tolist()
+    fr = np.minimum(key.repeat(indptr[1:] - indptr[:-1]), key[indices]).tolist()
     assert max(fr, default=0) < len(rungs), "an edge has no frozen endpoint"
     return FractionalAssignment.__new__(FractionalAssignment)._fill(
         g, rungs + [0], fr, fr, f, load, one)
@@ -432,8 +432,8 @@ class SampledMatchingProtocol(Protocol):
         self.sched = schedule
         self.round_cap = schedule.stop_round + schedule.growth_rounds() + 4
 
-    def bind(self, graph, seed, plan):
-        super().bind(graph, seed, plan)
+    def bind(self, graph, seed, plan, start):
+        super().bind(graph, seed, plan, start)
         s = self.sched
         stop = self._stop = s.stop_round
         # shared with every run of the same ladder: read, never changed

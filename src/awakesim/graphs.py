@@ -1,8 +1,9 @@
 """Immutable graph and matching types plus seeded generators.
 
 Nodes are dense integers ``0..n-1``.  Edges are canonical ``(u, v)`` tuples
-with ``u < v``.  Graphs are immutable after construction; algorithms that
-shrink a graph work on induced subgraphs and map node ids back at the end.
+with ``u < v``.  Graphs are immutable after construction.  The MIS
+stages shrink their graph by running from a start set of host ids; the
+matching amplification works on induced subgraphs and maps node ids back.
 """
 
 from __future__ import annotations
@@ -38,23 +39,19 @@ class Graph:
         is turned into the CSR adjacency by a few numpy calls, and ``adj``
         and ``edge_set`` are built from that on first use.  Pairs take a
         Python loop, which is the faster of the two on tiny graphs; such a
-        graph builds its CSR only when :meth:`csr` is first called.  The
-        kind of input also fixes the path :meth:`induced` takes, so a view
-        built later never moves a graph onto the other path.
+        graph builds its CSR only when :meth:`csr` is first called.
     sides : optional sequence of 0/1
         Bipartition labels, populated by :func:`gen_bipartite` and by
         algorithms that build two-sided instances.
     """
 
-    __slots__ = ("n", "m", "max_degree", "sides", "_adj", "_edge_set", "_adj_np", "_csr",
-                 "_from_array")
+    __slots__ = ("n", "m", "max_degree", "sides", "_adj", "_edge_set", "_adj_np", "_csr")
 
     def __init__(self, n: int, edges: Iterable[Edge] = (), sides: Optional[Sequence[int]] = None):
         if n < 0:
             raise ValueError("n must be nonnegative")
         self.n = n
-        self._from_array = isinstance(edges, np.ndarray)
-        if self._from_array:
+        if isinstance(edges, np.ndarray):
             indptr, indices, self.max_degree = _csr_from_array(n, edges)
             self._csr = (indptr, indices)
             self.m = len(indices) // 2
@@ -163,25 +160,15 @@ class Graph:
         """Induced subgraph on ``nodes``; returns (subgraph, original_ids).
 
         ``original_ids[i]`` is the id in this graph of subgraph node ``i``.
-        Side labels are carried over when present.  The path follows how
-        the graph was built, not which views it holds: one built from an
-        edge array relabels its CSR with numpy, and one built from pairs
-        loops over ``adj``, which is faster on tiny graphs, even after
-        :meth:`csr` has been called on it.
+        Side labels are carried over when present.  The subgraph is built
+        from pairs, by a loop over ``adj``: its callers induce the tiny
+        instances of matching amplification.
         """
         ids = tuple(sorted(set(nodes)))
         if ids and not (0 <= ids[0] and ids[-1] < self.n):
             bad = ids[0] if ids[0] < 0 else ids[-1]
             raise ValueError(f"node {bad} out of range for n={self.n}")
         sides = tuple(self.sides[orig] for orig in ids) if self.sides is not None else None
-        if self._from_array:
-            indptr, indices = self._csr
-            new = np.full(self.n, -1, dtype=np.int64)
-            new[np.fromiter(ids, dtype=np.int64, count=len(ids))] = np.arange(len(ids))
-            rows = np.repeat(new, np.diff(indptr))
-            cols = new[indices]
-            keep = (rows >= 0) & (cols > rows)
-            return Graph(len(ids), np.stack((rows[keep], cols[keep]), axis=1), sides=sides), ids
         adj = self.adj
         index = {orig: i for i, orig in enumerate(ids)}
         sub_edges = []

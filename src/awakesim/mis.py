@@ -6,11 +6,11 @@ Three composable stages:
    Only a p-fraction of nodes participate; everyone else sleeps through the
    competition and wakes once for a final announcement round.
 2. ``part2_reduce``, iterated doubling-probability marking on the residual
-   graph under degree bound ``max(2, residual max degree)``.  An undecided
-   node is awake only in the rounds it marks itself and in each
-   iteration's cleanup round.  A node that joins the set wakes at each
-   neighbour's first mark after its join, to tell that neighbour, which
-   terminates; it reads those marks from its neighbours' ids and the
+   under degree bound ``max(2, most residual neighbours of a residual
+   node)``.  An undecided node is awake only in the rounds it marks itself
+   and in each iteration's cleanup round.  A node that joins the set wakes
+   at each neighbour's first mark after its join, to tell that neighbour,
+   which terminates; it reads those marks from its neighbours' ids and the
    master seed.
 3. ``luby_mis``, the classic one-fresh-key-per-round protocol, used both as
    a standalone baseline and as the cleanup stage.
@@ -22,18 +22,18 @@ gather of their neighbourhoods (``engine.heard`` for announcements,
 ``outputs`` is its own state array, and the stage functions read each
 result set with one mask.
 
-Stages 1 and 2 return their residual graph together with ``residual_ids``,
-the residual's node ids in their input graph.  ``awake_mis`` is the
-composition of the three stage functions: it maps every stage's output back
-through those id maps and returns a verified MIS together with a per-stage
-awake ledger.
+Every stage runs on the host graph with coins keyed by host id.  Stages 2
+and 3 start from a set of nodes, and stages 1 and 2 return their residual
+as a sorted tuple of host ids.  ``awake_mis`` is the composition of the
+three stage functions, each starting from the residual of the one before:
+it returns a verified MIS together with the sum of their awake ledgers.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional, Set, Tuple
 
@@ -89,8 +89,8 @@ def default_part1_window(n: int) -> int:
 
 
 def default_degree_bound(n: int) -> int:
-    """ceil((log2 n)^2); ``awake_mis`` reports ``d_raised`` when the residual
-    max degree exceeds it."""
+    """ceil((log2 n)^2); ``awake_mis`` reports ``d_raised`` when the stage-2
+    degree bound (:func:`part2_degree`) exceeds it."""
     return max(2, math.ceil(math.log2(max(2, n)) ** 2))
 
 
@@ -164,8 +164,8 @@ def _luby_cap(n: int) -> int:
 class LubyProtocol(Protocol):
     """Fresh random key each round; strictly-smallest key in the closed
     undecided neighborhood joins, neighbors of joiners leave.  Every undecided
-    node is awake every round until it decides: ``bind`` stays every node
-    from round 0.
+    node is awake every round until it decides: ``bind`` stays every start
+    node from round 0.
 
     Subround 1: every node broadcasts its key.  Subround 2: the strict
     ``(key, id)`` minima join and announce "I"; hearers terminate.
@@ -173,11 +173,11 @@ class LubyProtocol(Protocol):
 
     state_fields = ("_in_s",)
 
-    def bind(self, graph, seed, plan):
-        super().bind(graph, seed, plan)
+    def bind(self, graph, seed, plan, start):
+        super().bind(graph, seed, plan, start)
         self._csr = graph.csr()
         self.outputs = self._in_s = np.zeros(self.n, dtype=bool)
-        plan.stay(0, np.arange(self.n))
+        plan.stay(0, start)
 
     def round(self, rnd, awake, hood):
         keys = node_rng_array(self.seed, awake, "luby", rnd)
@@ -185,11 +185,11 @@ class LubyProtocol(Protocol):
         return awake[decided]
 
 
-def luby_mis(g: Graph, seed: int,
-             round_cap: Optional[int] = None) -> Tuple[Set[int], AwakeLedger]:
-    """Luby-style MIS.  Output always satisfies ``verify_mis``."""
+def luby_mis(g: Graph, seed: int, round_cap: Optional[int] = None,
+             start=None) -> Tuple[Set[int], AwakeLedger]:
+    """Luby-style MIS of the graph ``start`` induces (default: all of ``g``)."""
     cap = round_cap if round_cap is not None else _luby_cap(g.n)
-    outputs, ledger, _ = run(g, LubyProtocol(), seed, cap, part="luby")
+    outputs, ledger, _ = run(g, LubyProtocol(), seed, cap, part="luby", start=start)
     return set(np.flatnonzero(outputs).tolist()), ledger
 
 
@@ -220,8 +220,8 @@ class Part1Protocol(Protocol):
         self.p = p
         self.window = window
 
-    def bind(self, graph, seed, plan):
-        super().bind(graph, seed, plan)
+    def bind(self, graph, seed, plan, start):
+        super().bind(graph, seed, plan, start)
         n = self.n
         ids = np.arange(n, dtype=np.int64)
         self._keys = node_rng_array(seed, ids, "p1key", 0) if n else np.zeros(0, np.uint64)
@@ -254,10 +254,9 @@ class Part1Protocol(Protocol):
 def greedy_partial_mis(g: Graph, seed: int, p, window: Optional[int] = None):
     """Partial greedy MIS at participation fraction ``p``.
 
-    Returns ``(joined, removed, residual_graph, residual_ids, ledger)``.
-    ``removed`` holds dominated nodes; the residual graph is induced on nodes
-    that neither participated nor have a joined neighbor, and
-    ``residual_ids[i]`` is the id in ``g`` of residual node ``i``.
+    Returns ``(joined, removed, residual_ids, ledger)``.  ``removed`` holds
+    dominated nodes, and ``residual_ids`` the others that did not join,
+    sorted: those that neither joined nor have a joined neighbour.
     """
     p = p if isinstance(p, Fraction) else Fraction(p).limit_denominator(10 ** 12)
     if not (0 < p <= 1):
@@ -269,10 +268,10 @@ def greedy_partial_mis(g: Graph, seed: int, p, window: Optional[int] = None):
                             part="part1")
     joined = set(np.flatnonzero(status == _P1_JOINED).tolist())
     removed = set(np.flatnonzero(status == _P1_DOMINATED).tolist())
-    residual, residual_ids = g.induced(np.flatnonzero(status < _P1_JOINED).tolist())
-    log.debug("part1: |S|=%d removed=%d residual n=%d max_degree=%d",
-              len(joined), len(removed), residual.n, residual.max_degree)
-    return joined, removed, residual, residual_ids, ledger
+    residual_ids = tuple(np.flatnonzero(status < _P1_JOINED).tolist())
+    log.debug("part1: |S|=%d removed=%d residual n=%d",
+              len(joined), len(removed), len(residual_ids))
+    return joined, removed, residual_ids, ledger
 
 
 # ---------------------------------------------------------------------------
@@ -284,12 +283,13 @@ _P2_UNDECIDED, _P2_OUT, _P2_IN = 0, 1, 2
 class Part2Protocol(Protocol):
     """K iterations of phased marking under degree bound d.
 
-    Phase i of an iteration marks each undecided node per round with
-    probability min(1, 2^i/d).  When an iteration begins (at ``bind``, and
-    in each cleanup round for the next one), one pass of ``rng.coins`` draws
-    all of the iteration's marks for the undecided nodes with a neighbour
-    and for their neighbours, and every alive node is posted at the
-    iteration's cleanup.  A node is awake only when it has something to do:
+    Nodes outside the start set begin "out" and are no one's neighbour.
+    Phase i of an iteration marks each undecided node with a start
+    neighbour per round with probability min(1, 2^i/d).  When an iteration
+    begins (at ``bind``, and in each cleanup round for the next one), one
+    pass of ``rng.coins`` draws its marks for those nodes and their start
+    neighbours, and every alive node is posted at its cleanup round.  A
+    node is awake only when it has something to do:
 
     * an undecided node wakes in the rounds where it marks, plus the
       cleanup round.  These are posted one marking round ahead: after each
@@ -300,9 +300,9 @@ class Part2Protocol(Protocol):
       mark after r, plus the cleanup round.  It posts these rounds once, at
       its join.  A neighbour that was awake there heard its "S" and left,
       and one that slept there had already left through another in-set
-      node, so it needs no per-neighbour told flags.  This assumes a node
-      knows its neighbours' ids and the master seed, so it can compute
-      their counter-based coins, dead neighbours' included.
+      node, so it needs no per-neighbour told flags.  A node knows its
+      neighbours' ids and the master seed, so it computes their
+      counter-based coins, dead neighbours' included.
 
     Subround 1: awake in-set nodes announce, and hearers terminate as "out".
     Subround 2: the surviving awake nodes, which all mark, announce their
@@ -328,12 +328,14 @@ class Part2Protocol(Protocol):
         self.t_iter = self._marking + 1
         self._ps = np.array(probabilities, dtype=object)
 
-    def bind(self, graph, seed, plan):
-        super().bind(graph, seed, plan)
+    def bind(self, graph, seed, plan, start):
+        super().bind(graph, seed, plan, start)
         self._csr = graph.csr()
         self._deg = np.diff(self._csr[0])
-        self.outputs = self._status = np.full(self.n, _P2_UNDECIDED, dtype=np.int8)
-        self._begin_iteration(0, np.arange(self.n))
+        self.outputs = self._status = np.full(self.n, _P2_OUT, dtype=np.int8)
+        self._status[start] = _P2_UNDECIDED
+        self._in_start = self._status == _P2_UNDECIDED
+        self._begin_iteration(0, start)
 
     def _begin_iteration(self, k: int, undecided: np.ndarray):
         """Post iteration ``k``'s cleanup for the ``undecided`` ids (every
@@ -341,17 +343,18 @@ class Part2Protocol(Protocol):
 
         ``_marks[v]`` holds node v's marks, bit o (``np.packbits`` order)
         set when v marks at offset o.  They are drawn for the nodes a
-        joiner's plan can read: the undecided ones with a neighbour, which
-        are ``_markers``, and all their neighbours.
+        joiner's plan can read: the undecided ones with a start neighbour,
+        which are ``_markers``, and all their start neighbours.
         """
         M = self._marking
         self._k = k
         self.plan.post(k * self.t_iter + M, undecided)
-        own, _, nbrs = gather_neighbours(self._csr, undecided)
-        self._markers = undecided[own]
+        own, seg, nbrs = gather_neighbours(self._csr, undecided)
+        mine = self._in_start[nbrs]
+        self._markers = undecided[own[np.logical_or.reduceat(mine, seg)]]
         need = np.zeros(self.n, dtype=bool)
         need[self._markers] = True
-        need[nbrs] = True
+        need[nbrs[mine]] = True
         drawn = np.flatnonzero(need)
         # marking coins keyed by global round index
         idx = k * self.t_iter + np.arange(M, dtype=np.uint64)
@@ -392,17 +395,18 @@ class Part2Protocol(Protocol):
 
     def _join(self, o: int, joiners: np.ndarray):
         """Joiners at marking offset ``o`` enter the set and post their
-        plan: a wake at each neighbour's first mark after ``o``.  No
-        neighbour of a joiner is in the set, so every neighbour's marks are
-        in ``_marks``."""
+        plan: a wake at each start neighbour's first mark after ``o``.  No
+        neighbour of a joiner is in the set, so every start neighbour's
+        marks are in ``_marks``."""
         nbrs = _join_set(self._csr, self._status, _P2_IN, joiners)
         if o + 1 == self._marking:
             return
-        marks = np.unpackbits(self._marks[nbrs], axis=1, count=self._marking)
+        mine = self._in_start[nbrs]
+        owner = np.repeat(joiners, self._deg[joiners])[mine]
+        marks = np.unpackbits(self._marks[nbrs[mine]], axis=1, count=self._marking)
         later = marks[:, o + 1:]
         hit = later.any(axis=1)
         first = o + 1 + later.argmax(axis=1)
-        owner = np.repeat(joiners, self._deg[joiners])
         self.plan.post_each(self._k * self.t_iter + first[hit], owner[hit])
 
     def round(self, rnd, awake, hood):
@@ -439,25 +443,30 @@ class Part2Protocol(Protocol):
         return out
 
 
-def part2_degree(g: Graph) -> int:
-    """Stage-2 degree bound: the graph's max degree, floored at 2."""
-    return max(2, g.max_degree)
+def part2_degree(g: Graph, start=None) -> int:
+    """Stage-2 degree bound: the most start neighbours a start node has
+    (every node is one when ``start`` is None), floored at 2."""
+    if start is None:
+        return max(2, g.max_degree)
+    ids = np.fromiter(start, np.int64, len(start))
+    in_start = np.zeros(g.n, dtype=bool)
+    in_start[ids] = True
+    _, seg, nbrs = gather_neighbours(g.csr(), ids)
+    return max(2, int(np.add.reduceat(in_start[nbrs], seg, dtype=np.int64).max(initial=0)))
 
 
-def part2_reduce(g: Graph, seed: int, params: Optional[MisParams] = None):
-    """Run the marking stage on a residual graph.
-
-    Returns ``(added, residual_graph, residual_ids, ledger)``, where
-    ``residual_ids[i]`` is the id in ``g`` of residual node ``i``.  The
-    degree bound is :func:`part2_degree` of ``g``.
-    """
+def part2_reduce(g: Graph, seed: int, params: Optional[MisParams] = None, start=None):
+    """Run the marking stage from the nodes of ``start`` (default: every
+    node), under the degree bound :func:`part2_degree`.  Returns ``(added,
+    residual_ids, ledger)``, ``residual_ids`` being the start nodes still
+    undecided, sorted."""
     params = params or MisParams()
     K = params.K if params.K is not None else default_iterations(g.n)
-    proto = Part2Protocol(part2_degree(g), K, params.C)
-    status, ledger, _ = run(g, proto, seed, K * proto.t_iter + 2, part="part2")
+    proto = Part2Protocol(part2_degree(g, start), K, params.C)
+    status, ledger, _ = run(g, proto, seed, K * proto.t_iter + 2, part="part2",
+                            start=start)
     added = set(np.flatnonzero(status == _P2_IN).tolist())
-    residual, residual_ids = g.induced(np.flatnonzero(status == _P2_UNDECIDED).tolist())
-    return added, residual, residual_ids, ledger
+    return added, tuple(np.flatnonzero(status == _P2_UNDECIDED).tolist()), ledger
 
 
 # ---------------------------------------------------------------------------
@@ -467,38 +476,35 @@ def part2_reduce(g: Graph, seed: int, params: Optional[MisParams] = None):
 def awake_mis(g: Graph, seed: int, params: Optional[MisParams] = None):
     """Three-stage MIS with O(1)-style node-averaged awake time.
 
-    Runs :func:`greedy_partial_mis`, :func:`part2_reduce` on its residual and
-    :func:`luby_mis` on what is left, with every size-derived default taken
-    from ``g.n``.  Returns ``(mis_set, ledger, metrics)``; the ledger splits
-    awake rounds into parts "part1", "part2", "luby".  Las Vegas: the output
-    is verified and ``metrics.validity`` records the check.
+    Runs :func:`greedy_partial_mis`, :func:`part2_reduce` from its residual
+    and :func:`luby_mis` from what is left, all on ``g``, with every default
+    taken from ``g.n``.  Returns ``(mis_set, ledger, metrics)``; the ledger
+    splits awake rounds into parts "part1", "part2", "luby".  Las Vegas: the
+    output is verified and ``metrics.validity`` records the check.
     """
     params = params or MisParams()
     n = g.n
     ledger = AwakeLedger(n)
     p = params.p if params.p is not None else default_participation(n)
-    mis, _, res1, ids1, led1 = greedy_partial_mis(g, seed, p, params.part1_window)
+    mis, _, res1, led1 = greedy_partial_mis(g, seed, p, params.part1_window)
     ledger.merge(led1)
-    diags: Dict[str, object] = {"part1_in": len(mis), "residual1_n": res1.n}
-    if res1.n:
-        d_raised = res1.max_degree > default_degree_bound(n)
-        if d_raised:
+    diags: Dict[str, object] = {"part1_in": len(mis), "residual1_n": len(res1)}
+    if res1:
+        d = part2_degree(g, res1)
+        diags.update(d_used=d, d_raised=d > default_degree_bound(n))
+        if diags["d_raised"]:
             # low-probability residual-degree overshoot: keep going, loudly
-            log.info("part2: residual max degree %d exceeds the default bound %d",
-                     res1.max_degree, default_degree_bound(n))
-        diags.update(residual1_max_degree=res1.max_degree,
-                     d_used=part2_degree(res1), d_raised=d_raised)
+            log.info("part2: degree bound %d exceeds the default bound %d", d,
+                     default_degree_bound(n))
 
-    K = params.K if params.K is not None else default_iterations(n)
-    added, res2, ids2, led2 = part2_reduce(res1, seed, replace(params, K=K))
-    ledger.merge(led2, id_map=ids1)
-    mis.update(ids1[v] for v in added)
-    diags["residual2_n"] = res2.n
+    added, res2, led2 = part2_reduce(g, seed, params, start=res1)
+    ledger.merge(led2)
+    mis |= added
+    diags["residual2_n"] = len(res2)
 
-    host_ids2 = [ids1[v] for v in ids2]
-    s3, led3 = luby_mis(res2, seed, round_cap=_luby_cap(n))
-    ledger.merge(led3, id_map=host_ids2)
-    mis.update(host_ids2[v] for v in s3)
+    s3, led3 = luby_mis(g, seed, start=res2)
+    ledger.merge(led3)
+    mis |= s3
 
     metrics = RunMetrics.from_ledger(
         ledger,

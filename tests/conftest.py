@@ -2,8 +2,9 @@
 Fraction-arithmetic reference of the full-rate fractional matcher, the slot
 re-summation of the matcher's node loads, the no-reuse reference of the
 sleeping box and its delta-maximal loop, the per-node reference of the MIS
-marking stage, a sleeping-model check that wraps any protocol, and a
-watcher of the rounds each node is awake in."""
+marking stage, a sleeping-model check that wraps any protocol, a
+watcher of the rounds each node is awake in, and a locality check built
+on that watcher."""
 
 import math
 from contextlib import contextmanager
@@ -18,7 +19,7 @@ from awakesim.augmentation import MatchBox
 from awakesim.engine import Protocol
 from awakesim.errors import PreconditionViolated
 from awakesim.fractional import FractionalAssignment
-from awakesim.graphs import Matching, canon, gen_gnp
+from awakesim.graphs import Graph, Matching, canon, gen_gnp
 from awakesim.oracles import verify_matching
 from awakesim.mis import awake_mis, luby_mis, part2_schedule
 from awakesim.rng import coin_threshold, node_rng
@@ -133,9 +134,12 @@ def ref_delta_maximal(g, box, delta, *, iterations=None, orig_ids=None):
 class RefPart2(Protocol):
     """Per-node reference of the MIS marking stage.
 
-    Every node reads its own and its neighbours' marks from the scalar
-    coins, so a node knows whether a neighbour marks whether or not that
-    neighbour is alive.  An undecided node wakes at its marks; a node in
+    Only the start nodes take part.  Every other node begins "out", and it
+    is no one's neighbour, so each node's neighbour list below holds its
+    start neighbours only, and a node marks only if that list is not
+    empty.  Every node reads its own and its neighbours' marks from the
+    scalar coins, so a node knows whether a neighbour marks whether or not
+    that neighbour is alive.  An undecided node wakes at its marks; a node in
     the set wakes when a neighbour it has not told marks.  It has told a
     neighbour once it was awake, in a round after its join round, where that
     neighbour was awake or marked.  Every alive node attends each
@@ -156,14 +160,17 @@ class RefPart2(Protocol):
         self.t_iter = self._marking + 1
         self._cut = [coin_threshold(p) for p in probabilities]
 
-    def bind(self, graph, seed, plan):
-        super().bind(graph, seed, plan)
+    def bind(self, graph, seed, plan, start):
+        super().bind(graph, seed, plan, start)
         indptr, indices = graph.csr()
-        self._nbrs = [indices[indptr[v]:indptr[v + 1]].tolist()
+        members = set(start.tolist())
+        self._nbrs = [[w for w in indices[indptr[v]:indptr[v + 1]].tolist()
+                       if w in members] if v in members else []
                       for v in range(self.n)]
-        self.outputs = self._status = np.zeros(self.n, dtype=np.int8)
+        self.outputs = self._status = np.full(self.n, self.OUT, dtype=np.int8)
+        self._status[start] = self.UNDECIDED
         self._told = {}  # in-set node -> the neighbours it has told
-        self._begin_iteration(0, range(self.n))
+        self._begin_iteration(0, start.tolist())
 
     def _marks(self, v, rnd):
         o = rnd % self.t_iter
@@ -292,6 +299,34 @@ def watched_wakes(module):
 
     with mock.patch.object(module, "run", run):
         yield runs
+
+
+def assert_local(stage, module, g, h1, h2, decided):
+    """Assert that ``stage`` decides and wakes the nodes of ``g`` from ``g``
+    alone, not from a component they are not in.
+
+    Builds H1 ⊎ G and H2 ⊎ G, each with H's nodes first, so that node v of
+    G is node ``off + v`` of both, ``off`` being their common node count,
+    and asserts that the two unions have equal n and max degree, the
+    globals a node may know.  ``stage(union)`` runs on each with the same
+    seeds, through ``module.run`` (see :func:`watched_wakes`), and
+    ``decided(result, off)`` returns what a result says of G's nodes, in
+    G's ids.  Those, and G's wake rounds in each run, must be equal.
+    """
+    assert h1.n == h2.n, "the two H graphs differ in their node counts"
+    seen = []
+    for h in (h1, h2):
+        off = h.n
+        edges = [*h.edge_set, *((u + off, v + off) for u, v in g.edge_set)]
+        union = Graph(off + g.n, np.array(edges, dtype=np.int64).reshape(-1, 2))
+        with watched_wakes(module) as runs:
+            result = stage(union)
+        wakes = [rounds[off:] for rounds, _ in runs]
+        seen.append((union.n, union.max_degree, decided(result, off), wakes))
+    (n1, delta1, decided1, wakes1), (n2, delta2, decided2, wakes2) = seen
+    assert (n1, delta1) == (n2, delta2), "the unions differ in n or max degree"
+    assert decided1 == decided2, "G's outputs depend on the other component"
+    assert wakes1 == wakes2, "G's wake rounds depend on the other component"
 
 
 def record_criterion(num: int, name: str, passed: bool, detail: str) -> None:

@@ -1,12 +1,14 @@
 """Acceptance gate: one test per stated criterion, at the stated tolerances.
 
 Each test records a PASS/FAIL line for the terminal summary before
-asserting.  Criteria 2 and 3 are known to fail at these sizes: the
-degree-reduction stage keeps woken nodes awake to the end of the iteration,
-and the iteration length doubles whenever the clamped degree bound crosses
-a power of two, so the average awake cost still tracks the round count and
-the round maximum moves in steps rather than on a clean line.  The tests
-report the measured numbers rather than hiding them.
+asserting.  Criteria 2 and 3 are known to fail at these sizes.  Criterion
+3's step comes from the stage-2 schedule: an iteration has ``ceil(log2 d)``
+phases for the degree bound d, so its length jumps whenever d crosses a
+power of two, and the round maximum moves in steps rather than on a clean
+line.  Criterion 2's slope comes from the stage-1 residual, which grows
+with n as the participation 1/ceil(log2 n) falls, and its contrast clause
+asks more growth of the Luby baseline than it has.  The tests report the
+measured numbers rather than hiding them.
 """
 
 import statistics

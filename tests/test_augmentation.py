@@ -351,7 +351,7 @@ def test_box_runs_once_per_residual(monkeypatch):
 def test_box_reruns_a_sampled_prefix(monkeypatch):
     shape = fractional._schedule_shape
     monkeypatch.setattr(fractional, "_schedule_shape",
-                        lambda n, delta, eps: shape(n, delta, eps)[:3] + (2,))
+                        lambda *key: shape(*key)[:3] + (2,))
     g = gen_bipartite(6, 6, 0.3, seed=5)
     box = MatchBox("sleeping", master_seed=9, host_n=g.n)
     ref_box = RefSleepingBox(master_seed=9, host_n=g.n)

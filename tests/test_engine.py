@@ -23,8 +23,8 @@ class AllAwake(Protocol):
     every node at round 0, and each round posts the awake nodes that
     ``step`` does not terminate for the next round."""
 
-    def bind(self, graph, seed, plan):
-        super().bind(graph, seed, plan)
+    def bind(self, graph, seed, plan, start):
+        super().bind(graph, seed, plan, start)
         plan.post(0, np.arange(self.n))
 
     def round(self, rnd, awake, hood):
@@ -46,8 +46,8 @@ class Beacon(Protocol):
     """Node 0 broadcasts the round number every round; node 1 sleeps until
     round 2 and terminates on the first payload it hears."""
 
-    def bind(self, graph, seed, plan):
-        super().bind(graph, seed, plan)
+    def bind(self, graph, seed, plan, start):
+        super().bind(graph, seed, plan, start)
         plan.post(0, [0])
         plan.post(2, [1])
 
@@ -88,8 +88,8 @@ class Scripted(Protocol):
         self.script = script
         self.calls = []
 
-    def bind(self, graph, seed, plan):
-        super().bind(graph, seed, plan)
+    def bind(self, graph, seed, plan, start):
+        super().bind(graph, seed, plan, start)
         for rnd, ids in self.script.items():
             plan.post(rnd, ids)
 
@@ -134,8 +134,8 @@ def test_round_gets_sorted_unique_ids():
     reach ``round`` sorted and once each, and are charged once."""
 
     class Thrice(Scripted):
-        def bind(self, graph, seed, plan):
-            super().bind(graph, seed, plan)
+        def bind(self, graph, seed, plan, start):
+            super().bind(graph, seed, plan, start)
             plan.post(0, [2, 1])
             plan.post(0, np.array([1, 1]))
 
@@ -225,8 +225,8 @@ class Survivors(Protocol):
         self.late = late or [False] * len(start)
         self.calls = []
 
-    def bind(self, graph, seed, plan):
-        super().bind(graph, seed, plan)
+    def bind(self, graph, seed, plan, start):
+        super().bind(graph, seed, plan, start)
         self._waiting = set()
         for v in range(self.n):
             for r in self.visits[v]:
@@ -287,8 +287,8 @@ def test_stay_and_post_in_one_round():
     sorted; only the stayed ones wake in the rounds after it."""
 
     class Mixed(Scripted):
-        def bind(self, graph, seed, plan):
-            super().bind(graph, seed, plan)
+        def bind(self, graph, seed, plan, start):
+            super().bind(graph, seed, plan, start)
             plan.stay(2, np.array([3, 1]))
             plan.post(2, [1, 0])
 
@@ -300,8 +300,8 @@ def test_stay_and_post_in_one_round():
 
 def test_unsorted_repeated_stays_reach_round_once_each():
     class Repeats(Scripted):
-        def bind(self, graph, seed, plan):
-            super().bind(graph, seed, plan)
+        def bind(self, graph, seed, plan, start):
+            super().bind(graph, seed, plan, start)
             plan.stay(0, [2, 0, 2])
             plan.stay(0, np.array([1, 0]))
 

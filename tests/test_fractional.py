@@ -23,8 +23,8 @@ from awakesim.graphs import (Graph, Matching, complete_graph, cycle_graph,
                              petersen_graph, star_graph)
 from awakesim.oracles import verify_vertex_cover
 from awakesim.rng import TWO64, coin_threshold, node_rng
-from conftest import (ref_slot_loads, ref_vanilla, ref_vanilla_assignment,
-                      sleep_checked, watched_wakes)
+from conftest import (assert_local, ref_slot_loads, ref_vanilla,
+                      ref_vanilla_assignment, sleep_checked, watched_wakes)
 from test_mis import small_graphs
 
 
@@ -88,8 +88,8 @@ class RefSampledProtocol(Protocol):
         self.sched = schedule
         self.round_cap = schedule.stop_round + schedule.growth_rounds() + 4
 
-    def bind(self, graph, seed, plan):
-        super().bind(graph, seed, plan)
+    def bind(self, graph, seed, plan, start):
+        super().bind(graph, seed, plan, start)
         s = self.sched
         n = self.n
         stop = self._stop = s.stop_round
@@ -342,6 +342,28 @@ def test_schedule_probability_overrides():
                              force_phase_probabilities={1: Fraction(1, 3)})
     assert partial.p_of_phase(1) == Fraction(1, 3)
     assert partial.p_of_phase(3) == 1  # falls back to the formula
+
+
+def _g_view(result, off):
+    """Edge values and node freeze rounds of G's part of an assignment on a
+    union with H placed first, in G's ids."""
+    asg = result[0]
+    return ({(u - off, v - off): w for (u, v), w in asg.x.items() if u >= off},
+            [f for v, f in asg.node_freeze.items() if v >= off])
+
+
+@pytest.mark.parametrize("forced", [False, True], ids=["analytic", "forced"])
+def test_sampled_matcher_is_local(forced):
+    """G = G(400, 10/400) placed after 60 isolated nodes or after a perfect
+    matching on 60 nodes (same n, same max degree 25): the matcher assigns
+    and wakes G's nodes alike in both unions, at the analytic stop round and
+    at a forced one with sampling."""
+    g = gen_gnp(400, 10 / 400, seed=5)
+    knobs = (dict(force_stop_round=3, force_phase_probabilities=Fraction(1, 2))
+             if forced else {})
+    assert_local(lambda u: sampled_fractional(u, Fraction(1, 10), 7, **knobs),
+                 fractional, g, Graph(60),
+                 Graph(60, [(2 * i, 2 * i + 1) for i in range(30)]), _g_view)
 
 
 def test_sampled_equals_vanilla_on_defaults():

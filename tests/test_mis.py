@@ -22,7 +22,7 @@ from awakesim.mis import (LubyProtocol, MisParams, Part1Protocol,
                           part2_round_count, part2_schedule)
 from awakesim.oracles import verify_mis
 from awakesim.rng import coin_threshold, node_rng
-from conftest import RefPart2, sleep_checked, watched_wakes
+from conftest import RefPart2, assert_local, sleep_checked, watched_wakes
 
 
 def test_luby_validity_over_seeds():
@@ -63,8 +63,8 @@ def test_independence_assertion_fires():
         _join_set(csr, np.array([0, 0, 2], dtype=np.int8), 2, np.array([1]))
 
     class Rigged(LubyProtocol):
-        def bind(self, graph, seed, plan):
-            super().bind(graph, seed, plan)
+        def bind(self, graph, seed, plan, start):
+            super().bind(graph, seed, plan, start)
             self._in_s[:] = True
 
     with pytest.raises(AssertionError, match="independence violated"):
@@ -95,21 +95,21 @@ def test_part2_schedule_shape():
 def test_part1_full_participation_runs_greedy_to_completion():
     for seed in range(6):
         g = gen_gnp(50, 0.15, seed=seed)
-        joined, removed, residual, _, ledger = greedy_partial_mis(g, seed, p=1)
+        joined, removed, residual, ledger = greedy_partial_mis(g, seed, p=1)
         assert joined.isdisjoint(removed)
-        assert len(joined) + len(removed) + residual.n == g.n
+        assert len(joined) + len(removed) + len(residual) == g.n
         # joined is independent, removed nodes are dominated
         for u, v in g.edges():
             assert not (u in joined and v in joined)
         pm = {v for j in joined for v in g.neighbors(j)}
         assert removed <= pm
-        if residual.n == 0:
+        if not residual:
             assert verify_mis(g, joined)
 
 
 def test_part1_window_and_rounds():
     g = gen_gnp(64, 0.1, seed=3)
-    _, _, _, _, ledger = greedy_partial_mis(g, 1, p=Fraction(1, 6), window=20)
+    _, _, _, ledger = greedy_partial_mis(g, 1, p=Fraction(1, 6), window=20)
     assert ledger.rounds == 21  # window rounds plus the global wake round
 
 
@@ -119,23 +119,23 @@ def test_part1_residual_degree_drops():
     bound = 2 * math.ceil(math.log2(n)) ** 2
     for seed in range(5):
         g = gen_gnp(n, 8 / (n - 1), seed=seed)
-        _, _, residual, _, _ = greedy_partial_mis(g, seed, p=Fraction(1, 12))
-        assert residual.max_degree <= bound
+        _, _, residual, _ = greedy_partial_mis(g, seed, p=Fraction(1, 12))
+        assert part2_degree(g, residual) <= bound
 
 
 def test_part2_single_edge():
     g = path_graph(2)
-    added, residual, _, ledger = part2_reduce(g, seed=5)
+    added, residual, ledger = part2_reduce(g, seed=5)
     assert added == {0}  # id tie-break on the always-marked pair
-    assert residual.n == 0
+    assert residual == ()
     assert ledger.total_awake() >= 2
 
 
 def test_part2_edgeless_joins_at_cleanup():
     g = Graph(6)
-    added, residual, _, ledger = part2_reduce(g, seed=1)
+    added, residual, ledger = part2_reduce(g, seed=1)
     assert added == set(range(6))
-    assert residual.n == 0
+    assert residual == ()
     # isolated nodes wake exactly once, in the cleanup round
     assert list(ledger.counts) == [1] * 6
     d = max(2, g.max_degree)
@@ -145,7 +145,7 @@ def test_part2_edgeless_joins_at_cleanup():
 def test_part2_output_is_consistent():
     for seed in range(8):
         g = gen_gnp(300, 0.02, seed=seed)
-        added, residual, _, _ = part2_reduce(g, seed=seed)
+        added, _, _ = part2_reduce(g, seed=seed)
         for u, v in g.edges():
             assert not (u in added and v in added)
 
@@ -170,7 +170,7 @@ def test_part2_wakes_only_to_mark_or_to_tell(g, params):
     its first mark on."""
     seed = 11
     with watched_wakes(mis_module) as runs:
-        added, _, _, _ = part2_reduce(g, seed, params)
+        added, _, _ = part2_reduce(g, seed, params)
     _, probabilities = part2_schedule(part2_degree(g), params.C)
     t_iter = len(probabilities) + 1
     indptr, indices = g.csr()
@@ -240,24 +240,24 @@ def test_part2_marks_drawn_in_blocks(monkeypatch):
         monkeypatch.setattr(rng, "COIN_BLOCK", block)
         decoded.clear()
         with watched_wakes(mis_module) as cut:
-            added, residual, ids, ledger = part2_reduce(g, seed=11)
-        assert (added, residual, ids, ledger) == whole
+            cut_result = part2_reduce(g, seed=11)
+        assert cut_result == whole
         assert cut[0][0] == runs[0][0]
         assert len(decoded) > 1
 
 
 def test_mis_never_builds_the_python_views():
-    """The MIS stages work on the CSR alone: neither a generated graph nor
-    the residuals they induce ever build ``adj`` or ``edge_set``."""
+    """The MIS stages work on the CSR alone: a generated graph never builds
+    ``adj`` or ``edge_set``, whether a stage runs on all of it or from a
+    start set."""
     g = gen_gnp(2000, 10 / 2000, seed=3)
     awake_mis(g, seed=3)
     luby_mis(g, seed=3)
-    _, _, res1, _, _ = greedy_partial_mis(g, 3, default_participation(g.n))
-    _, res2, _, _ = part2_reduce(res1, 3)
-    luby_mis(res1, 3)
-    assert res1.m
-    for h in (g, res1, res2):
-        assert h._adj is None and h._edge_set is None
+    _, _, res1, _ = greedy_partial_mis(g, 3, default_participation(g.n))
+    part2_reduce(g, 3, start=res1)
+    luby_mis(g, 3, start=res1)
+    assert part2_degree(g, res1) > 2
+    assert g._adj is None and g._edge_set is None
 
 
 def test_part2_shrinks_residual():
@@ -299,13 +299,75 @@ def test_awake_mis_small_and_degenerate():
 
 
 def test_stage_residual_ids_map_back_to_the_input():
+    """The residuals are sorted tuples of ids in the input graph: stage 1's
+    is every node that neither joined nor was removed, and stage 2's is
+    the part of its start set that neither joined nor left."""
     g = gen_gnp(300, 0.03, seed=2)
-    joined, removed, residual, ids, _ = greedy_partial_mis(g, 2, p=Fraction(1, 4))
-    assert residual == g.induced(ids)[0]
-    assert set(ids).isdisjoint(joined | removed)
-    added, residual2, ids2, _ = part2_reduce(residual, seed=2)
-    assert residual2 == residual.induced(ids2)[0]
-    assert set(ids2).isdisjoint(added)
+    joined, removed, ids, _ = greedy_partial_mis(g, 2, p=Fraction(1, 4))
+    assert ids == tuple(sorted(set(range(g.n)) - joined - removed))
+    added, ids2, _ = part2_reduce(g, seed=2, start=ids)
+    assert ids2 == tuple(sorted(ids2)) and added
+    assert set(ids2) | added <= set(ids) and set(ids2).isdisjoint(added)
+
+
+@pytest.mark.parametrize("linked", [False, True], ids=["disjoint", "linked"])
+def test_stages_from_a_start_set_act_as_on_its_own_graph(linked):
+    """``part2_reduce`` and ``luby_mis`` on G ⊎ H from the start set of G's
+    ids, with G placed first, decide and wake G's nodes as they do on G
+    alone, with the same ledger counts and rounds, and never wake H.  A node
+    outside the start set is no one's neighbour, so edges from G into H
+    change nothing.  K is given, since its default depends on n."""
+    g = gen_gnp(300, 0.03, seed=4)
+    h = gen_gnp(200, 0.05, seed=8)
+    edges = [*g.edge_set, *((u + g.n, v + g.n) for u, v in h.edge_set)]
+    if linked:
+        edges += [(v, g.n + 7 * v % h.n) for v in range(0, g.n, 2)]
+    host = Graph(g.n + h.n, edges)
+    params = MisParams(K=3)
+    for seed in (1, 2):
+        with watched_wakes(mis_module) as runs:
+            alone = [part2_reduce(g, seed, params), luby_mis(g, seed)]
+            joint = [part2_reduce(host, seed, params, start=range(g.n)),
+                     luby_mis(host, seed, start=range(g.n))]
+        for (*sets, ledger), (*joint_sets, joint_ledger) in zip(alone, joint):
+            assert joint_sets == sets
+            assert joint_ledger.rounds == ledger.rounds
+            assert joint_ledger.counts.tolist() == ledger.counts.tolist() + [0] * h.n
+        for (rounds, _), (joint_rounds, _) in zip(runs[:2], runs[2:]):
+            assert joint_rounds == rounds + [[]] * h.n
+
+
+def _g_part(ids, off):
+    """The ids of ``ids`` that are G's in a union with H placed first, as
+    G's ids."""
+    return sorted(v - off for v in ids if v >= off)
+
+
+_LOCAL_STAGES = {
+    "luby_mis": (lambda u: luby_mis(u, 7), lambda r, off: _g_part(r[0], off)),
+    "greedy_partial_mis": (
+        lambda u: greedy_partial_mis(u, 7, default_participation(u.n)),
+        lambda r, off: [_g_part(ids, off) for ids in r[:3]]),
+    "part2_reduce": (lambda u: part2_reduce(u, 7),
+                     lambda r, off: [_g_part(ids, off) for ids in r[:2]]),
+    "awake_mis": (lambda u: awake_mis(u, 7), lambda r, off: _g_part(r[0], off)),
+}
+
+
+@pytest.mark.parametrize("other", ["matching", "cycle"])
+@pytest.mark.parametrize("stage", list(_LOCAL_STAGES))
+def test_mis_stages_are_local(stage, other):
+    """G = G(400, 10/400) placed after 60 isolated nodes, or after a perfect
+    matching or a cycle on 60 nodes: same n, same max degree 25.  Each MIS
+    stage and ``awake_mis`` decide and wake G's nodes alike in both
+    unions.  ``awake_mis`` did not while stages 2 and 3 ran on relabelled
+    residuals with coins keyed by residual ids: at this seed, G's MIS had
+    88 nodes after the isolated nodes and 96 after the matching."""
+    g = gen_gnp(400, 10 / 400, seed=5)
+    h2 = (Graph(60, [(2 * i, 2 * i + 1) for i in range(30)]) if other == "matching"
+          else cycle_graph(60))
+    run_stage, decided = _LOCAL_STAGES[stage]
+    assert_local(run_stage, mis_module, g, Graph(60), h2, decided)
 
 
 def _digest_corpus():
@@ -331,12 +393,12 @@ def _awake_mis_digest():
 
 
 def test_awake_mis_golden_digest():
-    """Sets, ledger parts and rounds on a fixed corpus.  Sets and rounds
-    are those of the stage-by-stage implementation this composition
-    replaced; the stage-2 ledger parts are those of the wake rule that
+    """Sets, ledger parts and rounds on a fixed corpus, with stages 2 and 3
+    run on the host graph from their start sets and coins keyed by host id;
+    the stage-2 ledger parts are those of the wake rule that
     :class:`RefPart2` restates node by node."""
     assert _awake_mis_digest() == (
-        "dfd63b12041bf81a2677102c111a0d7a57ed4aed3c068537dfa1669a582d89c9")
+        "05f8ebb7ab7d70c419af4132110770ca9568734c5aacfe838858ff29dfd54bc8")
 
 
 def _hash_ledger(h, ledger, rounds=None):
@@ -358,11 +420,11 @@ def _stage_schedule_digest():
                 h.update(repr(sorted(s)).encode())
                 _hash_ledger(h, ledger, runs[-1][0])
                 for p in (default_participation(g.n), Fraction(1, 2)):
-                    joined, removed, _, ids, ledger = greedy_partial_mis(g, seed, p)
+                    joined, removed, ids, ledger = greedy_partial_mis(g, seed, p)
                     h.update(repr((sorted(joined), sorted(removed), ids)).encode())
                     _hash_ledger(h, ledger, runs[-1][0])
                 for prm in (None, MisParams(K=1), MisParams(C=2)):
-                    added, _, ids, ledger = part2_reduce(g, seed, prm)
+                    added, ids, ledger = part2_reduce(g, seed, prm)
                     h.update(repr((sorted(added), tuple(ids))).encode())
                     _hash_ledger(h, ledger, runs[-1][0])
     return h.hexdigest()
@@ -395,11 +457,11 @@ def _outputs_digest():
             s, ledger = luby_mis(g, seed)
             h.update(repr((sorted(s), ledger.rounds)).encode())
             for p in (default_participation(g.n), Fraction(1, 2)):
-                joined, removed, _, ids, ledger = greedy_partial_mis(g, seed, p)
+                joined, removed, ids, ledger = greedy_partial_mis(g, seed, p)
                 h.update(repr((sorted(joined), sorted(removed), ids,
                                ledger.rounds)).encode())
             for prm in (None, MisParams(K=1), MisParams(C=2)):
-                added, _, ids, ledger = part2_reduce(g, seed, prm)
+                added, ids, ledger = part2_reduce(g, seed, prm)
                 h.update(repr((sorted(added), tuple(ids), ledger.rounds)).encode())
     for n in (2 ** 10, 2 ** 11, 2 ** 12):
         for seed in range(5):
@@ -411,9 +473,11 @@ def _outputs_digest():
 
 def test_awake_mis_outputs_golden_digest():
     """What the three stages decide, apart from who is awake when: the
-    stage-2 wake rule moves ledgers, never sets, residuals or rounds."""
+    stage-2 wake rule moves ledgers, never sets, residuals or rounds.  The
+    stage runs here are pinned, schedules included, by the stage digest
+    above; the ``awake_mis`` runs draw stages 2 and 3 by host id."""
     assert _outputs_digest() == (
-        "a7dc28842269fa09ac391235614071db750b7d95d308c0a5c65e7c5e60c59deb")
+        "c6ab0015efe6f70fb11b61ed28ac2915a76d64cbb07a0ada38e803f5b89a13f9")
 
 
 @st.composite
@@ -440,58 +504,64 @@ def test_mis_validity_and_ledger_totals_on_arbitrary_graphs(g, seed):
 def test_awake_mis_ledger_matches_its_recorded_schedule(g, seed):
     """Each stage's ledger counts the rounds the watcher saw each node awake
     in, which rise strictly and end before the stage's last round, and the
-    merged ledger sums the stage counts through the residual ids."""
+    merged ledger sums the stage counts node by node.  Stages 2 and 3 wake
+    only nodes of their start sets, the residuals of stages 1 and 2."""
     with watched_wakes(mis_module) as runs:
         _, ledger, _ = awake_mis(g, seed)
-    # the residual ids of stages 1 and 2, as awake_mis computes them
-    _, _, res1, ids1, _ = greedy_partial_mis(g, seed, default_participation(g.n))
-    _, _, ids2, _ = part2_reduce(res1, seed, MisParams(K=default_iterations(g.n)))
-    ids1 = np.array(ids1, dtype=np.int64)
-    id_maps = (np.arange(g.n), ids1, ids1[np.array(ids2, dtype=np.int64)])
-    assert len(runs) == len(id_maps)
+    _, _, res1, _ = greedy_partial_mis(g, seed, default_participation(g.n))
+    _, res2, _ = part2_reduce(g, seed, start=res1)
+    assert len(runs) == 3
     merged = np.zeros(g.n, dtype=np.int64)
-    for (rounds, (_, stage, _)), ids in zip(runs, id_maps):
+    for (rounds, (_, stage, _)), start in zip(runs, (range(g.n), res1, res2)):
         assert stage.counts.tolist() == [len(rs) for rs in rounds]
+        assert {v for v, rs in enumerate(rounds) if rs} <= set(start)
         for rs in rounds:
             assert all(a < b for a, b in zip(rs, rs[1:]))
             assert all(0 <= r < stage.rounds for r in rs)
-        np.add.at(merged, ids, stage.counts)
+        merged += stage.counts
     assert ledger.counts.tolist() == merged.tolist()
 
 
 @st.composite
 def part2_cases(draw):
-    """A graph and stage-2 parameters ``(d, K, C)``: an arbitrary small graph
-    under its own degree bound, or an increasing-id path under d = 3."""
-    if draw(st.booleans()):
-        g = draw(small_graphs())
-        return g, part2_degree(g), draw(st.integers(1, 3)), draw(st.integers(1, 3))
-    return (_increasing_path(draw(st.integers(2, 200))), 3, draw(st.integers(2, 4)),
-            draw(st.integers(1, 2)))
+    """A graph, stage-2 parameters ``(d, K, C)`` and a start set: an
+    arbitrary small graph under the degree bound of its start set, or an
+    increasing-id path under d = 3.  The start set is every node
+    (``None``) or a random subset."""
+    path = draw(st.booleans())
+    g = _increasing_path(draw(st.integers(2, 200))) if path else draw(small_graphs())
+    start = draw(st.none() | st.lists(st.booleans(), min_size=g.n, max_size=g.n).map(
+        lambda keep: [v for v, k in enumerate(keep) if k]))
+    if path:
+        return g, 3, draw(st.integers(2, 4)), draw(st.integers(1, 2)), start
+    return (g, part2_degree(g, start), draw(st.integers(1, 3)), draw(st.integers(1, 3)),
+            start)
 
 
-def _run_both(g, d, K, C, seed):
+def _run_both(g, d, K, C, seed, start=None):
     """Status lists, ledgers and watched wake rounds of the array stage 2
-    and of its reference."""
+    and of its reference, both from ``start``."""
     runs = []
     for proto in (Part2Protocol(d, K, C), RefPart2(d, K, C)):
         with watched_wakes(engine) as watched:
             status, ledger, _ = engine.run(g, proto, seed, K * proto.t_iter + 2,
-                                           part="part2")
+                                           part="part2", start=start)
         runs.append((status.tolist(), ledger, watched[0][0]))
     return runs
 
 
 @settings(max_examples=80, deadline=None)
 @given(case=part2_cases(), seed=st.integers(0, 2 ** 32))
-@example(case=(_increasing_path(200), 3, 3, 2), seed=0)
+@example(case=(_increasing_path(200), 3, 3, 2, None), seed=0)
+@example(case=(_increasing_path(200), 3, 3, 2, list(range(0, 204, 3))), seed=0)
 def test_part2_matches_its_per_node_reference(case, seed):
     """The array stage 2 and :class:`RefPart2`, where each node computes its
     neighbours' marks with the scalar coins and keeps its own told flags,
-    agree on status, ledger parts, rounds and watched wake rounds."""
-    g, d, K, C = case
+    agree on status, ledger parts, rounds and watched wake rounds, from
+    every node or from a start set."""
+    g, d, K, C, start = case
     (status, ledger, rounds), (ref_status, ref_ledger, ref_rounds) = _run_both(
-        g, d, K, C, seed)
+        g, d, K, C, seed, start)
     assert status == ref_status
     assert ledger == ref_ledger  # parts node by node, and rounds
     assert rounds == ref_rounds
@@ -516,17 +586,18 @@ def test_part2_reference_covers_later_iterations():
 
 
 @settings(max_examples=40, deadline=None)
-@given(g=small_graphs(), seed=st.integers(0, 2 ** 32),
-       p=st.sampled_from((Fraction(1, 4), Fraction(1, 2), 1)),
-       K=st.integers(1, 3), C=st.integers(1, 3))
-@example(g=_increasing_path(60), seed=1, p=Fraction(1, 2), K=3, C=1)
-def test_mis_protocols_sleep_in_the_sleeping_model(g, seed, p, K, C):
+@given(case=part2_cases(), seed=st.integers(0, 2 ** 32),
+       p=st.sampled_from((Fraction(1, 4), Fraction(1, 2), 1)))
+@example(case=(_increasing_path(60), 3, 3, 1, None), seed=1, p=Fraction(1, 2))
+def test_mis_protocols_sleep_in_the_sleeping_model(case, seed, p):
     """Under :func:`sleep_checked`, no round of the three MIS protocols
-    changes a sleeper's state or terminates a sleeper."""
-    run(g, sleep_checked(LubyProtocol()), seed, 64 * 8)
+    changes a sleeper's state or terminates a sleeper; Luby and stage 2
+    run from the case's start set."""
+    g, d, K, C, start = case
+    run(g, sleep_checked(LubyProtocol()), seed, 64 * 8, start=start)
     run(g, sleep_checked(Part1Protocol(p, 6)), seed, 8)
-    proto = sleep_checked(Part2Protocol(part2_degree(g), K, C))
-    run(g, proto, seed, K * proto.t_iter + 2)
+    proto = sleep_checked(Part2Protocol(d, K, C))
+    run(g, proto, seed, K * proto.t_iter + 2, start=start)
 
 
 @pytest.mark.parametrize("n", [2 ** 10, 2 ** 12])
