@@ -3,17 +3,17 @@
 A :class:`Protocol` describes node behavior; :func:`run` executes it.  Each
 protocol posts into the run's :class:`WakePlan` the future rounds each node
 wakes in: one round at a time, or every round from one on until the node
-terminates (:meth:`WakePlan.stay`).  :func:`run` jumps from one round with
-a waking node to the next, keeps the waking ids that are still alive,
-charges them on an :class:`AwakeLedger` (sleeping is free), and calls the
-protocol's ``round`` once with them.  ``round`` does the whole round, posts
-later wakes, and returns the ids that terminate; a terminated node is
-removed and never charged again, and a node outside the run's start set
-is never alive.  A round in which no alive node wakes costs no host time,
-yet it still counts in the ledger's rounds.  The ledger counts the charged
-ids in bulk, with O(n) of them waiting, so a short run counts once.  Each
-protocol keeps its per-node results in ``outputs``, which :func:`run`
-returns.
+terminates or leaves (:meth:`WakePlan.stay`, :meth:`WakePlan.leave`).
+:func:`run` jumps from one round with a waking node to the next, keeps the
+waking ids that are still alive, charges them on an :class:`AwakeLedger`
+(sleeping is free), and calls the protocol's ``round`` once with them.
+``round`` does the whole round, posts later wakes, and returns the ids
+that terminate; a terminated node is removed and never charged again, and
+a node outside the run's start set is never alive.  A round in which no
+alive node wakes costs no host time, yet it still counts in the ledger's
+rounds.  The ledger counts the charged ids in bulk, with O(n) of them
+waiting, so a short run counts once.  Each protocol keeps its per-node
+results in ``outputs``, which :func:`run` returns.
 
 Neighbourhoods come from a :class:`Hood`: one gather per round of the awake
 nodes' neighbour lists, read by the primitives :func:`heard` ("some awake
@@ -77,25 +77,30 @@ class WakePlan:
     """The future rounds each node wakes in.
 
     A protocol posts one round with :meth:`post` or :meth:`post_each`, and
-    every round from one on with :meth:`stay`; :func:`run` takes the
-    rounds in order.  Posting or staying into a round that is not later
-    than the one running is an error.  Ids may come unsorted and repeated,
-    in lists or arrays; :meth:`take` hands the alive ones over sorted and
-    unique.  A posted array must not change until its round is taken.
+    every round from one on with :meth:`stay`; a staying node that
+    :meth:`leave` names goes back to its posted rounds without terminating.
+    :func:`run` takes the rounds in order.  Posting or staying into a round
+    that is not later than the one running is an error.  Ids may come
+    unsorted and repeated, in lists or arrays; :meth:`take` hands the alive
+    ones over sorted and unique.  A posted array must not change until its
+    round is taken.
 
     A round's posts collect in one bucket: one list of ints, which collects
     every id posted in a list, followed by the posted arrays.  The staying
-    ids are one sorted array, which joins the ids stayed from a round when
-    that round is taken, and drops the terminated ones only when told that
-    some node terminated.  A round with no bucket hands that array over as
-    it is.
+    ids are one sorted array, which drops the ids that left since the last
+    take, and the terminated ones only when told that some node
+    terminated.  A round with no bucket hands that array over as it is.  A
+    round with neither staying ids nor ids stayed from it sorts its bucket;
+    any other round merges the staying ids, the ids stayed from it and its
+    bucket through one boolean mask over the nodes, in O(n) steps.
     """
 
-    __slots__ = ("_buckets", "_joins", "_rounds", "_stay", "now")
+    __slots__ = ("_buckets", "_joins", "_left", "_rounds", "_stay", "now")
 
     def __init__(self):
         self._buckets: Dict[int, list] = {}
         self._joins: Dict[int, list] = {}  # round -> the ids staying from it
+        self._left: list = []  # the ids left since the last take
         self._rounds: List[int] = []  # heap of the bucket keys
         self._stay = np.zeros(0, dtype=np.int64)
         self.now = -1
@@ -132,6 +137,14 @@ class WakePlan:
                 self._bucket(rnd)
             self._joins.setdefault(rnd, []).append(ids)
 
+    def leave(self, ids) -> None:
+        """Stop waking the staying nodes of ``ids`` in every round: from the
+        next round on, each wakes only in the rounds posted or stayed for
+        it, and it stays alive until it terminates.  Ids that are not
+        staying are ignored."""
+        if len(ids):
+            self._left.append(ids)
+
     def take(self, before: int, alive: np.ndarray,
              dropped: bool = True) -> Optional[Tuple[int, np.ndarray]]:
         """Move on to the next round in which a node wakes and return it
@@ -139,8 +152,15 @@ class WakePlan:
         is no such round before round ``before``.  ``dropped`` says whether
         a node may have terminated since the last call; if not, the staying
         ids are not filtered again."""
-        stay, rounds = self._stay, self._rounds
-        if dropped and stay.size:
+        stay, rounds, left = self._stay, self._rounds, self._left
+        if left:
+            if stay.size:
+                keep = alive.copy()
+                for ids in left:
+                    keep[ids] = False
+                stay = self._stay = stay[keep[stay]]
+            left.clear()
+        elif dropped and stay.size:
             stay = self._stay = stay[alive[stay]]
         # staying nodes wake in the very next round
         rnd = self.now + 1 if stay.size else rounds[0] if rounds else before
@@ -150,19 +170,26 @@ class WakePlan:
         if not rounds or rounds[0] != rnd:
             return rnd, stay
         heapq.heappop(rounds)
-        joins = self._joins.pop(rnd, None)
-        if joins:
-            joins = _sorted_unique(joins)
-            joins = joins[alive[joins]]
-            stay = self._stay = _sorted_unique([stay, joins]) if stay.size else joins
+        joins = self._joins.pop(rnd, ())
         chunks = self._buckets.pop(rnd)
         if not chunks[0]:
             del chunks[0]
+        if not (stay.size or joins):
+            ids = _sorted_unique(chunks)
+            return rnd, ids[alive[ids]]
+        mask = np.zeros(alive.size, dtype=bool)
+        mask[stay] = True
+        if joins:
+            for ids in joins:
+                mask[ids] = True
+            mask &= alive
+            stay = self._stay = mask.nonzero()[0]
         if not chunks:
             return rnd, stay
-        ids = _sorted_unique(chunks)
-        ids = ids[alive[ids]]
-        return rnd, _sorted_unique([stay, ids]) if stay.size else ids
+        for ids in chunks:
+            mask[ids] = True
+        mask &= alive
+        return rnd, mask.nonzero()[0]
 
 
 class Protocol:

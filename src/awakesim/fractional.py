@@ -7,7 +7,11 @@ is w_j scaled by ONE = Delta b^(J+1) (:meth:`SampleSchedule.ladder`).  Node
 masses are sums of rungs, so every freeze, heavy, light and proposal
 decision is an exact comparison of Python integers; nothing is decided in
 floating point.  There is one matcher, :class:`SampledMatchingProtocol`;
-``vanilla_fractional`` is its run with stop round 0.  A run reduces to its
+``vanilla_fractional`` is its run with stop round 0.  From the stop round
+on, a node sleeps until its load could make it tight, and a node that
+freezes wakes at its sleeping neighbours' wake rungs to tell them, so the
+outputs are those of a run in which every node stays awake while each
+node is awake in few rounds.  A run reduces to its
 node freeze rounds and the node loads its tight tests tracked, and its
 :class:`FractionalAssignment` keeps integers only: one rung index per
 adjacency slot and each node's load times ONE.
@@ -19,12 +23,13 @@ from __future__ import annotations
 
 import math
 import numbers
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
+from collections import defaultdict
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Optional, Set, Tuple
+from typing import DefaultDict, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -400,33 +405,53 @@ class SampledMatchingProtocol(Protocol):
       nodes that still have an unfrozen edge.  A node that freezes at rung r
       tells its neighbours, and an unfrozen neighbour gains k * W_r from k
       such neighbours.  A node terminates once all its incident edges are
-      frozen (never before the stop round).
+      frozen and it has no tell left to make (never before the stop round).
 
-    ``bind`` stays each sample member from its first wake and every node
-    from the stop round (:meth:`~awakesim.engine.WakePlan.stay`): an awake
-    node stays awake until it terminates, and ``round`` posts nothing.
-    Only awake nodes send or hear.  Each round checks its widest message
-    once against the hood's CONGEST bound (:func:`_check_message`).  A
-    message is a ``(tag, field)`` pair with a three-letter tag, measured as
-    the engine measures envelopes: ``_TAG_BITS`` = 26 bits plus the field,
-    which is len(hs) + sum(max(1, h.bit_length())) bits for a report of
-    rounds ``hs``, and max(1, r.bit_length()) for the round r of a
-    reconciliation or freeze message.
+    Nodes sleep until their load could make them tight.  At the stop round
+    each node v with an unfrozen edge that is not tight there broadcasts
+    its wake rung j_v: the first rung j from the stop round on with
+    ``mass + unfrozen * W_j >= tight``, taken before that round's freezes
+    (:meth:`_stop_round`).  At any rung j before j_v each unfrozen edge of
+    v carries at most W_j, so v's load stays below 1-eps: v sleeps through
+    the rounds after the stop round and before j_v, and stays awake from
+    j_v until it terminates.  A node u that freezes at a round r after the
+    stop round, with neighbours w still asleep (j_w > r), wakes once at
+    each distinct such j_w and tells those w its rung r; at j_w, w adds
+    what it was told, as the reconciliation does.  So no sleeper's state
+    changes, and every freeze, load and assignment is that of a run in
+    which every node stays awake.  The tells a sleeper will hear are summed
+    as they are decided, in ``_told_edges`` and ``_told_mass``: they stand
+    for messages sent at its wake rung, when both ends are awake, so they
+    are not state of the sleeper, which reads them only then.
+
+    ``bind`` stays each sample member from its first wake
+    (:meth:`~awakesim.engine.WakePlan.stay`) and posts every node at the
+    stop round.  The stop round sends the members that survive it back to
+    sleep (:meth:`~awakesim.engine.WakePlan.leave`) and stays every
+    survivor from its wake rung; a node that freezes with tells to make
+    leaves the staying nodes and posts its tell rounds.  Only awake nodes
+    send or hear.  Each round checks its widest message once against the
+    hood's CONGEST bound (:func:`_check_message`).  A message is a
+    ``(tag, field)`` pair with a three-letter tag, measured as the engine
+    measures envelopes: ``_TAG_BITS`` = 26 bits plus the field, which is
+    len(hs) + sum(max(1, h.bit_length())) bits for a report of rounds
+    ``hs``, and max(1, r.bit_length()) for the round r of a
+    reconciliation, wake rung, freeze or tell message.
 
     Masses are integers on the ladder whose top rung is ``round_cap``, the
     last round a run can reach.  An unfrozen node's ``_mass`` is the load
-    of its frozen edges; a frozen node's is its whole load, every edge at
-    the rung of its first-frozen endpoint.  A node that freezes from the
-    stop round on adds its unfrozen edges at its rung, which is the value
-    its tight test passed; one frozen earlier gets its load at the
-    reconciliation, which replays the sampled rounds' freezes.  Both go
-    through one freeze step, :meth:`_freeze`.  So when the run ends,
-    ``_mass`` holds every node's load, and the assignment takes it as it
-    is.  ``outputs`` is the list of node freeze rounds (-1: never froze).
+    of the frozen edges it has heard of; a frozen node's is its whole load,
+    every edge at the rung of its first-frozen endpoint.  A node that
+    freezes from the stop round on adds its unfrozen edges at its rung,
+    which is the value its tight test passed; one frozen earlier gets its
+    load at the reconciliation, which replays the sampled rounds' freezes.
+    Both go through one freeze step, :meth:`_freeze`.  So when the run
+    ends, ``_mass`` holds every node's load, and the assignment takes it as
+    it is.  ``outputs`` is the list of node freeze rounds (-1: never froze).
     """
 
     congest_factor = 256  # report payloads carry one round index per phase
-    state_fields = ("_f", "_mass", "_unfrozen")
+    state_fields = ("_f", "_mass", "_unfrozen", "_j")
 
     def __init__(self, schedule: SampleSchedule):
         self.sched = schedule
@@ -442,11 +467,23 @@ class SampledMatchingProtocol(Protocol):
         # rebuilt by _reconcile at the stop round
         self._unfrozen: List[int] = []
         self._mass: List[int] = []
+        # the wake rung of each unfrozen node alive after the stop round;
+        # -1 for the others, and once a node freezes
+        self._j = [-1] * self.n
+        # wake rung -> the sleepers that wake there; round -> the tellers
+        # whose last tell it is
+        self._arrive: DefaultDict[int, List[int]] = defaultdict(list)
+        self._ending: DefaultDict[int, List[int]] = defaultdict(list)
+        # per sleeper, the edges and mass it will be told at its wake rung,
+        # and per wake rung, the widest tell round
+        self._told_edges = [0] * self.n
+        self._told_mass = [0] * self.n
+        self._widest: Dict[int, int] = {}
         # _memb[j] = (v, h): the members v of each S_h^j, as two arrays
         self._memb: List[Tuple[np.ndarray, np.ndarray]] = []
         if stop > 0 and self.n > 0:
             self._sample(seed, stop)
-        plan.stay(stop, np.arange(self.n))
+        plan.post(stop, np.arange(self.n))
 
     def _sample(self, seed, stop):
         """Draw the sample sets S_h^j (h <= j < stop) and scale the estimator.
@@ -486,42 +523,136 @@ class SampledMatchingProtocol(Protocol):
         if rnd < self._stop:
             self._sampled_round(rnd, awake, hood)
             return ()
-        ids = awake.tolist()
-        done: List[int] = []
         if rnd == self._stop:
-            self._reconcile(hood)
-            # nodes already frozen, and those with no unfrozen edge, are done;
-            # every node alive after the stop round has an unfrozen edge
-            done = [v for v in ids if not self._unfrozen[v]]
-            ids = [v for v in ids if self._unfrozen[v]]
-        froze = self._is_tight(ids, rnd)
+            return self._stop_round(awake.tolist(), hood)
+        unf, mass = self._unfrozen, self._mass
+        # the tellers whose last tell is now
+        done = self._ending.pop(rnd, [])
+        arriving = self._arrive.pop(rnd, None)
+        if arriving:
+            # their tellers are awake now
+            widest = self._widest.pop(rnd, 0)
+            if widest:
+                _check_message(hood, widest.bit_length(), "a tell message")
+            told_edges, told_mass = self._told_edges, self._told_mass
+            for v in arriving:
+                unf[v] -= told_edges[v]
+                mass[v] += told_mass[v]
+            done += [v for v in arriving if not unf[v]]
+        froze = self._is_tight(awake.tolist(), rnd)
         if froze:
             _check_message(hood, max(1, rnd.bit_length()), "a freeze message")
-            gained = self._freeze(froze, rnd)
-            done += froze
-            done += [u for u in gained if not self._unfrozen[u]]
+            done += self._freeze(froze, rnd)
         return done
 
-    def _freeze(self, froze: List[int], r: int) -> Dict[int, int]:
+    def _stop_round(self, ids: List[int], hood) -> List[int]:
+        """The reconciliation, the wake rungs and the stop round's freezes,
+        with every alive node awake.  Returns the nodes that terminate.
+
+        Node v's wake rung is the first rung j from the stop round on with
+        ``mass + unfrozen * W_j >= tight``."""
+        self._reconcile(hood)
+        stop, unf, mass = self._stop, self._unfrozen, self._mass
+        rungs, tight = self._rungs, self._tight
+        # nodes already frozen, and those with no unfrozen edge, are done;
+        # every node alive after the stop round has an unfrozen edge
+        done: List[int] = []
+        froze: List[int] = []
+        sleepers: List[Tuple[int, int]] = []
+        for v in ids:
+            k = unf[v]
+            if not k:
+                done.append(v)
+                continue
+            # W_j >= ceil((tight - mass) / unfrozen); the top rung exceeds tight
+            j = bisect_left(rungs, (tight - mass[v] + k - 1) // k, stop)
+            if j == stop:
+                froze.append(v)
+            else:
+                sleepers.append((v, j))
+        if sleepers:
+            _check_message(hood, max(j for _, j in sleepers).bit_length(),
+                           "a wake rung message")
+        if froze:
+            _check_message(hood, max(1, stop.bit_length()), "a freeze message")
+            # no node sleeps yet, so every neighbour hears these freezes now
+            done += self._freeze(froze, stop)
+        jj, arrive = self._j, self._arrive
+        for v, j in sleepers:
+            if unf[v]:
+                jj[v] = j
+                arrive[j].append(v)
+        if arrive:
+            if self._memb:
+                # the sample members stay until now
+                self.plan.leave([v for vs in arrive.values() for v in vs])
+            for j, vs in arrive.items():
+                self.plan.stay(j, vs)
+        return done
+
+    def _freeze(self, froze: List[int], r: int) -> List[int]:
         """The nodes ``froze`` freeze at round ``r``: each adds its unfrozen
         edges to its mass at rung r, and each neighbour not frozen by round
-        r gains rung r once per such edge.  Returns the gainers, each with
-        its number of gained edges."""
+        r gains rung r once per such edge.  An awake neighbour gains now;
+        one asleep until its wake rung j > r is told at j.  A node with
+        tells to make leaves the staying nodes, posts its tell rounds and
+        terminates at the last.  Returns the nodes that terminate now: those
+        of ``froze`` with no tell to make, and the awake gainers left with
+        no unfrozen edge."""
         f, unf, mass, w = self._f, self._unfrozen, self._mass, self._rungs[r]
+        jj, adj = self._j, self.graph.adj
         for v in froze:
             f[v] = r
             mass[v] += unf[v] * w
             unf[v] = 0
+            jj[v] = -1
         gained: Dict[int, int] = {}
-        adj = self.graph.adj
-        for v in froze:
-            for u in adj[v]:
-                if not 0 <= f[u] <= r:
-                    gained[u] = gained.get(u, 0) + 1
+        tellers: List[int] = []
+        if r <= self._stop:
+            # no node sleeps yet; in the reconciliation's replay, a node
+            # frozen in a later sampled round is still unfrozen at r
+            for v in froze:
+                for u in adj[v]:
+                    if not 0 <= f[u] <= r:
+                        gained[u] = gained.get(u, 0) + 1
+            done = list(froze)
+        else:
+            # every unfrozen neighbour has a wake rung; the frozen have -1
+            done = []
+            told_edges, told_mass, ending = (self._told_edges, self._told_mass,
+                                             self._ending)
+            # wake rung -> the tellers that wake there, each once
+            tells: DefaultDict[int, List[int]] = defaultdict(list)
+            for v in froze:
+                last = r
+                for u in adj[v]:
+                    j = jj[u]
+                    if j > r:
+                        told_edges[u] += 1
+                        told_mass[u] += w
+                        told = tells[j]
+                        if not told or told[-1] != v:
+                            told.append(v)
+                        if j > last:
+                            last = j
+                    elif j >= 0:
+                        gained[u] = gained.get(u, 0) + 1
+                if last > r:
+                    tellers.append(v)
+                    ending[last].append(v)
+                else:
+                    done.append(v)
         for u, k in gained.items():
             unf[u] -= k
             mass[u] += k * w
-        return gained
+            if not unf[u]:
+                done.append(u)
+        if tellers:
+            self.plan.leave(tellers)
+            for j, vs in tells.items():
+                self._widest[j] = r  # freezes come in round order
+                self.plan.post(j, vs)
+        return done
 
     def _sampled_round(self, rnd, awake, hood):
         """Reports of round ``rnd`` and the silent freezes they cause."""
@@ -560,6 +691,8 @@ class SampledMatchingProtocol(Protocol):
                        "a reconciliation message")
         self._unfrozen = [len(a) for a in self.graph.adj]
         self._mass = [0] * self.n
+        if not self._stop:
+            return  # no sampled round, so no node froze yet
         froze_at: Dict[int, List[int]] = {}
         for v, fv in enumerate(f):
             if fv >= 0:
@@ -568,9 +701,10 @@ class SampledMatchingProtocol(Protocol):
             self._freeze(froze_at[r], r)
 
     def _is_tight(self, cands, rnd) -> List[int]:
-        """The nodes of ``cands`` with c_v >= 1-eps at rung ``rnd``."""
+        """The nodes of ``cands`` with an unfrozen edge and c_v >= 1-eps at
+        rung ``rnd``."""
         w, tight, mass, unf = self._rungs[rnd], self._tight, self._mass, self._unfrozen
-        return [v for v in cands if mass[v] + unf[v] * w >= tight]
+        return [v for v in cands if unf[v] and mass[v] + unf[v] * w >= tight]
 
 
 def sampled_fractional(g: Graph, eps, seed: int, *, estimator_constant: int = 64,
@@ -584,7 +718,10 @@ def sampled_fractional(g: Graph, eps, seed: int, *, estimator_constant: int = 64
     below 1-20eps after that clean-up and was at most 1-20eps before it.
     The analytic stop rule fires at round 0 for any practical n, and then
     this is the run vanilla_fractional makes, so its assignment is
-    vanilla's by construction and every node pays vanilla awake costs.
+    vanilla's by construction.  From the stop round on, each node sleeps
+    until its wake rung and wakes at its neighbours' wake rungs to tell
+    them of its freeze (see :class:`SampledMatchingProtocol`), so it is
+    awake in far fewer rounds than the run takes.
 
     For eps >= 1/10 the estimator cut 1-10eps is at most 0, so on the forced
     path every node that hears a report freezes in its first sampled round.
@@ -602,7 +739,8 @@ def vanilla_fractional(g: Graph, eps) -> FractionalAssignment:
 
     This is the sampled matcher's run with stop round 0: no sample coin is
     drawn, so no seed is read, and the tight rule c_v >= 1-eps runs from
-    the first rung on with every node awake.  Exact integer arithmetic on
+    the first rung on; each node sleeps after round 0 until the rung at
+    which its load could first make it tight.  Exact integer arithmetic on
     the ladder throughout.  Terminates within ceil(log_{1+eps} Delta) + 1
     rounds with c_v <= 1 for every v.
     """

@@ -460,13 +460,20 @@ def part2_reduce(g: Graph, seed: int, params: Optional[MisParams] = None, start=
     node), under the degree bound :func:`part2_degree`.  Returns ``(added,
     residual_ids, ledger)``, ``residual_ids`` being the start nodes still
     undecided, sorted."""
+    return _part2(g, seed, params, start)[:3]
+
+
+def _part2(g: Graph, seed: int, params: Optional[MisParams], start):
+    """:func:`part2_reduce`'s result followed by the degree bound it used."""
     params = params or MisParams()
     K = params.K if params.K is not None else default_iterations(g.n)
-    proto = Part2Protocol(part2_degree(g, start), K, params.C)
+    d = part2_degree(g, start)
+    proto = Part2Protocol(d, K, params.C)
     status, ledger, _ = run(g, proto, seed, K * proto.t_iter + 2, part="part2",
                             start=start)
     added = set(np.flatnonzero(status == _P2_IN).tolist())
-    return added, tuple(np.flatnonzero(status == _P2_UNDECIDED).tolist()), ledger
+    return (added, tuple(np.flatnonzero(status == _P2_UNDECIDED).tolist()),
+            ledger, d)
 
 
 # ---------------------------------------------------------------------------
@@ -489,15 +496,14 @@ def awake_mis(g: Graph, seed: int, params: Optional[MisParams] = None):
     mis, _, res1, led1 = greedy_partial_mis(g, seed, p, params.part1_window)
     ledger.merge(led1)
     diags: Dict[str, object] = {"part1_in": len(mis), "residual1_n": len(res1)}
+
+    added, res2, led2, d = _part2(g, seed, params, res1)
     if res1:
-        d = part2_degree(g, res1)
         diags.update(d_used=d, d_raised=d > default_degree_bound(n))
         if diags["d_raised"]:
             # low-probability residual-degree overshoot: keep going, loudly
             log.info("part2: degree bound %d exceeds the default bound %d", d,
                      default_degree_bound(n))
-
-    added, res2, led2 = part2_reduce(g, seed, params, start=res1)
     ledger.merge(led2)
     mis |= added
     diags["residual2_n"] = len(res2)

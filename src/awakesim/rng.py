@@ -10,8 +10,9 @@ can be recomputed lazily or in bulk.
 :func:`node_rng_array` is the vectorized twin.  It applies the exact same
 mixing function over numpy ``uint64`` arrays and is bit-identical to the
 scalar path, so hot loops can draw whole coin matrices at once.
-:func:`node_rng_list` draws one label and index for a list of nodes,
-mixing the seed once per call.
+:func:`node_rng_list` draws one label and index for a list of nodes:
+a loop that mixes the seed once per call on short lists, the array path
+on longer ones.
 :func:`coins` is the one place a probability becomes a coin flip: every
 sampled protocol draws its coin matrices through it, in bounded memory.
 """
@@ -59,13 +60,23 @@ def node_rng(master_seed: int, node_id: int, stream_label: str, index: int) -> i
     return h
 
 
-def node_rng_list(master_seed: int, node_ids, stream_label: str, index: int) -> list:
-    """``[node_rng(master_seed, v, stream_label, index) for v in node_ids]``.
+# the longest id list node_rng_list draws with its Python loop
+LIST_LOOP_MAX = 16
 
-    The seed, label and index are mixed once per call rather than once per
-    id.  A plain loop: on lists of tens to hundreds of ids it is faster
-    than :func:`node_rng_array`, whose fixed cost is tens of microseconds.
+
+def node_rng_list(master_seed: int, node_ids, stream_label: str, index: int) -> list:
+    """``[node_rng(master_seed, v, stream_label, index) for v in node_ids]``
+    for a sequence of node ids.
+
+    Up to ``LIST_LOOP_MAX`` ids take a plain loop that mixes the seed,
+    label and index once per call; longer lists take
+    ``node_rng_array(...).tolist()``, whose fixed cost is tens of
+    microseconds.  timeit on one 2-vCPU host: 21.7 us (loop) against 23.7
+    us (array) at 16 ids, 25.9 against 24.3 us at 20, and 628 against 47
+    us at 512.
     """
+    if len(node_ids) > LIST_LOOP_MAX:
+        return node_rng_array(master_seed, node_ids, stream_label, index).tolist()
     h0 = _splitmix((master_seed ^ _GOLDEN) & MASK64)
     label = _label_hash(stream_label)
     idx = (index * _INDEX_PRIME) & MASK64

@@ -1,6 +1,7 @@
 """Shared fixtures: the MIS scaling sweep, the acceptance result table, the
-Fraction-arithmetic reference of the full-rate fractional matcher, the slot
-re-summation of the matcher's node loads, the no-reuse reference of the
+Fraction-arithmetic reference of the full-rate fractional matcher, the
+closed form of its awake rounds, the slot re-summation of the matcher's
+node loads, the no-reuse reference of the
 sleeping box and its delta-maximal loop, the per-node reference of the MIS
 marking stage, a sleeping-model check that wraps any protocol, a
 watcher of the rounds each node is awake in, and a locality check built
@@ -68,6 +69,42 @@ def ref_vanilla_assignment(g, eps) -> FractionalAssignment:
     x, edge_frozen, node_frozen = ref_vanilla(g, eps)
     return FractionalAssignment(g.n, x, edge_frozen,
                                 {v: node_frozen.get(v) for v in range(g.n)})
+
+
+def ref_gated_rounds(g, f, eps):
+    """The rounds each node is awake in a stop-round-0 run of the sampled
+    matcher, in closed form from the node freeze rounds ``f`` (``None``:
+    never froze).
+
+    Node v's wake rung j_v is the first j with deg(v) (1+eps)^j / Delta >=
+    1 - eps.  It terminates in round t_v: f[v], or, if it never froze, the
+    last freeze round among its neighbours (0 without neighbours).  A node
+    that terminates in round 0 is awake only then.  Any other node is awake
+    in {0} and [j_v, max(t_v, j_v)], and, if it froze, at each distinct
+    j_w > f[v] of its neighbours w still unfrozen at f[v], to tell them.
+    """
+    eps = Fraction(eps)
+    delta = g.max_degree
+
+    def wake(v):
+        j = 0
+        while len(g.neighbors(v)) * (1 + eps) ** j < (1 - eps) * delta:
+            j += 1
+        return j
+
+    out = []
+    for v in range(g.n):
+        nb, fv = g.neighbors(v), f[v]
+        t = fv if fv is not None else max((f[u] for u in nb), default=0)
+        if t == 0:
+            out.append([0])
+            continue
+        rounds = {0, *range(wake(v), max(t, wake(v)) + 1)}
+        if fv is not None:
+            rounds |= {wake(w) for w in nb
+                       if (f[w] is None or f[w] > fv) and wake(w) > fv}
+        out.append(sorted(rounds))
+    return out
 
 
 def ref_slot_loads(g, f, rungs):

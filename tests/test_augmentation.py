@@ -20,6 +20,7 @@ from awakesim.oracles import (exact_max_matching, find_short_augmenting_path,
                               max_bipartite_matching, verify_matching)
 from awakesim.rng import node_rng
 from conftest import RefSleepingBox, ref_delta_maximal
+from test_fractional import _fractional_digest
 from test_mis import _hash_ledger
 
 
@@ -202,15 +203,18 @@ def test_pipeline_end_to_end():
     assert "frac" in ledger.part_totals()
 
 
-def _amplification_digest():
+def _amplification_digest(ledgers=True):
+    """The corpus's matchings and box call counts, and with ``ledgers`` the
+    box and pipeline ledgers."""
     h = hashlib.sha256()
+    hash_ledger = _hash_ledger if ledgers else lambda h, ledger: None
     for seed in range(4):
         bip = gen_bipartite(10 + 2 * seed, 12, 0.2, seed=40 + seed)
         for mode in ("exact", "greedy", "sleeping"):
             box = MatchBox(mode, master_seed=seed, host_n=bip.n)
             m = bipartite_one_plus_eps(bip, box, 0.25, delta_iterations=4)
             h.update(repr((mode, sorted(m), box.calls)).encode())
-            _hash_ledger(h, box.ledger)
+            hash_ledger(h, box.ledger)
         g = gen_gnp(12, 0.3, seed=50 + seed)
         for mode in ("exact", "greedy"):
             box = MatchBox(mode)
@@ -222,16 +226,44 @@ def _amplification_digest():
                                                improve_iterations=2,
                                                delta_iterations=4)
             h.update(repr(sorted(m)).encode())
-            _hash_ledger(h, ledger)
+            hash_ledger(h, ledger)
     return h.hexdigest()
 
 
 def test_amplification_golden_digest():
     """Matchings, box call counts and box ledgers of the three amplification
-    entry points on a fixed corpus, as computed when maximal boxes still
-    extended paths through a single box call instead of delta_maximal."""
+    entry points on a fixed corpus.  The matchings and call counts are those
+    computed when maximal boxes still extended paths through a single box
+    call instead of delta_maximal (the outputs-only digest pins them); the
+    sleeping box's ledgers changed on purpose when matcher nodes began to
+    sleep until their wake rung."""
     assert _amplification_digest() == (
-        "9dadc24814acee4cb6caa7d9ae6ecf0ace87d0a0c3df61cad7d3a10caed69fed")
+        "ed62e2ef1f1bbb6c6fa38f7802a3a55ba3c3353c21a3efbc6bee00c3c835d255")
+
+
+def _outputs_digest():
+    h = hashlib.sha256()
+    h.update(_fractional_digest(ledgers=False).encode())
+    h.update(_amplification_digest(ledgers=False).encode())
+    # pipelines on hosts like those of the benchmark's pipeline workload
+    for seed in range(2):
+        for host in (gen_gnp(24, 0.2, seed=60 + seed),
+                     gen_bipartite(40, 40, 0.05, seed=70 + seed)):
+            m, _ = full_matching_pipeline(host, Fraction(1, 4), seed=seed,
+                                          improve_iterations=16)
+            h.update(repr(sorted(m)).encode())
+    return h.hexdigest()
+
+
+def test_matcher_outputs_golden_digest():
+    """What the matcher and the amplification around it output, without
+    their ledgers: the fractional corpus's assignments, freeze rounds,
+    diagnostics and roundings on analytic and forced runs, the
+    amplification corpus's matchings and box call counts, and pipeline
+    matchings.  A change to when matcher nodes sleep must leave it as it
+    is."""
+    assert _outputs_digest() == (
+        "67613768c854430cf59742e8501ea264c57cc3bf2659882b61d8a309f01827b4")
 
 
 # ---------------------------------------------------------------------------

@@ -324,6 +324,56 @@ def test_plan_refuses_to_stay_into_a_taken_round():
     assert rnd == 4 and awake.tolist() == [0]
 
 
+class Leaver(Protocol):
+    """Nodes 0 and 1 stay from round 0, and node 2 is posted for round 1.
+    In round 1 node 0 leaves (together with node 2, which is not staying)
+    and posts ``posts``; node 0 terminates in round 7, node 1 in round 2
+    and node 2 in round 1."""
+
+    def __init__(self, posts):
+        self.posts = posts
+        self.calls = []
+
+    def bind(self, graph, seed, plan, start):
+        super().bind(graph, seed, plan, start)
+        plan.stay(0, [0, 1])
+        plan.post(1, [2])
+
+    def round(self, rnd, awake, hood):
+        self.calls.append((rnd, awake.tolist()))
+        if rnd == 1:
+            self.plan.leave([0, 2])
+            for r in self.posts:
+                self.plan.post(r, [0])
+        return {1: [2], 2: [1], 7: [0]}.get(rnd, [])
+
+
+def test_a_node_that_leaves_wakes_only_in_its_posted_rounds():
+    """Node 0 leaves the staying nodes in round 1 and posts rounds 4 and 7:
+    it is awake and charged in rounds 0, 1, 4 and 7 only, and terminates
+    in round 7, when ``round`` returns it.  Node 1 stays until it
+    terminates; node 2 was not staying, so its leave changes nothing."""
+    proto = Leaver(posts=[7, 4])
+    with watched_wakes(engine) as runs:
+        _, ledger, _ = engine.run(Graph(3), proto, 0, round_cap=10)
+    assert proto.calls == [(0, [0, 1]), (1, [0, 1, 2]), (2, [1]), (4, [0]),
+                           (7, [0])]
+    assert runs[0][0] == [[0, 1, 4, 7], [0, 1, 2], [1]]
+    assert list(ledger.counts) == [4, 3, 1]
+    assert ledger.rounds == 8
+
+
+def test_a_node_that_leaves_without_a_post_stays_alive_until_the_cap():
+    """Leaving is not terminating: node 0 leaves with no round posted, so
+    it stays alive, never wakes again, and the run stops at the cap."""
+    proto = Leaver(posts=[])
+    with pytest.raises(RoundCapExceeded) as e:
+        run(Graph(3), proto, 0, round_cap=10)
+    assert proto.calls == [(0, [0, 1]), (1, [0, 1, 2]), (2, [1])]
+    assert list(e.value.ledger.counts) == [2, 3, 1]
+    assert e.value.ledger.rounds == 10
+
+
 @st.composite
 def wake_scripts(draw):
     n = draw(st.integers(1, 6))

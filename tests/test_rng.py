@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from awakesim import rng
-from awakesim.rng import (MASK64, TWO64, below, coin_threshold, coins, node_rng,
-                          node_rng_array, node_rng_list, uniform01)
+from awakesim.rng import (LIST_LOOP_MAX, MASK64, TWO64, below, coin_threshold,
+                          coins, node_rng, node_rng_array, node_rng_list,
+                          uniform01)
 
 
 def test_deterministic_and_distinct():
@@ -41,6 +42,20 @@ def test_list_draws_match_scalar_and_vector(seed, ids, label, index):
     assert drawn == [node_rng(seed, v, label, index) for v in ids]
     assert drawn == node_rng_array(seed, np.array(ids, dtype=np.uint64), label,
                                    index).tolist()
+
+
+@pytest.mark.parametrize("length", [0, 1, LIST_LOOP_MAX, LIST_LOOP_MAX + 1, 512])
+def test_list_draws_take_the_array_path_above_the_loop_limit(length, monkeypatch):
+    """Both sides of the size switch give the scalar values, and only a
+    list longer than ``LIST_LOOP_MAX`` ids reaches ``node_rng_array``."""
+    ids = [(v * 7919) % 100003 for v in range(length)]
+    calls = []
+    inner = rng.node_rng_array
+    monkeypatch.setattr(rng, "node_rng_array",
+                        lambda *args: calls.append(args) or inner(*args))
+    assert node_rng_list(9, ids, "propose", 3) == [node_rng(9, v, "propose", 3)
+                                                    for v in ids]
+    assert len(calls) == (length > LIST_LOOP_MAX)
 
 
 def test_uniformity_chi_square():
