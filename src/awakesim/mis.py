@@ -6,12 +6,12 @@ Three composable stages:
    Only a p-fraction of nodes participate; everyone else sleeps through the
    competition and wakes once for a final announcement round.
 2. ``part2_reduce``, iterated doubling-probability marking on the residual
-   under degree bound ``max(2, most residual neighbours of a residual
-   node)``.  An undecided node is awake only in the rounds it marks itself
-   and in each iteration's cleanup round.  A node that joins the set wakes
-   at each neighbour's first mark after its join, to tell that neighbour,
-   which terminates; it reads those marks from its neighbours' ids and the
-   master seed.
+   under the degree bound :func:`part2_degree_bound`, which every node
+   computes from n and p alone.  An undecided node is awake only in the
+   rounds it marks itself and in each iteration's cleanup round.  A node
+   that joins the set wakes at each neighbour's first mark after its join,
+   to tell that neighbour, which terminates; it reads those marks from its
+   neighbours' ids and the master seed.
 3. ``luby_mis``, the classic one-fresh-key-per-round protocol, used both as
    a standalone baseline and as the cleanup stage.
 
@@ -61,9 +61,37 @@ def _clog2(n: int) -> int:
 
 @dataclass
 class MisParams:
-    """Tunables for the three-stage MIS; ``None`` means the size-derived default."""
+    """Tunables for the three-stage MIS; ``None`` means the size-derived default.
 
-    p: Optional[Fraction] = None          # participation fraction, default 1/ceil(log2 n)
+    The default participation p and the stage-2 degree bound d come from
+    one argument.  Once a random-order greedy MIS has processed a
+    p-fraction of the nodes, the residual graph has max degree O(log n / p)
+    w.h.p. (Blelloch, Fineman and Shun, SPAA 2012).  Stage 1 is such a
+    prefix, so stage 2 marks under d = c log2(n) / p
+    (:func:`part2_degree_bound`), which every node computes from n and p,
+    and no node reads the residual's max degree.  A constant p leaves a
+    constant share of the nodes to stage 2, so the mean awake cost does
+    not grow with n, while d, and with it the stage-2 schedule, grows
+    with log n.
+
+    p = 1/4 and c = 1/2 are calibrated, on G(n, 10/n):
+
+    * the stage-1 residual's max degree at p = 1/4 was 5-10 at n = 2^10,
+      7-10 at 2^12, 8-10 at 2^14 and 8-12 at 2^16 (20 graphs and seeds of
+      the acceptance sweep per size): never above log2 n, so c = 1/2,
+      which makes d = 2 log2 n, leaves 2x headroom.  Stage 2 left no
+      residual for Luby on any of them;
+    * on the 24 graphs of the benchmark's ``mis_sparse`` workload (n =
+      2^11, seed 1), the mean awake cost was 1.790 / 1.790 / 1.792 at c =
+      1 / 1/2 / 1/4, so a larger c buys nothing, while c = 1 ran 2116
+      stage-2 rounds against 1256 and took 39% more host time (2-vCPU
+      host);
+    * on the same graphs at c = 1/2, the mean awake cost was 2.14 / 1.96 /
+      1.79 / 1.74 / 1.80 at p = 1/8 / 1/6 / 1/4 / 1/3 / 1/2: p = 1/4 sits
+      in a flat region, not at a sharp optimum.
+    """
+
+    p: Optional[Fraction] = None          # participation fraction, default 1/4
     C: int = 4                            # phase-length constant in stage 2
     K: Optional[int] = None               # stage-2 iterations, default 2*ceil(log2 log2 n)
     part1_window: Optional[int] = None    # fixed competition length of stage 1
@@ -80,7 +108,8 @@ class MisParams:
 
 
 def default_participation(n: int) -> Fraction:
-    return Fraction(1, _clog2(n))
+    """The constant 1/4, for every n (see :class:`MisParams`)."""
+    return Fraction(1, 4)
 
 
 def default_part1_window(n: int) -> int:
@@ -88,10 +117,16 @@ def default_part1_window(n: int) -> int:
     return 4 * _clog2(n) + 4
 
 
-def default_degree_bound(n: int) -> int:
-    """ceil((log2 n)^2); ``awake_mis`` reports ``d_raised`` when the stage-2
-    degree bound (:func:`part2_degree`) exceeds it."""
-    return max(2, math.ceil(math.log2(max(2, n)) ** 2))
+# c of the stage-2 degree bound c log2(n) / p (see :class:`MisParams`)
+DEGREE_CONSTANT = Fraction(1, 2)
+
+
+def part2_degree_bound(n: int, p) -> int:
+    """Stage-2 degree bound max(2, ceil(c log2(n) / p)), c =
+    ``DEGREE_CONSTANT``, for a graph of n nodes after stage 1 at
+    participation p: the O(log n / p) bound on the residual's max degree,
+    with the calibrated constant of :class:`MisParams`."""
+    return max(2, math.ceil(math.log2(max(1, n)) * (DEGREE_CONSTANT / Fraction(p))))
 
 
 def default_iterations(n: int) -> int:
@@ -105,14 +140,19 @@ def part2_schedule(d: int, C: int = 4):
 
     Returns (phase_rounds, probabilities) where phase_rounds[j] is the length
     of phase j+1 and probabilities[o] is the ``Fraction`` with which a node
-    marks itself at marking-round offset o.  Phase i of P = ceil(log2 d)
-    marks with probability min(1, 2^i/d) and lasts max(1, C*(P-i)^2) rounds.
+    marks itself at marking-round offset o.  With L = log2 d as a real
+    number, phase i of P = ceil(L) marks with probability min(1, 2^i/d) and
+    lasts max(1, ceil(C*max(0, L-i)^2)) rounds.  When d is a power of two
+    this is C*(P-i)^2 rounds.  In between, the lengths grow smoothly with
+    d: from d = 16 to 17 the marking rounds go from 57 to 64 at C = 4,
+    where a new phase of whole squares would add C*P^2 = 64 rounds.
     """
     d = max(2, int(d))
-    P = _clog2(d)
-    phase_rounds = [max(1, C * (P - i) ** 2) for i in range(1, P + 1)]
-    probabilities = [Fraction(min(2 ** i, d), d)
-                     for i, r in enumerate(phase_rounds, 1) for _ in range(r)]
+    L = math.log2(d)
+    phase_rounds = [max(1, math.ceil(C * max(0.0, L - i) ** 2))
+                    for i in range(1, ceil_log2(d) + 1)]
+    probabilities = [q for i, r in enumerate(phase_rounds, 1)
+                     for q in [Fraction(min(2 ** i, d), d)] * r]
     return phase_rounds, probabilities
 
 
@@ -444,8 +484,11 @@ class Part2Protocol(Protocol):
 
 
 def part2_degree(g: Graph, start=None) -> int:
-    """Stage-2 degree bound: the most start neighbours a start node has
-    (every node is one when ``start`` is None), floored at 2."""
+    """The most start neighbours a start node has (every node is one when
+    ``start`` is None), floored at 2.  No stage decides by it: ``awake_mis``
+    reads it on stage 2's start set for the ``d_raised`` diagnostic, which
+    tells whether :func:`part2_degree_bound` held, and the stage-2 tests
+    draw degree bounds from it."""
     if start is None:
         return max(2, g.max_degree)
     ids = np.fromiter(start, np.int64, len(start))
@@ -455,25 +498,24 @@ def part2_degree(g: Graph, start=None) -> int:
     return max(2, int(np.add.reduceat(in_start[nbrs], seg, dtype=np.int64).max(initial=0)))
 
 
+def _participation(params: MisParams, n: int) -> Fraction:
+    return params.p if params.p is not None else default_participation(n)
+
+
 def part2_reduce(g: Graph, seed: int, params: Optional[MisParams] = None, start=None):
     """Run the marking stage from the nodes of ``start`` (default: every
-    node), under the degree bound :func:`part2_degree`.  Returns ``(added,
-    residual_ids, ledger)``, ``residual_ids`` being the start nodes still
-    undecided, sorted."""
-    return _part2(g, seed, params, start)[:3]
-
-
-def _part2(g: Graph, seed: int, params: Optional[MisParams], start):
-    """:func:`part2_reduce`'s result followed by the degree bound it used."""
+    node), under the degree bound :func:`part2_degree_bound` of ``g.n`` and
+    the participation of ``params``.  Of the graph it reads n alone, as
+    every default comes from n.  Returns ``(added, residual_ids, ledger)``,
+    ``residual_ids`` being the start nodes still undecided, sorted."""
     params = params or MisParams()
     K = params.K if params.K is not None else default_iterations(g.n)
-    d = part2_degree(g, start)
-    proto = Part2Protocol(d, K, params.C)
+    proto = Part2Protocol(part2_degree_bound(g.n, _participation(params, g.n)),
+                          K, params.C)
     status, ledger, _ = run(g, proto, seed, K * proto.t_iter + 2, part="part2",
                             start=start)
     added = set(np.flatnonzero(status == _P2_IN).tolist())
-    return (added, tuple(np.flatnonzero(status == _P2_UNDECIDED).tolist()),
-            ledger, d)
+    return added, tuple(np.flatnonzero(status == _P2_UNDECIDED).tolist()), ledger
 
 
 # ---------------------------------------------------------------------------
@@ -492,18 +534,20 @@ def awake_mis(g: Graph, seed: int, params: Optional[MisParams] = None):
     params = params or MisParams()
     n = g.n
     ledger = AwakeLedger(n)
-    p = params.p if params.p is not None else default_participation(n)
+    p = _participation(params, n)
     mis, _, res1, led1 = greedy_partial_mis(g, seed, p, params.part1_window)
     ledger.merge(led1)
     diags: Dict[str, object] = {"part1_in": len(mis), "residual1_n": len(res1)}
 
-    added, res2, led2, d = _part2(g, seed, params, res1)
+    added, res2, led2 = part2_reduce(g, seed, params, res1)
     if res1:
-        diags.update(d_used=d, d_raised=d > default_degree_bound(n))
+        d, degree = part2_degree_bound(n, p), part2_degree(g, res1)
+        diags.update(d_used=d, d_raised=degree > d)
         if diags["d_raised"]:
-            # low-probability residual-degree overshoot: keep going, loudly
-            log.info("part2: degree bound %d exceeds the default bound %d", d,
-                     default_degree_bound(n))
+            # low-probability failure of the residual-degree bound: stage 2
+            # still returns an independent set, and Luby finishes the rest
+            log.info("part2: residual max degree %d exceeds the degree bound %d",
+                     degree, d)
     ledger.merge(led2)
     mis |= added
     diags["residual2_n"] = len(res2)

@@ -185,7 +185,9 @@ class RefPart2(Protocol):
     marking round it is awake in, its next wake before the cleanup.  Its
     state changes only while it is awake, so that wake is the one a node
     checking every round would find.  Status codes are those of
-    ``Part2Protocol``.
+    ``Part2Protocol``, and its marking probabilities are those of
+    ``part2_schedule``, whose phase lengths
+    ``test_part2_schedule_is_smooth`` pins on their own.
     """
 
     UNDECIDED, OUT, IN = 0, 1, 2
@@ -338,17 +340,19 @@ def watched_wakes(module):
         yield runs
 
 
-def assert_local(stage, module, g, h1, h2, decided):
+def assert_local(stage, module, g, h1, h2, decided, *, n_only=False):
     """Assert that ``stage`` decides and wakes the nodes of ``g`` from ``g``
     alone, not from a component they are not in.
 
     Builds H1 ⊎ G and H2 ⊎ G, each with H's nodes first, so that node v of
     G is node ``off + v`` of both, ``off`` being their common node count,
     and asserts that the two unions have equal n and max degree, the
-    globals a node may know.  ``stage(union)`` runs on each with the same
-    seeds, through ``module.run`` (see :func:`watched_wakes`), and
-    ``decided(result, off)`` returns what a result says of G's nodes, in
-    G's ids.  Those, and G's wake rounds in each run, must be equal.
+    globals a node may know.  With ``n_only``, for a stage whose docstring
+    says that it reads n alone, only n must be equal.  ``stage(union)``
+    runs on each with the same seeds, through ``module.run`` (see
+    :func:`watched_wakes`), and ``decided(result, off)`` returns what a
+    result says of G's nodes, in G's ids.  Those, and G's wake rounds in
+    each run, must be equal.
     """
     assert h1.n == h2.n, "the two H graphs differ in their node counts"
     seen = []
@@ -361,7 +365,8 @@ def assert_local(stage, module, g, h1, h2, decided):
         wakes = [rounds[off:] for rounds, _ in runs]
         seen.append((union.n, union.max_degree, decided(result, off), wakes))
     (n1, delta1, decided1, wakes1), (n2, delta2, decided2, wakes2) = seen
-    assert (n1, delta1) == (n2, delta2), "the unions differ in n or max degree"
+    assert n1 == n2, "the unions differ in n"
+    assert n_only or delta1 == delta2, "the unions differ in max degree"
     assert decided1 == decided2, "G's outputs depend on the other component"
     assert wakes1 == wakes2, "G's wake rounds depend on the other component"
 

@@ -154,7 +154,9 @@ def test_harness_golden_digest(tmp_path, capsys):
     general graph above the oracle's node cap, a sweep table, and the stdout
     of a subcommand configured from a file.  Recomputed when matcher nodes
     began to sleep until their wake rung, which moved the ledger columns of
-    the rows that run the sampled matcher."""
+    the rows that run the sampled matcher, and when the MIS took p = 1/4
+    and its stage-2 degree bound from n and p, which moved the
+    ``awake_mis`` rows."""
     h = hashlib.sha256()
     out = tmp_path / "run.csv"
 
@@ -185,7 +187,7 @@ def test_harness_golden_digest(tmp_path, capsys):
     assert main(["match", "--config", str(cfgfile)]) == 0
     h.update(capsys.readouterr().out.encode())
     assert h.hexdigest() == (
-        "5a198406b23609fb18e0f4960b0b5ac7fe0437a15a476de488f8a55b3d70e495")
+        "0193f0acc75e5a336f70a72c84a6374667e3d6aae3a5b5f23fb60ef9df4a440d")
 
 
 def test_run_experiment_edgeless_mis():

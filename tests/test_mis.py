@@ -18,8 +18,8 @@ from awakesim.mis import (LubyProtocol, MisParams, Part1Protocol,
                           Part2Protocol, _join_set,
                           awake_mis, default_iterations, default_participation,
                           greedy_partial_mis,
-                          luby_mis, part2_degree, part2_reduce,
-                          part2_round_count, part2_schedule)
+                          luby_mis, part2_degree, part2_degree_bound,
+                          part2_reduce, part2_round_count, part2_schedule)
 from awakesim.oracles import verify_mis
 from awakesim.rng import coin_threshold, node_rng
 from conftest import RefPart2, assert_local, sleep_checked, watched_wakes
@@ -92,6 +92,37 @@ def test_part2_schedule_shape():
     assert part2_round_count(16, 3, C=4) == 3 * (57 + 1)
 
 
+def _stepped_schedule(d, C):
+    """The stage-2 schedule before it was smoothed: P = ceil(log2 d) phases,
+    phase i marking with probability min(1, 2^i/d) for max(1, C*(P-i)^2)
+    rounds."""
+    P = max(1, (d - 1).bit_length())
+    phase_rounds = [max(1, C * (P - i) ** 2) for i in range(1, P + 1)]
+    probabilities = [Fraction(min(2 ** i, d), d)
+                     for i, r in enumerate(phase_rounds, 1) for _ in range(r)]
+    return phase_rounds, probabilities
+
+
+def test_part2_schedule_is_smooth():
+    """At d = 2^k the smooth schedule is the stepped one, phase for phase;
+    its marking length never falls as d rises; and its phase lengths for
+    d = 2..4096 are pinned, so that a platform whose ``math.log2`` or
+    ``math.ceil`` rounds differently fails here first."""
+    for k in range(1, 13):
+        for C in (1, 2, 4):
+            assert part2_schedule(2 ** k, C) == _stepped_schedule(2 ** k, C), (k, C)
+    lengths = {C: [part2_schedule(d, C)[0] for d in range(2, 4097)] for C in (1, 2, 4)}
+    for C, rows in lengths.items():
+        totals = [sum(rounds) for rounds in rows]
+        assert all(a <= b for a, b in zip(totals, totals[1:])), C
+    # where the stepped schedule adds a phase of C*P^2 rounds, past d = 16
+    assert sum(lengths[4][17 - 2]) - sum(lengths[4][16 - 2]) == 7
+    assert sum(_stepped_schedule(17, 4)[0]) - sum(_stepped_schedule(16, 4)[0]) == 64
+    digest = hashlib.sha256(repr(sorted(lengths.items())).encode()).hexdigest()
+    assert digest == (
+        "b043c8b5c765941a88efc3eacbf42a2c0b03a63bacc3b3a8bb9d88025bbc7cee")
+
+
 def test_part1_full_participation_runs_greedy_to_completion():
     for seed in range(6):
         g = gen_gnp(50, 0.15, seed=seed)
@@ -138,7 +169,7 @@ def test_part2_edgeless_joins_at_cleanup():
     assert residual == ()
     # isolated nodes wake exactly once, in the cleanup round
     assert list(ledger.counts) == [1] * 6
-    d = max(2, g.max_degree)
+    d = part2_degree_bound(g.n, default_participation(g.n))
     assert ledger.rounds == part2_round_count(d, 1)
 
 
@@ -171,7 +202,8 @@ def test_part2_wakes_only_to_mark_or_to_tell(g, params):
     seed = 11
     with watched_wakes(mis_module) as runs:
         added, _, _ = part2_reduce(g, seed, params)
-    _, probabilities = part2_schedule(part2_degree(g), params.C)
+    d = part2_degree_bound(g.n, default_participation(g.n))
+    _, probabilities = part2_schedule(d, params.C)
     t_iter = len(probabilities) + 1
     indptr, indices = g.csr()
 
@@ -200,16 +232,16 @@ def test_part2_sleeps_until_its_first_mark_in_every_iteration():
     mark of that iteration, as the scalar coins give it, or at the cleanup
     round if it never marks.  An increasing-id path under degree bound 3
     leaves undecided pairs after the first iteration, so later iterations
-    are checked too."""
+    are checked too; the protocol runs directly, as ``part2_reduce`` takes
+    its bound from n."""
     g = _increasing_path(200)
-    params = MisParams(K=3, C=1)
     phase_rounds, probabilities = part2_schedule(3, C=1)
     marking = sum(phase_rounds)
     t_iter = marking + 1
     later_marks = 0
     for seed in range(3):
-        with watched_wakes(mis_module) as runs:
-            part2_reduce(g, seed, params)
+        with watched_wakes(engine) as runs:
+            engine.run(g, Part2Protocol(3, 3, 1), seed, 3 * t_iter + 2, part="part2")
         for v, rounds in enumerate(runs[0][0]):
             for k in sorted({r // t_iter for r in rounds}):
                 first = min(r for r in rounds if r // t_iter == k) - k * t_iter
@@ -316,14 +348,16 @@ def test_stages_from_a_start_set_act_as_on_its_own_graph(linked):
     ids, with G placed first, decide and wake G's nodes as they do on G
     alone, with the same ledger counts and rounds, and never wake H.  A node
     outside the start set is no one's neighbour, so edges from G into H
-    change nothing.  K is given, since its default depends on n."""
+    change nothing.  K is given, since its default depends on n, and so is
+    p, at which the degree bound of n = 300 and of n = 500 is the same."""
     g = gen_gnp(300, 0.03, seed=4)
     h = gen_gnp(200, 0.05, seed=8)
     edges = [*g.edge_set, *((u + g.n, v + g.n) for u, v in h.edge_set)]
     if linked:
         edges += [(v, g.n + 7 * v % h.n) for v in range(0, g.n, 2)]
     host = Graph(g.n + h.n, edges)
-    params = MisParams(K=3)
+    params = MisParams(K=3, p=Fraction(1, 2))
+    assert part2_degree_bound(g.n, params.p) == part2_degree_bound(host.n, params.p)
     for seed in (1, 2):
         with watched_wakes(mis_module) as runs:
             alone = [part2_reduce(g, seed, params), luby_mis(g, seed)]
@@ -370,6 +404,17 @@ def test_mis_stages_are_local(stage, other):
     assert_local(run_stage, mis_module, g, Graph(60), h2, decided)
 
 
+def test_part2_reduce_is_local_under_a_denser_component():
+    """``part2_reduce`` reads n alone, so a denser component does not move
+    G's run either: G = G(400, 10/400) after 60 isolated nodes or after
+    K_31 and 29 isolated nodes, max degree 25 against 30.  It did move it
+    while stage 2's degree bound was the start set's max degree."""
+    g = gen_gnp(400, 10 / 400, seed=5)
+    h2 = Graph(60, complete_graph(31).edge_set)
+    run_stage, decided = _LOCAL_STAGES["part2_reduce"]
+    assert_local(run_stage, mis_module, g, Graph(60), h2, decided, n_only=True)
+
+
 def _digest_corpus():
     graphs = [gen_gnp(n, min(1.0, 10 / max(2, n)), seed=n)
               for n in (0, 1, 2, 16, 64, 256, 1024)]
@@ -396,9 +441,11 @@ def test_awake_mis_golden_digest():
     """Sets, ledger parts and rounds on a fixed corpus, with stages 2 and 3
     run on the host graph from their start sets and coins keyed by host id;
     the stage-2 ledger parts are those of the wake rule that
-    :class:`RefPart2` restates node by node."""
+    :class:`RefPart2` restates node by node.  Recomputed when p became 1/4
+    and stage 2 took its degree bound from n and p, on the smooth
+    schedule."""
     assert _awake_mis_digest() == (
-        "05f8ebb7ab7d70c419af4132110770ca9568734c5aacfe838858ff29dfd54bc8")
+        "a71752b466b155490d8222328d08d2b1b554cc0015a06a21effe039eac41b4c3")
 
 
 def _hash_ledger(h, ledger, rounds=None):
@@ -436,9 +483,11 @@ def test_stage_schedule_golden_digest():
     watcher sees them), as
     computed by the per-node hook implementation of the three protocols,
     with the empty graph's schedules recorded as ``[]`` and stage 2 under
-    the wake rule that :class:`RefPart2` restates node by node."""
+    the wake rule that :class:`RefPart2` restates node by node.  Recomputed
+    when p became 1/4 and stage 2 took its degree bound from n and p, on
+    the smooth schedule."""
     assert _stage_schedule_digest() == (
-        "2ff6dcf385d50218fdb4cf70b8a25a26617888fd2787a24a4e8aba58fc5175c8")
+        "77bf88d9da56585c6ded0096b6fe58cc56749c08e70f4bc7e4f53547adee9ada")
 
 
 def _outputs_digest():
@@ -475,9 +524,11 @@ def test_awake_mis_outputs_golden_digest():
     """What the three stages decide, apart from who is awake when: the
     stage-2 wake rule moves ledgers, never sets, residuals or rounds.  The
     stage runs here are pinned, schedules included, by the stage digest
-    above; the ``awake_mis`` runs draw stages 2 and 3 by host id."""
+    above; the ``awake_mis`` runs draw stages 2 and 3 by host id.
+    Recomputed when p became 1/4 and stage 2 took its degree bound from n
+    and p, on the smooth schedule, which moves sets, residuals and rounds."""
     assert _outputs_digest() == (
-        "c6ab0015efe6f70fb11b61ed28ac2915a76d64cbb07a0ada38e803f5b89a13f9")
+        "82b461d2b06f0f1f42773ad8418ea10a6af0197ef77cc7dfa9dd2aa0eb2d0178")
 
 
 @st.composite
@@ -603,7 +654,7 @@ def test_mis_protocols_sleep_in_the_sleeping_model(case, seed, p):
 @pytest.mark.parametrize("n", [2 ** 10, 2 ** 12])
 def test_awake_mis_mean_awake_stays_low(n):
     """Stage 2 keeps nodes asleep between their marks, so the mean awake
-    count on G(n, 10/n) is a small constant (2.1-2.5 here), not the 10-11
+    count on G(n, 10/n) is a small constant (1.7-1.8 here), not the 10-11
     of a node that stays awake from its first mark to the iteration end."""
     for seed in range(3):
         _, _, metrics = awake_mis(gen_gnp(n, 10 / n, seed=seed), seed)
