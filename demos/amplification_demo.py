@@ -3,7 +3,10 @@
 Part one: the bipartite level loop.  After level i the working graph has no
 augmenting path of length 2i+1 or shorter; the hook prints what each level
 did.  Part two: the general-graph wrapper with the sleeping matcher inside,
-which also reports how long its nodes stayed awake.
+which also reports how long its nodes stayed awake.  Part three: the
+pipeline's matching size, mean and max awake rounds and ledger rounds on
+G(n, 4/n) with eps = 1/4, graph and master seed 1 and
+``improve_iterations=16``, the README's pipeline table.
 """
 
 from fractions import Fraction
@@ -42,9 +45,27 @@ def pipeline_part():
           f"over {ledger.rounds} simulated rounds")
 
 
+TABLE_SIZES = (2 ** 7, 2 ** 9)
+
+
+def pipeline_table():
+    print()
+    print("full_matching_pipeline on G(n, 4/n), eps = 1/4, graph and master "
+          "seed 1, improve_iterations=16")
+    print(f"{'n':>5} {'matching':>9} {'mean awake':>11} {'max awake':>10} "
+          f"{'rounds':>7}")
+    for n in TABLE_SIZES:
+        m, ledger = full_matching_pipeline(gen_gnp(n, 4 / n, seed=1),
+                                           Fraction(1, 4), 1,
+                                           improve_iterations=16)
+        print(f"{n:>5} {len(m):>9} {ledger.node_averaged():>11.1f} "
+              f"{ledger.max_awake():>10} {ledger.rounds:>7}")
+
+
 def main():
     bipartite_part()
     pipeline_part()
+    pipeline_table()
 
 
 if __name__ == "__main__":

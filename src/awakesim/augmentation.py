@@ -45,7 +45,9 @@ class MatchBox:
     that run read no seed (analytic stop round 0, as for every practical
     n), and reuses it when called on the same graph object again.  Every
     call still draws its own rounding seed and merges the run's ledger, so
-    each call is charged as the distributed run it stands for.
+    each call is charged as the distributed run it stands for.  A node
+    without an edge in the instance never wakes in that run, so it is
+    charged nothing for it, and a graph without an edge is never run.
     """
 
     _MODES = {"exact": 1, "greedy": 2, "sleeping": 8}

@@ -7,16 +7,16 @@ is w_j scaled by ONE = Delta b^(J+1) (:meth:`SampleSchedule.ladder`).  Node
 masses are sums of rungs, so every freeze, heavy, light and proposal
 decision is an exact comparison of Python integers; nothing is decided in
 floating point.  There is one matcher, :class:`SampledMatchingProtocol`;
-``vanilla_fractional`` is its run with stop round 0.  From the stop round
-on, a node sleeps until its load could make it tight, and a node that
-freezes wakes at its sleeping neighbours' wake rungs to tell them, so the
-outputs are those of a run in which every node stays awake while each
-node is awake in few rounds.  A run reduces to its
-node freeze rounds and the node loads its tight tests tracked, and its
-:class:`FractionalAssignment` keeps integers only: one rung index per
-adjacency slot and each node's load times ONE.
-The heavy clean-up, the rounding, the loads and ``dump`` read those
-integers; ``Fraction`` values are built only when a view asks for them.
+``vanilla_fractional`` is its run with stop round 0.  A node without an
+edge never wakes.  From the stop round on, a node sleeps until its load
+could make it tight, and a node that freezes wakes at its sleeping
+neighbours' wake rungs to tell them, so the outputs are those of a run in
+which every node stays awake while each node is awake in few rounds.  A
+run reduces to its node freeze rounds and the node loads its tight tests
+tracked, and its :class:`FractionalAssignment` keeps integers only: one
+rung index per adjacency slot and each node's load times ONE.  The heavy
+clean-up, the rounding, the loads and ``dump`` read those integers;
+``Fraction`` values are built only when a view asks for them.
 """
 
 from __future__ import annotations
@@ -398,9 +398,9 @@ class SampledMatchingProtocol(Protocol):
       freeze round once it has frozen.  Every awake unfrozen node sums the
       reports it hears into the estimate c~_v and freezes silently when
       c~_v > 1-10eps.
-    * At the stop round everyone wakes and broadcasts its freeze round once
-      (reconciliation); each node rebuilds its frozen mass and its count of
-      unfrozen edges from its frozen neighbours.
+    * At the stop round every start node wakes and broadcasts its freeze
+      round once (reconciliation); each node rebuilds its frozen mass and
+      its count of unfrozen edges from its frozen neighbours.
     * From the stop round on, the vanilla tight rule c_v >= 1-eps runs on the
       nodes that still have an unfrozen edge.  A node that freezes at rung r
       tells its neighbours, and an unfrozen neighbour gains k * W_r from k
@@ -424,22 +424,28 @@ class SampledMatchingProtocol(Protocol):
     for messages sent at its wake rung, when both ends are awake, so they
     are not state of the sleeper, which reads them only then.
 
-    ``bind`` stays each sample member from its first wake
-    (:meth:`~awakesim.engine.WakePlan.stay`) and posts every node at the
-    stop round.  The stop round sends the members that survive it back to
-    sleep (:meth:`~awakesim.engine.WakePlan.leave`) and stays every
-    survivor from its wake rung; a node that freezes with tells to make
-    leaves the staying nodes and posts its tell rounds.  Only awake nodes
-    send or hear.  Each round checks its widest message once against the
-    hood's CONGEST bound (:func:`_check_message`).  A message is a
-    ``(tag, field)`` pair with a three-letter tag, measured as the engine
+    The run's start set must hold every node with an edge; a node outside
+    it never wakes.  :func:`sampled_fractional` starts exactly the nodes
+    with an edge, since a node without one has nothing to send, hear or
+    decide: it never wakes, is never charged, and keeps freeze round -1
+    and load 0.  A run on a graph without an edge has 0 rounds.  ``bind``
+    draws the sample sets among the start nodes, stays each member from
+    its first wake (:meth:`~awakesim.engine.WakePlan.stay`) and posts
+    every start node at the stop round.  The stop round sends the members
+    that survive it back to sleep (:meth:`~awakesim.engine.WakePlan.leave`)
+    and stays every survivor from its wake rung; a node that freezes with
+    tells to make leaves the staying nodes and posts its tell rounds.  Only
+    awake nodes send or hear.  Each round checks its widest message once
+    against the hood's CONGEST bound (:func:`_check_message`).  A message is
+    a ``(tag, field)`` pair with a three-letter tag, measured as the engine
     measures envelopes: ``_TAG_BITS`` = 26 bits plus the field, which is
     len(hs) + sum(max(1, h.bit_length())) bits for a report of rounds
     ``hs``, and max(1, r.bit_length()) for the round r of a
     reconciliation, wake rung, freeze or tell message.
 
     Masses are integers on the ladder whose top rung is ``round_cap``, the
-    last round a run can reach.  An unfrozen node's ``_mass`` is the load
+    last round a run can reach.  ``bind`` starts every node with all its
+    edges unfrozen and no mass.  An unfrozen node's ``_mass`` is the load
     of the frozen edges it has heard of; a frozen node's is its whole load,
     every edge at the rung of its first-frozen endpoint.  A node that
     freezes from the stop round on adds its unfrozen edges at its rung,
@@ -464,9 +470,9 @@ class SampledMatchingProtocol(Protocol):
         # shared with every run of the same ladder: read, never changed
         self._one, self._tight, self._rungs = s.ladder(self.round_cap)
         self.outputs = self._f = [-1] * self.n
-        # rebuilt by _reconcile at the stop round
-        self._unfrozen: List[int] = []
-        self._mass: List[int] = []
+        # _reconcile replays the sampled rounds' freezes into these
+        self._unfrozen = list(map(len, graph.adj))
+        self._mass = [0] * self.n
         # the wake rung of each unfrozen node alive after the stop round;
         # -1 for the others, and once a node freezes
         self._j = [-1] * self.n
@@ -481,20 +487,23 @@ class SampledMatchingProtocol(Protocol):
         self._widest: Dict[int, int] = {}
         # _memb[j] = (v, h): the members v of each S_h^j, as two arrays
         self._memb: List[Tuple[np.ndarray, np.ndarray]] = []
-        if stop > 0 and self.n > 0:
-            self._sample(seed, stop)
-        plan.post(stop, np.arange(self.n))
+        if stop > 0 and start.size:
+            self._sample(seed, stop, start)
+        plan.post(stop, start)
 
-    def _sample(self, seed, stop):
-        """Draw the sample sets S_h^j (h <= j < stop) and scale the estimator.
+    def _sample(self, seed, stop, start):
+        """Draw the sample sets S_h^j (h <= j < stop) among the ``start``
+        nodes and scale the estimator.
 
         The estimate sum_h (w_h - w_{h-1}) k_h / p_h > 1 - 10 eps, where k_h
         counts reports of h, becomes b * sum_h k_h E_h > (b - 10a) * one * L,
         with L the lcm of the nonzero p_h numerators.  A p = 0 round is never
         sampled, so it is never reported and gets no coefficient.
 
-        Membership is one ``rng.coins`` matrix: node v is row v, the pair
-        (j, h) is a column, and column (j, h) flips its coins with p_h.
+        Membership is one ``rng.coins`` matrix: each start node is a row,
+        the pair (j, h) is a column, and column (j, h) flips its coins with
+        p_h.  A coin is keyed by the host id, so a node's membership does
+        not depend on which other nodes start.
         """
         s, w = self.sched, self._rungs
         ps = [s.p_of_phase(s.phase(h)) for h in range(stop)]
@@ -506,14 +515,16 @@ class SampledMatchingProtocol(Protocol):
         self._hbits = np.array([max(1, h.bit_length()) for h in range(stop)])
         # coin of (v, h, j) is node_rng(seed, v, "sample", h * stop + j)
         jj, hh = np.tril_indices(stop)
-        hit = coins(seed, np.arange(self.n)[:, None], "sample", hh * stop + jj,
+        hit = coins(seed, start[:, None], "sample", hh * stop + jj,
                     np.array(ps, dtype=object)[hh])
         hit = np.unpackbits(hit, axis=1, count=hh.size).view(bool)
-        vs, ts = np.nonzero(hit)
+        rows, ts = np.nonzero(hit)
+        vs = start[rows]
         # a member of S_h^j first wakes at round h-1
         first = np.where(hit, hh, stop).min(axis=1)
-        members = np.flatnonzero(first < stop)
-        wake = np.maximum(first[members] - 1, 0)
+        member = first < stop
+        members = start[member]
+        wake = np.maximum(first[member] - 1, 0)
         for r in range(stop):
             self.plan.stay(r, members[wake == r])
         jt = jj[ts]
@@ -681,16 +692,14 @@ class SampledMatchingProtocol(Protocol):
             self._f[v] = rnd
 
     def _reconcile(self, hood):
-        """Stop round: rebuild ``_unfrozen`` and ``_mass`` from the freeze
-        rounds every node broadcasts, by replaying the sampled rounds'
-        freezes through :meth:`_freeze` in round order.  A node frozen
-        before now gets its load: each of its edges at the rung of the
-        edge's first-frozen endpoint."""
+        """Stop round: every start node broadcasts its freeze round, and the
+        sampled rounds' freezes are replayed through :meth:`_freeze` in
+        round order into ``_unfrozen`` and ``_mass``, which ``bind`` built.
+        A node frozen before now gets its load: each of its edges at the
+        rung of the edge's first-frozen endpoint."""
         f = self._f
         _check_message(hood, max(1, max(f).bit_length()),
                        "a reconciliation message")
-        self._unfrozen = [len(a) for a in self.graph.adj]
-        self._mass = [0] * self.n
         if not self._stop:
             return  # no sampled round, so no node froze yet
         froze_at: Dict[int, List[int]] = {}
@@ -721,7 +730,9 @@ def sampled_fractional(g: Graph, eps, seed: int, *, estimator_constant: int = 64
     vanilla's by construction.  From the stop round on, each node sleeps
     until its wake rung and wakes at its neighbours' wake rungs to tell
     them of its freeze (see :class:`SampledMatchingProtocol`), so it is
-    awake in far fewer rounds than the run takes.
+    awake in far fewer rounds than the run takes.  A node without an edge
+    never wakes and is never charged, and a run on a graph without an
+    edge has 0 rounds.
 
     For eps >= 1/10 the estimator cut 1-10eps is at most 0, so on the forced
     path every node that hears a report freezes in its first sampled round.
@@ -740,9 +751,10 @@ def vanilla_fractional(g: Graph, eps) -> FractionalAssignment:
     This is the sampled matcher's run with stop round 0: no sample coin is
     drawn, so no seed is read, and the tight rule c_v >= 1-eps runs from
     the first rung on; each node sleeps after round 0 until the rung at
-    which its load could first make it tight.  Exact integer arithmetic on
-    the ladder throughout.  Terminates within ceil(log_{1+eps} Delta) + 1
-    rounds with c_v <= 1 for every v.
+    which its load could first make it tight, and a node without an edge
+    never wakes (a graph without an edge takes 0 rounds).  Exact integer
+    arithmetic on the ladder throughout.  Terminates within
+    ceil(log_{1+eps} Delta) + 1 rounds with c_v <= 1 for every v.
     """
     sched = SampleSchedule(g.n, g.max_degree, eps, force_stop_round=0)
     asg, _, diag = _match(g, sched, 0)
@@ -752,10 +764,14 @@ def vanilla_fractional(g: Graph, eps) -> FractionalAssignment:
 
 
 def _match(g: Graph, sched: SampleSchedule, seed: int):
-    """Run :class:`SampledMatchingProtocol` on ``sched``; returns
-    ``(assignment, ledger, diagnostics)`` as :func:`sampled_fractional`."""
+    """Run :class:`SampledMatchingProtocol` on ``sched`` from the nodes
+    with an edge; returns ``(assignment, ledger, diagnostics)`` as
+    :func:`sampled_fractional`."""
     proto = SampledMatchingProtocol(sched)
-    f, ledger, _ = run(g, proto, seed, proto.round_cap, part="frac")
+    indptr = g.csr()[0]
+    start = np.flatnonzero(indptr[1:] != indptr[:-1])
+    f, ledger, _ = run(g, proto, seed, proto.round_cap, part="frac",
+                       start=start)
     one = proto._one
     asg = _assignment(g, f, proto._mass, proto._rungs, one)
     load = asg._load

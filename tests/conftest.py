@@ -76,12 +76,13 @@ def ref_gated_rounds(g, f, eps):
     matcher, in closed form from the node freeze rounds ``f`` (``None``:
     never froze).
 
-    Node v's wake rung j_v is the first j with deg(v) (1+eps)^j / Delta >=
-    1 - eps.  It terminates in round t_v: f[v], or, if it never froze, the
-    last freeze round among its neighbours (0 without neighbours).  A node
-    that terminates in round 0 is awake only then.  Any other node is awake
-    in {0} and [j_v, max(t_v, j_v)], and, if it froze, at each distinct
-    j_w > f[v] of its neighbours w still unfrozen at f[v], to tell them.
+    A node without a neighbour is awake in no round.  Any other node v has
+    wake rung j_v, the first j with deg(v) (1+eps)^j / Delta >= 1 - eps.
+    It terminates in round t_v: f[v], or, if it never froze, the last
+    freeze round among its neighbours.  A node that terminates in round 0
+    is awake only then.  Any other node is awake in {0} and [j_v, max(t_v,
+    j_v)], and, if it froze, at each distinct j_w > f[v] of its neighbours
+    w still unfrozen at f[v], to tell them.
     """
     eps = Fraction(eps)
     delta = g.max_degree
@@ -95,7 +96,10 @@ def ref_gated_rounds(g, f, eps):
     out = []
     for v in range(g.n):
         nb, fv = g.neighbors(v), f[v]
-        t = fv if fv is not None else max((f[u] for u in nb), default=0)
+        if not nb:
+            out.append([])
+            continue
+        t = fv if fv is not None else max(f[u] for u in nb)
         if t == 0:
             out.append([0])
             continue

@@ -236,9 +236,10 @@ def test_amplification_golden_digest():
     computed when maximal boxes still extended paths through a single box
     call instead of delta_maximal (the outputs-only digest pins them); the
     sleeping box's ledgers changed on purpose when matcher nodes began to
-    sleep until their wake rung."""
+    sleep until their wake rung, and when nodes without an edge in a box
+    instance stopped waking."""
     assert _amplification_digest() == (
-        "ed62e2ef1f1bbb6c6fa38f7802a3a55ba3c3353c21a3efbc6bee00c3c835d255")
+        "9f9c1f5c8b9c1225c672145c49bb0b105bd5b0a8b65af5a4b03a0b1c7487208e")
 
 
 def _outputs_digest():

@@ -115,7 +115,9 @@ def test_matching_csv_golden_digest():
     families: pins the vanilla row's ``rounds`` and ``total_awake`` as well
     as the sampled ledgers.  Recomputed when matcher nodes began to sleep
     until their wake rung: only the ``sampled_match`` and ``vertex_cover``
-    rows' ledger columns (rounds, total, mean and max awake) moved."""
+    rows' ledger columns (rounds, total, mean and max awake) moved.  Those
+    of the edgeless rows moved again, to 0, when nodes without an edge
+    stopped waking."""
     h = hashlib.sha256()
     for algorithm in ("vanilla_match", "sampled_match", "vertex_cover"):
         for family in ("gnp", "bipartite", "star", "path", "edgeless"):
@@ -125,7 +127,7 @@ def test_matching_csv_golden_digest():
             assert ok
             h.update(rows_to_csv(rows).encode())
     assert h.hexdigest() == (
-        "daab4d7ccf3f0e8f3fbccc31932d7674c54a80f2720bf969721165fa1f23033b")
+        "77c7875cbece3fa9c821b99948da809133b6656ced1582a9fa3de1a5716fa200")
 
 
 # (algorithm, family, n, eps, overrides) rows of the harness digest: the five
@@ -156,7 +158,9 @@ def test_harness_golden_digest(tmp_path, capsys):
     began to sleep until their wake rung, which moved the ledger columns of
     the rows that run the sampled matcher, and when the MIS took p = 1/4
     and its stage-2 degree bound from n and p, which moved the
-    ``awake_mis`` rows."""
+    ``awake_mis`` rows.  When matcher nodes without an edge stopped waking,
+    the ledger columns of the configured ``match`` run moved: its graph has
+    an isolated node."""
     h = hashlib.sha256()
     out = tmp_path / "run.csv"
 
@@ -187,7 +191,7 @@ def test_harness_golden_digest(tmp_path, capsys):
     assert main(["match", "--config", str(cfgfile)]) == 0
     h.update(capsys.readouterr().out.encode())
     assert h.hexdigest() == (
-        "0193f0acc75e5a336f70a72c84a6374667e3d6aae3a5b5f23fb60ef9df4a440d")
+        "8d031d3be1efb81eade8920725384cf97c3c263c4521ac44a69684b30d307272")
 
 
 def test_run_experiment_edgeless_mis():

@@ -69,22 +69,23 @@ class RefSampledProtocol(Protocol):
 
     Distributed fractional matching with sampled congestion estimates.
 
+    Only the start nodes take part, and every node with an edge is one.
     Rounds before ``schedule.stop_round`` are sampled: members of any S_h^j
     wake at round h-1, stay awake, and at round j report which rounds h they
     were sampled for while still active; awake unfrozen nodes freeze on the
-    estimate c~_v > 1-10eps.  At the stop round everyone wakes, a one-shot
-    reconciliation broadcast distributes freeze rounds, and the vanilla
-    tight rule c_v >= 1-eps takes over.  A node that is not tight then
+    estimate c~_v > 1-10eps.  At the stop round every start node wakes, a
+    one-shot reconciliation broadcast distributes freeze rounds, and the
+    vanilla tight rule c_v >= 1-eps takes over.  A node that is not tight then
     broadcasts its wake rung j_v, the first rung with mass + unfrozen * W_j
     >= tight, and sleeps until j_v; there it adds the tells of the
     neighbours that froze while it slept.  A node that freezes after the
     stop round sends such a tell to each neighbour whose wake rung is
     later, at that rung.  A node terminates once all its incident edges are
     frozen and it has no tell left to send (never before the stop round).
-    Each node posts its own wakes: every node the stop round, each sample
-    member its first wake, each awake unfrozen node the next round (its
-    wake rung at the stop round), and each node with tells to send its
-    next tell round.
+    Each node posts its own wakes: every start node the stop round, each
+    sample member its first wake, each awake unfrozen node the next round
+    (its wake rung at the stop round), and each node with tells to send
+    its next tell round.
 
     Masses are integers on the ladder whose top rung is ``round_cap``, the
     last round a run can reach.
@@ -111,14 +112,14 @@ class RefSampledProtocol(Protocol):
         self._tells: List[List[int]] = [[] for _ in range(n)]  # rounds left
         self._memb: List[Dict[int, List[int]]] = [{} for _ in range(n)]
         if stop > 0:
-            self._sample(seed, stop)
-        for v in range(n):
+            self._sample(seed, stop, start.tolist())
+        for v in start.tolist():
             plan.post(stop, [v])
 
-    def _sample(self, seed, stop):
-        """Draw the sample sets S_h^j (h <= j < stop) node by node with the
-        scalar coins, post each member's first wake, and scale the
-        estimator.
+    def _sample(self, seed, stop, start):
+        """Draw the sample sets S_h^j (h <= j < stop) start node by start
+        node with the scalar coins, post each member's first wake, and scale
+        the estimator.
 
         The estimate sum_h (w_h - w_{h-1}) k_h / p_h > 1 - 10 eps, where k_h
         counts reports of h, becomes b * sum_h k_h E_h > (b - 10a) * one * L,
@@ -135,7 +136,7 @@ class RefSampledProtocol(Protocol):
         # coin of (v, h, j) is node_rng(seed, v, "sample", h * stop + j); a
         # draw is below 2^64, so a p = 1 coin always succeeds
         cut = [coin_threshold(p) for p in ps]
-        for v in range(self.n):
+        for v in start:
             memb = self._memb[v]
             for j in range(stop):
                 for h in range(j + 1):
@@ -459,10 +460,23 @@ def test_light_event_at_the_cut():
 
 
 def test_sampled_empty_and_tiny():
+    """Without an edge no node wakes, with the analytic stop round or a
+    forced one: the run has 0 rounds, every node has value 0, and the
+    rounding and the cover are empty."""
     asg, ledger, diag = sampled_fractional(Graph(0), Fraction(1, 10), seed=1)
     assert asg.n == 0 and ledger.n == 0
-    asg, _, _ = sampled_fractional(Graph(3), Fraction(1, 10), seed=1)
-    assert asg.x == {} and asg.frozen_nodes == set()
+    for n in (1, 2, 3, 7):
+        for stop in (None, 1, 4, 8):
+            kw = {} if stop is None else dict(
+                force_stop_round=stop, force_phase_probabilities=Fraction(1, 2))
+            asg, ledger, diag = sampled_fractional(Graph(n), Fraction(1, 10),
+                                                   seed=1, **kw)
+            assert diag.stop_round == (stop or 0)
+            assert ledger.rounds == 0 and ledger.total_awake() == 0
+            assert asg.x == {} and asg.node_freeze == {v: None for v in range(n)}
+            assert asg.node_values() == {v: 0 for v in range(n)}
+            assert len(round_matching(asg, 5)) == 0
+            assert extract_vertex_cover(asg) == set()
 
 
 def test_cover_extraction():
@@ -541,10 +555,11 @@ def test_fractional_golden_digest():
     diagnostics) and their roundings on a fixed corpus.  The outputs are
     those the Fraction-arithmetic implementation computed (the outputs-only
     digest pins them); the ledgers changed on purpose when matcher nodes
-    began to sleep until their wake rung, and are pinned here as the gated
-    matcher computes them."""
+    began to sleep until their wake rung, and again when nodes without an
+    edge stopped waking, and are pinned here as the gated matcher computes
+    them."""
     assert _fractional_digest() == (
-        "c5eff727efe3a870ab54bd1db6332c9e555897f9f0b148a62cdfbead08920ad1")
+        "12870b0d8134ff093f88933f043e6a67a56c98ed425c40e87758a0081f907c6a")
 
 
 @st.composite
@@ -626,6 +641,33 @@ def test_run_built_assignments_equal_their_dict_rebuilds(g, eps, seed, stop, p):
     _assert_agrees_with_its_rebuild(sampled_fractional(g, eps, seed)[0])
     _assert_agrees_with_its_rebuild(sampled_fractional(
         g, eps, seed, force_stop_round=stop, force_phase_probabilities=p)[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=small_graphs(), k=st.integers(1, 5), eps=eps_fractions(),
+       seed=st.integers(0, 2 ** 32), stop=st.one_of(st.none(), st.integers(1, 6)),
+       p=st.sampled_from((Fraction(1, 7), Fraction(1, 2), 1)))
+@example(g=gen_gnp(24, 0.2, seed=3), k=3, eps=Fraction(1, 4), seed=1, stop=None,
+         p=1)
+@example(g=gen_gnp(24, 0.2, seed=3), k=3, eps=Fraction(1, 20), seed=1, stop=4,
+         p=Fraction(1, 2))
+def test_isolated_nodes_cost_nothing_and_change_nothing(g, k, eps, seed, stop, p):
+    """G and G plus ``k`` isolated nodes, numbered after G's, run alike on
+    G's nodes, with the analytic stop round and with a forced one: the same
+    freeze rounds, assignment, ledger rounds and awake counts.  No node
+    without an edge is ever charged."""
+    padded = Graph(g.n + k, sorted(g.edge_set))
+    kw = {} if stop is None else dict(force_stop_round=stop,
+                                      force_phase_probabilities=p)
+    asg, ledger, _ = sampled_fractional(g, eps, seed, **kw)
+    asg2, ledger2, _ = sampled_fractional(padded, eps, seed, **kw)
+    assert asg2.node_freeze == {**asg.node_freeze,
+                                **{v: None for v in range(g.n, padded.n)}}
+    assert asg2.dump() == asg.dump()
+    assert ledger2.rounds == ledger.rounds
+    counts = ledger2.counts.tolist()
+    assert counts[:g.n] == ledger.counts.tolist()
+    assert all(counts[v] == 0 for v in range(padded.n) if not padded.adj[v])
 
 
 @pytest.mark.parametrize("g, eps, seed, stop, p", [
@@ -752,7 +794,7 @@ def test_gated_ledger_equals_the_closed_form(g, eps, seed):
     f = [node_frozen.get(v) for v in range(g.n)]
     rounds = runs[0][0]
     assert rounds == ref_gated_rounds(g, f, eps)
-    assert ledger.rounds == max((rs[-1] + 1 for rs in rounds), default=0)
+    assert ledger.rounds == max((rs[-1] + 1 for rs in rounds if rs), default=0)
     sched = SampleSchedule(g.n, g.max_degree, eps)
     assert ledger.rounds <= SampledMatchingProtocol(sched).round_cap
 
@@ -767,14 +809,14 @@ def graphs_with_isolated_nodes(draw):
     return Graph(n, [e for e, k in zip(pairs, keep) if k])
 
 
-def _protocol_outcome(cls, g, sched, seed, congest_factor):
+def _protocol_outcome(cls, g, sched, seed, congest_factor, start=None):
     proto = cls(sched)
     if congest_factor is not None:
         proto.congest_factor = congest_factor
     try:
         with watched_wakes(engine) as runs:
             outputs, ledger, _ = engine.run(g, proto, seed, proto.round_cap,
-                                            part="frac")
+                                            part="frac", start=start)
     except AssertionError:
         return AssertionError
     return list(outputs), ledger, runs[0][0]
@@ -786,18 +828,23 @@ def _protocol_outcome(cls, g, sched, seed, congest_factor):
        stop=st.one_of(st.none(), st.integers(0, 8)),
        p=st.sampled_from((0, Fraction(1, 3), Fraction(1, 2), 1, {1: Fraction(1, 3)},
                           [None, Fraction(2, 3), 0])),
-       congest_bits=st.one_of(st.none(), st.integers(26, 40)))
+       congest_bits=st.one_of(st.none(), st.integers(26, 40)),
+       linked_only=st.booleans())
 def test_whole_round_protocol_matches_the_hook_reference(g, eps, seed, c, stop, p,
-                                                         congest_bits):
-    """Outputs, ledgers and schedules equal to the per-node reference; under
-    a lowered CONGEST bound both raise or neither does."""
+                                                         congest_bits, linked_only):
+    """Outputs, ledgers and schedules equal to the per-node reference, run
+    from every node or, with ``linked_only``, from the nodes with an edge,
+    as :func:`sampled_fractional` runs it; under a lowered CONGEST bound
+    both raise or neither does."""
     # n <= 30 makes the bound congest_factor * 8 bits, so this factor makes
     # it exactly congest_bits, and any message width can sit on the bound
     congest_factor = None if congest_bits is None else congest_bits / 8
     sched = SampleSchedule(max(2, g.n), max(1, g.max_degree), eps, c, stop,
                            None if stop is None else p)
-    new = _protocol_outcome(SampledMatchingProtocol, g, sched, seed, congest_factor)
-    ref = _protocol_outcome(RefSampledProtocol, g, sched, seed, congest_factor)
+    start = [v for v in range(g.n) if g.adj[v]] if linked_only else None
+    new = _protocol_outcome(SampledMatchingProtocol, g, sched, seed, congest_factor,
+                            start)
+    ref = _protocol_outcome(RefSampledProtocol, g, sched, seed, congest_factor, start)
     assert new == ref
 
 
