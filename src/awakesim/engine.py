@@ -60,19 +60,6 @@ def payload_bits(payload) -> int:
     return 64
 
 
-def _sorted_unique(chunks: list) -> np.ndarray:
-    """The ids of ``chunks`` (lists and arrays of ints, at least one),
-    sorted and unique; one already sorted and unique chunk comes back as
-    an array without a sort."""
-    ids = np.asarray(chunks[0] if len(chunks) == 1 else np.concatenate(chunks),
-                     dtype=np.int64)
-    rising = ids[1:] > ids[:-1]
-    if np.count_nonzero(rising) < rising.size:
-        ids = np.sort(ids)
-        ids = ids[np.concatenate(([True], ids[1:] != ids[:-1]))]
-    return ids
-
-
 class WakePlan:
     """The future rounds each node wakes in.
 
@@ -87,11 +74,9 @@ class WakePlan:
 
     A round's posts collect in one bucket: one list of ints, which collects
     every id posted in a list, followed by the posted arrays.  The staying
-    ids are one sorted array, which drops the ids that left since the last
-    take, and the terminated ones only when told that some node
-    terminated.  A round with no bucket hands that array over as it is.  A
-    round with neither staying ids nor ids stayed from it sorts its bucket;
-    any other round merges the staying ids, the ids stayed from it and its
+    ids are one sorted array, from which each take drops the ids that left
+    or terminated.  A round with no bucket hands that array over as it is;
+    a round with one merges the staying ids, the ids stayed from it and its
     bucket through one boolean mask over the nodes, in O(n) steps.
     """
 
@@ -145,23 +130,19 @@ class WakePlan:
         if len(ids):
             self._left.append(ids)
 
-    def take(self, before: int, alive: np.ndarray,
-             dropped: bool = True) -> Optional[Tuple[int, np.ndarray]]:
+    def take(self, before: int, alive: np.ndarray) -> Optional[Tuple[int, np.ndarray]]:
         """Move on to the next round in which a node wakes and return it
         with its ``alive`` waking ids, sorted and unique; ``None`` if there
-        is no such round before round ``before``.  ``dropped`` says whether
-        a node may have terminated since the last call; if not, the staying
-        ids are not filtered again."""
+        is no such round before round ``before``."""
         stay, rounds, left = self._stay, self._rounds, self._left
-        if left:
-            if stay.size:
+        if stay.size:
+            keep = alive
+            if left:
                 keep = alive.copy()
                 for ids in left:
                     keep[ids] = False
-                stay = self._stay = stay[keep[stay]]
-            left.clear()
-        elif dropped and stay.size:
-            stay = self._stay = stay[alive[stay]]
+            stay = self._stay = stay[keep[stay]]
+        left.clear()
         # staying nodes wake in the very next round
         rnd = self.now + 1 if stay.size else rounds[0] if rounds else before
         if rnd >= before:
@@ -170,24 +151,17 @@ class WakePlan:
         if not rounds or rounds[0] != rnd:
             return rnd, stay
         heapq.heappop(rounds)
-        joins = self._joins.pop(rnd, ())
-        chunks = self._buckets.pop(rnd)
-        if not chunks[0]:
-            del chunks[0]
-        if not (stay.size or joins):
-            ids = _sorted_unique(chunks)
-            return rnd, ids[alive[ids]]
         mask = np.zeros(alive.size, dtype=bool)
         mask[stay] = True
+        joins = self._joins.pop(rnd, ())
         if joins:
             for ids in joins:
                 mask[ids] = True
             mask &= alive
             stay = self._stay = mask.nonzero()[0]
-        if not chunks:
-            return rnd, stay
-        for ids in chunks:
-            mask[ids] = True
+        for ids in self._buckets.pop(rnd):
+            if len(ids):  # the list is often empty, and numpy indexes [] slowly
+                mask[ids] = True
         mask &= alive
         return rnd, mask.nonzero()[0]
 
@@ -534,27 +508,35 @@ def run(
     would exceed ``max(n, TALLY_FLOOR)``, at the end of the run and before
     it raises, so a short run counts once.
 
-    Raises :class:`RoundCapExceeded` (with the partial ledger attached) if
-    any node is alive when the next round in which a node wakes is
-    ``round_cap`` or later, or when no node will wake again; the ledger
-    then reads ``round_cap`` rounds.
+    Raises ``ValueError``, before ``bind``, if an id of ``start`` is
+    outside 0..n-1, and :class:`RoundCapExceeded` (with the partial ledger
+    attached) if any node is alive when the next round in which a node
+    wakes is ``round_cap`` or later, or when no node will wake again; the
+    ledger then reads ``round_cap`` rounds.
     """
     n = g.n
-    start = np.arange(n, dtype=np.int64) if start is None else _sorted_unique([start])
+    if start is None:
+        alive = np.ones(n, dtype=bool)
+    else:
+        alive = np.zeros(n, dtype=bool)
+        ids = np.asarray(start, dtype=np.int64)
+        # a negative id reads as a huge unsigned one
+        if np.count_nonzero(ids.view(np.uint64) >= n):
+            bad = ids[(ids < 0) | (ids >= n)][0]
+            raise ValueError(f"start id {bad} is outside 0..{n - 1}")
+        alive[ids] = True
+    start = alive.nonzero()[0]
     plan = WakePlan()
     protocol.bind(g, master_seed, plan, start)
     ledger = AwakeLedger(n)
     tally = _Tally(ledger, part)
-    alive = np.zeros(n, dtype=bool)
-    alive[start] = True
     alive_count = start.size
     slot = np.full(n, -1, dtype=np.int64)
     congest_bound = protocol.congest_factor * max(8, (max(n, 2) - 1).bit_length())
 
     rnd = -1
-    dropped = False
     while alive_count > 0:
-        taken = plan.take(round_cap, alive, dropped)
+        taken = plan.take(round_cap, alive)
         if taken is None:
             tally.flush()
             ledger.rounds = round_cap
@@ -562,7 +544,6 @@ def run(
                 f"{alive_count} nodes still alive after {round_cap} rounds", ledger
             )
         rnd, awake = taken
-        dropped = False
         if not awake.size:
             continue
         tally.add(awake)
@@ -571,7 +552,6 @@ def run(
             done = np.asarray(done, dtype=np.int64)
             alive[done] = False
             alive_count -= done.size
-            dropped = True
 
     tally.flush()
     ledger.rounds = rnd + 1

@@ -59,15 +59,19 @@ def _clog2(n: int) -> int:
     return max(1, ceil_log2(n))
 
 
+# the stage-1 participation fraction p, for every n (see :class:`MisParams`)
+PARTICIPATION = Fraction(1, 4)
+
+
 @dataclass
 class MisParams:
     """Tunables for the three-stage MIS; ``None`` means the size-derived default.
 
-    The default participation p and the stage-2 degree bound d come from
-    one argument.  Once a random-order greedy MIS has processed a
-    p-fraction of the nodes, the residual graph has max degree O(log n / p)
-    w.h.p. (Blelloch, Fineman and Shun, SPAA 2012).  Stage 1 is such a
-    prefix, so stage 2 marks under d = c log2(n) / p
+    The participation p, ``PARTICIPATION`` unless given, and the stage-2
+    degree bound d come from one argument.  Once a random-order greedy MIS
+    has processed a p-fraction of the nodes, the residual graph has max
+    degree O(log n / p) w.h.p. (Blelloch, Fineman and Shun, SPAA 2012).
+    Stage 1 is such a prefix, so stage 2 marks under d = c log2(n) / p
     (:func:`part2_degree_bound`), which every node computes from n and p,
     and no node reads the residual's max degree.  A constant p leaves a
     constant share of the nodes to stage 2, so the mean awake cost does
@@ -91,13 +95,13 @@ class MisParams:
       in a flat region, not at a sharp optimum.
     """
 
-    p: Optional[Fraction] = None          # participation fraction, default 1/4
+    p: Fraction = PARTICIPATION           # participation fraction
     C: int = 4                            # phase-length constant in stage 2
     K: Optional[int] = None               # stage-2 iterations, default 2*ceil(log2 log2 n)
     part1_window: Optional[int] = None    # fixed competition length of stage 1
 
     def __post_init__(self):
-        if self.p is not None and not (0 < self.p <= 1):
+        if not (0 < self.p <= 1):
             raise ValueError("p must lie in (0, 1]")
         if self.C < 1:
             raise ValueError("C must be >= 1")
@@ -105,11 +109,6 @@ class MisParams:
             raise ValueError("K must be >= 1")
         if self.part1_window is not None and self.part1_window < 0:
             raise ValueError("part1_window must be >= 0")
-
-
-def default_participation(n: int) -> Fraction:
-    """The constant 1/4, for every n (see :class:`MisParams`)."""
-    return Fraction(1, 4)
 
 
 def default_part1_window(n: int) -> int:
@@ -498,10 +497,6 @@ def part2_degree(g: Graph, start=None) -> int:
     return max(2, int(np.add.reduceat(in_start[nbrs], seg, dtype=np.int64).max(initial=0)))
 
 
-def _participation(params: MisParams, n: int) -> Fraction:
-    return params.p if params.p is not None else default_participation(n)
-
-
 def part2_reduce(g: Graph, seed: int, params: Optional[MisParams] = None, start=None):
     """Run the marking stage from the nodes of ``start`` (default: every
     node), under the degree bound :func:`part2_degree_bound` of ``g.n`` and
@@ -510,8 +505,7 @@ def part2_reduce(g: Graph, seed: int, params: Optional[MisParams] = None, start=
     ``residual_ids`` being the start nodes still undecided, sorted."""
     params = params or MisParams()
     K = params.K if params.K is not None else default_iterations(g.n)
-    proto = Part2Protocol(part2_degree_bound(g.n, _participation(params, g.n)),
-                          K, params.C)
+    proto = Part2Protocol(part2_degree_bound(g.n, params.p), K, params.C)
     status, ledger, _ = run(g, proto, seed, K * proto.t_iter + 2, part="part2",
                             start=start)
     added = set(np.flatnonzero(status == _P2_IN).tolist())
@@ -534,14 +528,13 @@ def awake_mis(g: Graph, seed: int, params: Optional[MisParams] = None):
     params = params or MisParams()
     n = g.n
     ledger = AwakeLedger(n)
-    p = _participation(params, n)
-    mis, _, res1, led1 = greedy_partial_mis(g, seed, p, params.part1_window)
+    mis, _, res1, led1 = greedy_partial_mis(g, seed, params.p, params.part1_window)
     ledger.merge(led1)
     diags: Dict[str, object] = {"part1_in": len(mis), "residual1_n": len(res1)}
 
     added, res2, led2 = part2_reduce(g, seed, params, res1)
     if res1:
-        d, degree = part2_degree_bound(n, p), part2_degree(g, res1)
+        d, degree = part2_degree_bound(n, params.p), part2_degree(g, res1)
         diags.update(d_used=d, d_raised=degree > d)
         if diags["d_raised"]:
             # low-probability failure of the residual-degree bound: stage 2

@@ -15,6 +15,7 @@ from awakesim.engine import (AwakeLedger, Hood, Protocol, RunMetrics, WakePlan,
 from awakesim.errors import RoundCapExceeded
 from awakesim.fractional import SampledMatchingProtocol
 from awakesim.graphs import Graph, path_graph, star_graph
+from awakesim.mis import luby_mis, part2_reduce
 from conftest import watched_wakes
 
 
@@ -208,6 +209,24 @@ def test_plan_refuses_a_round_that_is_not_later():
     assert plan.take(4, alive)[0] == 3
     with pytest.raises(AssertionError, match="posted in round 3"):
         plan.post(3, [1])
+
+
+@pytest.mark.parametrize("start, bad", [([-1], -1), ([4], 4), ([2, 5, -1], 5),
+                                        (np.array([0, -3]), -3)])
+def test_start_ids_outside_the_graph_are_refused(start, bad):
+    """A start id outside 0..n-1 raises a ``ValueError`` naming the first
+    such id, before ``bind`` runs, in :func:`run` and in the MIS stages
+    that pass their start set to it."""
+    g = path_graph(4)
+    proto = Scripted({0: [0]})
+    proto.bind = mock.Mock(side_effect=AssertionError("bind ran"))
+    message = f"start id {bad} "
+    with pytest.raises(ValueError, match=message):
+        run(g, proto, 0, round_cap=5, start=start)
+    with pytest.raises(ValueError, match=message):
+        luby_mis(g, 1, start=start)
+    with pytest.raises(ValueError, match=message):
+        part2_reduce(g, 1, start=start)
 
 
 class Survivors(Protocol):
@@ -406,6 +425,79 @@ def test_staying_matches_reposting(case):
     schedules, and hit the round cap alike."""
     n, cap, script = case
     assert _outcome(Survivors(*script), n, cap) == _outcome(Stayers(*script), n, cap)
+
+
+@st.composite
+def plan_scripts(draw):
+    """A node count, the nodes alive at the start, and a list of turns for
+    a :class:`WakePlan`: some steps, then a take whose cap is an offset
+    from the round after the last one taken.  The rounds of the steps are
+    offsets from the last round taken."""
+    n = draw(st.integers(1, 8))
+    ids = st.lists(st.integers(0, n - 1), max_size=6)
+    offset = st.integers(1, 4)
+    step = st.one_of(
+        st.tuples(st.just("post"), offset, ids,
+                  st.sampled_from([list, np.int64, np.int32])),
+        st.tuples(st.just("post_each"),
+                  st.lists(st.tuples(offset, st.integers(0, n - 1)), max_size=5)),
+        st.tuples(st.just("stay"), offset, ids),
+        st.tuples(st.just("leave"), ids),
+        st.tuples(st.just("terminate"), ids),
+    )
+    alive = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    turn = st.tuples(st.lists(step, max_size=5), st.integers(0, 5))
+    return n, alive, draw(st.lists(turn, max_size=12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=plan_scripts())
+def test_plan_takes_what_a_set_model_wakes(case):
+    """Every ``take`` returns exactly the sorted, unique, alive ids that a
+    plain-set model of the plan wakes in the next round with a wake, or
+    ``None`` when that round is not before the cap.  Terminations are
+    written straight into ``alive``, as :func:`run` does."""
+    n, start, turns = case
+    plan, alive = WakePlan(), np.array(start)
+    posts, joins = {}, {}  # round -> set of ids
+    staying, left, now = set(), set(), -1
+    for steps, cap in turns:
+        for kind, *args in steps:
+            if kind == "post":
+                off, ids, form = args
+                plan.post(now + off, ids if form is list else np.array(ids, dtype=form))
+                if ids:
+                    posts.setdefault(now + off, set()).update(ids)
+            elif kind == "post_each":
+                pairs = args[0]
+                plan.post_each(np.array([now + off for off, _ in pairs], dtype=np.int64),
+                               np.array([v for _, v in pairs], dtype=np.int64))
+                for off, v in pairs:
+                    posts.setdefault(now + off, set()).add(v)
+            elif kind == "stay":
+                off, ids = args
+                plan.stay(now + off, ids)
+                if ids:
+                    joins.setdefault(now + off, set()).update(ids)
+            elif kind == "leave":
+                plan.leave(args[0])
+                left.update(args[0])
+            else:
+                alive[args[0]] = False
+        before = now + 1 + cap
+        got = plan.take(before, alive)
+        live = set(np.flatnonzero(alive).tolist())
+        staying = (staying - left) & live
+        left = set()
+        rnd = now + 1 if staying else min(posts.keys() | joins.keys(), default=before)
+        if rnd >= before:
+            assert got is None
+            continue
+        now = rnd
+        staying |= joins.pop(rnd, set()) & live
+        wake = sorted(staying | (posts.pop(rnd, set()) & live))
+        assert got[0] == rnd
+        assert isinstance(got[1], np.ndarray) and got[1].tolist() == wake
 
 
 def test_tally_counts_at_most_n_waiting_ids(monkeypatch):

@@ -14,9 +14,9 @@ from awakesim import mis as mis_module
 from awakesim.graphs import (Graph, complete_graph, cycle_graph, gen_bipartite,
                              gen_gnp, path_graph, petersen_graph, star_graph)
 from awakesim.engine import run
-from awakesim.mis import (LubyProtocol, MisParams, Part1Protocol,
-                          Part2Protocol, _join_set,
-                          awake_mis, default_iterations, default_participation,
+from awakesim.mis import (PARTICIPATION, LubyProtocol, MisParams,
+                          Part1Protocol, Part2Protocol, _join_set,
+                          awake_mis, default_iterations,
                           greedy_partial_mis,
                           luby_mis, part2_degree, part2_degree_bound,
                           part2_reduce, part2_round_count, part2_schedule)
@@ -169,7 +169,7 @@ def test_part2_edgeless_joins_at_cleanup():
     assert residual == ()
     # isolated nodes wake exactly once, in the cleanup round
     assert list(ledger.counts) == [1] * 6
-    d = part2_degree_bound(g.n, default_participation(g.n))
+    d = part2_degree_bound(g.n, PARTICIPATION)
     assert ledger.rounds == part2_round_count(d, 1)
 
 
@@ -202,7 +202,7 @@ def test_part2_wakes_only_to_mark_or_to_tell(g, params):
     seed = 11
     with watched_wakes(mis_module) as runs:
         added, _, _ = part2_reduce(g, seed, params)
-    d = part2_degree_bound(g.n, default_participation(g.n))
+    d = part2_degree_bound(g.n, PARTICIPATION)
     _, probabilities = part2_schedule(d, params.C)
     t_iter = len(probabilities) + 1
     indptr, indices = g.csr()
@@ -285,7 +285,7 @@ def test_mis_never_builds_the_python_views():
     g = gen_gnp(2000, 10 / 2000, seed=3)
     awake_mis(g, seed=3)
     luby_mis(g, seed=3)
-    _, _, res1, _ = greedy_partial_mis(g, 3, default_participation(g.n))
+    _, _, res1, _ = greedy_partial_mis(g, 3, PARTICIPATION)
     part2_reduce(g, 3, start=res1)
     luby_mis(g, 3, start=res1)
     assert part2_degree(g, res1) > 2
@@ -380,7 +380,7 @@ def _g_part(ids, off):
 _LOCAL_STAGES = {
     "luby_mis": (lambda u: luby_mis(u, 7), lambda r, off: _g_part(r[0], off)),
     "greedy_partial_mis": (
-        lambda u: greedy_partial_mis(u, 7, default_participation(u.n)),
+        lambda u: greedy_partial_mis(u, 7, PARTICIPATION),
         lambda r, off: [_g_part(ids, off) for ids in r[:3]]),
     "part2_reduce": (lambda u: part2_reduce(u, 7),
                      lambda r, off: [_g_part(ids, off) for ids in r[:2]]),
@@ -466,7 +466,7 @@ def _stage_schedule_digest():
                 s, ledger = luby_mis(g, seed)
                 h.update(repr(sorted(s)).encode())
                 _hash_ledger(h, ledger, runs[-1][0])
-                for p in (default_participation(g.n), Fraction(1, 2)):
+                for p in (PARTICIPATION, Fraction(1, 2)):
                     joined, removed, ids, ledger = greedy_partial_mis(g, seed, p)
                     h.update(repr((sorted(joined), sorted(removed), ids)).encode())
                     _hash_ledger(h, ledger, runs[-1][0])
@@ -505,7 +505,7 @@ def _outputs_digest():
         for seed in (1, 2):
             s, ledger = luby_mis(g, seed)
             h.update(repr((sorted(s), ledger.rounds)).encode())
-            for p in (default_participation(g.n), Fraction(1, 2)):
+            for p in (PARTICIPATION, Fraction(1, 2)):
                 joined, removed, ids, ledger = greedy_partial_mis(g, seed, p)
                 h.update(repr((sorted(joined), sorted(removed), ids,
                                ledger.rounds)).encode())
@@ -559,7 +559,7 @@ def test_awake_mis_ledger_matches_its_recorded_schedule(g, seed):
     only nodes of their start sets, the residuals of stages 1 and 2."""
     with watched_wakes(mis_module) as runs:
         _, ledger, _ = awake_mis(g, seed)
-    _, _, res1, _ = greedy_partial_mis(g, seed, default_participation(g.n))
+    _, _, res1, _ = greedy_partial_mis(g, seed, PARTICIPATION)
     _, res2, _ = part2_reduce(g, seed, start=res1)
     assert len(runs) == 3
     merged = np.zeros(g.n, dtype=np.int64)
