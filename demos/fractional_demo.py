@@ -8,10 +8,13 @@ the round it froze, then checks the value and load bounds against the best
 integral matching.
 
 A node's load cannot reach 1-eps before its wake rung, the first rung j with
-deg * (1+eps)^j / Delta >= 1-eps, so it sleeps until then; a neighbour that
-froze meanwhile wakes at that rung to tell it.  The table gives
-``sampled_fractional``'s mean and max awake rounds and its ledger rounds on
-G(n, 10/n) with eps = 1/20.
+deg * (1+eps)^j / Delta >= 1-eps, so it sleeps until then.  Awake again, a
+node that could not be tight in the next round goes back to sleep until the
+rung at which its load could, or until a sleeping neighbour's wake rung if
+that comes first.  A neighbour that froze meanwhile wakes at the sleeper's
+rung to tell it.  The table gives ``sampled_fractional``'s mean and max
+awake rounds and its ledger rounds on G(n, 10/n) with eps = 1/20: the
+README's "re-sleep" columns.
 """
 
 from fractions import Fraction

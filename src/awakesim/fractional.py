@@ -8,8 +8,10 @@ masses are sums of rungs, so every freeze, heavy, light and proposal
 decision is an exact comparison of Python integers; nothing is decided in
 floating point.  There is one matcher, :class:`SampledMatchingProtocol`;
 ``vanilla_fractional`` is its run with stop round 0.  A node without an
-edge never wakes.  From the stop round on, a node sleeps until its load
-could make it tight, and a node that freezes wakes at its sleeping
+edge never wakes.  From the stop round on, a node sleeps while its load
+cannot make it tight: until its wake rung, and again after any round in
+which it could not be tight in the next, capped by its sleeping
+neighbours' wake rungs.  A node that freezes wakes at its sleeping
 neighbours' wake rungs to tell them, so the outputs are those of a run in
 which every node stays awake while each node is awake in few rounds.  A
 run reduces to its node freeze rounds and the node loads its tight tests
@@ -351,6 +353,16 @@ class FractionalAssignment:
                 f"frozen_nodes={len(self.frozen_nodes)})")
 
 
+def _slot_rungs(g: Graph, f: List[int]) -> np.ndarray:
+    """The rung index of every adjacency slot of ``g.csr()``, as
+    ``uint64``: slot (v, u) has min(f[v], f[u]), the freeze round of the
+    edge's first-frozen endpoint.  A -1 in ``f`` (never froze) wraps to
+    2^64 - 1, so a slot reads 2^64 - 1 if neither endpoint froze."""
+    indptr, indices = g.csr()
+    key = np.array(f, dtype=np.int64).view(np.uint64)
+    return np.minimum(key.repeat(indptr[1:] - indptr[:-1]), key[indices])
+
+
 def _assignment(g: Graph, f: List[int], load: List[int], rungs: List[int],
                 one: int) -> FractionalAssignment:
     """The assignment of the node freeze rounds ``f`` (-1: never froze) and
@@ -358,16 +370,11 @@ def _assignment(g: Graph, f: List[int], load: List[int], rungs: List[int],
     clean-up.  The loads are the matcher's own (see
     :class:`SampledMatchingProtocol`); nothing here adds rungs.
 
-    Every edge freezes when its first endpoint does, at that rung, so slot
-    (v, u) has rung index min(f[v], f[u]), taken over ``g.csr()`` in one
-    array step; every edge must have a frozen endpoint.  A slot's value
-    index is its freeze round, so both start as one list.
+    Every edge freezes when its first endpoint does, at that rung
+    (:func:`_slot_rungs`); every edge must have a frozen endpoint.  A
+    slot's value index is its freeze round, so both start as one list.
     """
-    indptr, indices = g.csr()
-    # -1 (never froze) wraps to 2^64 - 1, so a slot's min is a rung index
-    # unless neither endpoint froze
-    key = np.array(f, dtype=np.int64).view(np.uint64)
-    fr = np.minimum(key.repeat(indptr[1:] - indptr[:-1]), key[indices]).tolist()
+    fr = _slot_rungs(g, f).tolist()
     assert max(fr, default=0) < len(rungs), "an edge has no frozen endpoint"
     return FractionalAssignment.__new__(FractionalAssignment)._fill(
         g, rungs + [0], fr, fr, f, load, one)
@@ -375,6 +382,13 @@ def _assignment(g: Graph, f: List[int], load: List[int], rungs: List[int],
 
 # ---------------------------------------------------------------------------
 # Sampled low-awake variant, and vanilla as its stop-round-0 run
+
+# The most sample coins ``SampledMatchingProtocol`` unpacks at once, one
+# byte each.
+_DECODE_BLOCK = 1 << 22
+
+# The wake rung entry of a matcher node that is not asleep: above every rung.
+_AWAKE = 1 << 29
 
 # Width of a matcher message's ``(tag, field)`` pair with its three-letter
 # tag, as ``engine.payload_bits`` measures an envelope: 2 + 3 * 8 bits.
@@ -407,22 +421,30 @@ class SampledMatchingProtocol(Protocol):
       such neighbours.  A node terminates once all its incident edges are
       frozen and it has no tell left to make (never before the stop round).
 
-    Nodes sleep until their load could make them tight.  At the stop round
-    each node v with an unfrozen edge that is not tight there broadcasts
-    its wake rung j_v: the first rung j from the stop round on with
-    ``mass + unfrozen * W_j >= tight``, taken before that round's freezes
-    (:meth:`_stop_round`).  At any rung j before j_v each unfrozen edge of
-    v carries at most W_j, so v's load stays below 1-eps: v sleeps through
-    the rounds after the stop round and before j_v, and stays awake from
-    j_v until it terminates.  A node u that freezes at a round r after the
-    stop round, with neighbours w still asleep (j_w > r), wakes once at
-    each distinct such j_w and tells those w its rung r; at j_w, w adds
-    what it was told, as the reconciliation does.  So no sleeper's state
-    changes, and every freeze, load and assignment is that of a run in
-    which every node stays awake.  The tells a sleeper will hear are summed
-    as they are decided, in ``_told_edges`` and ``_told_mass``: they stand
-    for messages sent at its wake rung, when both ends are awake, so they
-    are not state of the sleeper, which reads them only then.
+    Nodes sleep while their load cannot make them tight.  Each unfrozen
+    node v keeps its threshold rung ``_t[v]``: the first rung j, from the
+    next round it tests on, with ``mass + unfrozen * W_j >= tight``.  It
+    changes only with v's mass or unfrozen count, so the tight test at
+    round r is ``_t[v] <= r``.  At any rung j before it each unfrozen edge
+    of v carries at most W_j, so v's load stays below 1-eps however many
+    of its neighbours freeze meanwhile.  At the stop round each node v with
+    an unfrozen edge that is not tight there broadcasts its wake rung j_v,
+    taken before that round's freezes (:meth:`_stop_round`), and sleeps
+    until j_v.  After the stop round, a node v awake and unfrozen at round
+    r whose load after round r's gains could not make it tight at r+1 goes
+    back to sleep (:meth:`_resleep`).  It wakes at ``_t[v]``, or earlier,
+    at the least wake rung of its neighbours asleep at r: that cap makes
+    every node awake whenever a sleeping neighbour wakes, so each node has
+    heard the wake rung of every sleeping neighbour.  It broadcasts the new
+    rung.  A node u that freezes at a round r after the stop round, with
+    neighbours w still asleep (j_w > r), wakes once at each distinct such
+    j_w and tells those w its rung r; at j_w, w adds what it was told, as
+    the reconciliation does.  So no sleeper's state changes, and every
+    freeze, load and assignment is that of a run in which every node stays
+    awake.  The tells a sleeper will hear are summed as they are decided,
+    in ``_told_edges`` and ``_told_mass``: they stand for messages sent at
+    its wake rung, when both ends are awake, so they are not state of the
+    sleeper, which reads them only then and clears them for its next sleep.
 
     The run's start set must hold every node with an edge; a node outside
     it never wakes.  :func:`sampled_fractional` starts exactly the nodes
@@ -432,16 +454,17 @@ class SampledMatchingProtocol(Protocol):
     draws the sample sets among the start nodes, stays each member from
     its first wake (:meth:`~awakesim.engine.WakePlan.stay`) and posts
     every start node at the stop round.  The stop round sends the members
-    that survive it back to sleep (:meth:`~awakesim.engine.WakePlan.leave`)
-    and stays every survivor from its wake rung; a node that freezes with
-    tells to make leaves the staying nodes and posts its tell rounds.  Only
-    awake nodes send or hear.  Each round checks its widest message once
-    against the hood's CONGEST bound (:func:`_check_message`).  A message is
-    a ``(tag, field)`` pair with a three-letter tag, measured as the engine
-    measures envelopes: ``_TAG_BITS`` = 26 bits plus the field, which is
-    len(hs) + sum(max(1, h.bit_length())) bits for a report of rounds
-    ``hs``, and max(1, r.bit_length()) for the round r of a
-    reconciliation, wake rung, freeze or tell message.
+    back to sleep (:meth:`~awakesim.engine.WakePlan.leave`).  From then on
+    every wake is posted: each sleeper at its wake rung, each teller at its
+    tell rounds, and each round the awake unfrozen nodes that stay awake
+    into the next.  Only awake nodes send or hear.  Each round checks its
+    widest message of each kind once against the hood's CONGEST bound
+    (:func:`_check_message`).  A message is a ``(tag, field)`` pair with a
+    three-letter tag, measured as the engine measures envelopes:
+    ``_TAG_BITS`` = 26 bits plus the field, which is len(hs) +
+    sum(max(1, h.bit_length())) bits for a report of rounds ``hs``, and
+    max(1, r.bit_length()) for the round r of a reconciliation, wake rung,
+    freeze or tell message.
 
     Masses are integers on the ladder whose top rung is ``round_cap``, the
     last round a run can reach.  ``bind`` starts every node with all its
@@ -449,15 +472,16 @@ class SampledMatchingProtocol(Protocol):
     of the frozen edges it has heard of; a frozen node's is its whole load,
     every edge at the rung of its first-frozen endpoint.  A node that
     freezes from the stop round on adds its unfrozen edges at its rung,
-    which is the value its tight test passed; one frozen earlier gets its
-    load at the reconciliation, which replays the sampled rounds' freezes.
-    Both go through one freeze step, :meth:`_freeze`.  So when the run
-    ends, ``_mass`` holds every node's load, and the assignment takes it as
-    it is.  ``outputs`` is the list of node freeze rounds (-1: never froze).
+    which is the value its tight test passed (:meth:`_freeze`); one frozen
+    earlier gets its load at the reconciliation, which sums each of its
+    edges at the rung of the edge's first-frozen endpoint, as the
+    assignment does (:func:`_slot_rungs`).  So when the run ends, ``_mass``
+    holds every node's load, and the assignment takes it as it is.
+    ``outputs`` is the list of node freeze rounds (-1: never froze).
     """
 
     congest_factor = 256  # report payloads carry one round index per phase
-    state_fields = ("_f", "_mass", "_unfrozen", "_j")
+    state_fields = ("_f", "_mass", "_unfrozen", "_j", "_t")
 
     def __init__(self, schedule: SampleSchedule):
         self.sched = schedule
@@ -470,15 +494,15 @@ class SampledMatchingProtocol(Protocol):
         # shared with every run of the same ladder: read, never changed
         self._one, self._tight, self._rungs = s.ladder(self.round_cap)
         self.outputs = self._f = [-1] * self.n
-        # _reconcile replays the sampled rounds' freezes into these
+        # a stop round above 0 rebuilds these (_reconcile)
         self._unfrozen = list(map(len, graph.adj))
         self._mass = [0] * self.n
-        # the wake rung of each unfrozen node alive after the stop round;
-        # -1 for the others, and once a node freezes
-        self._j = [-1] * self.n
-        # wake rung -> the sleepers that wake there; round -> the tellers
-        # whose last tell it is
-        self._arrive: DefaultDict[int, List[int]] = defaultdict(list)
+        # the threshold rung of each unfrozen node alive after the stop
+        # round (-1 before it), and the wake rung of each node asleep after
+        # the stop round (_AWAKE while it is not)
+        self._t = [-1] * self.n
+        self._j = [_AWAKE] * self.n
+        # round -> the tellers whose last tell it is
         self._ending: DefaultDict[int, List[int]] = defaultdict(list)
         # per sleeper, the edges and mass it will be told at its wake rung,
         # and per wake rung, the widest tell round
@@ -503,7 +527,9 @@ class SampledMatchingProtocol(Protocol):
         Membership is one ``rng.coins`` matrix: each start node is a row,
         the pair (j, h) is a column, and column (j, h) flips its coins with
         p_h.  A coin is keyed by the host id, so a node's membership does
-        not depend on which other nodes start.
+        not depend on which other nodes start.  The matrix stays packed, 8
+        coins a byte; its columns are unpacked in blocks of at most
+        ``_DECODE_BLOCK`` coins unless a block of 8 columns is larger.
         """
         s, w = self.sched, self._rungs
         ps = [s.p_of_phase(s.phase(h)) for h in range(stop)]
@@ -513,22 +539,35 @@ class SampledMatchingProtocol(Protocol):
                                for h, p in enumerate(ps)], dtype=object)
         self._est_cut = (s.b - 10 * s.a) * self._one * lcm
         self._hbits = np.array([max(1, h.bit_length()) for h in range(stop)])
+        # column c is the pair (jj[c], hh[c]), in order of j, then h; the
         # coin of (v, h, j) is node_rng(seed, v, "sample", h * stop + j)
         jj, hh = np.tril_indices(stop)
-        hit = coins(seed, start[:, None], "sample", hh * stop + jj,
-                    np.array(ps, dtype=object)[hh])
-        hit = np.unpackbits(hit, axis=1, count=hh.size).view(bool)
-        rows, ts = np.nonzero(hit)
-        vs = start[rows]
+        packed = coins(seed, start[:, None], "sample", hh * stop + jj,
+                       np.array(ps, dtype=object)[hh])
+        cols = hh.size
+        step = 8 * max(1, _DECODE_BLOCK // (8 * start.size))
+        cs, rows = [], []
+        for lo in range(0, cols, step):
+            hit = np.unpackbits(packed[:, lo // 8:(lo + step) // 8], axis=1,
+                                count=min(step, cols - lo)).view(bool)
+            # by column, then by row
+            c, r = np.nonzero(hit.T)
+            cs.append(c + lo)
+            rows.append(r)
+        c, r = np.concatenate(cs), np.concatenate(rows)
+        vs, hs = start[r], hh[c]
         # a member of S_h^j first wakes at round h-1
-        first = np.where(hit, hh, stop).min(axis=1)
+        first = np.full(start.size, stop)
+        np.minimum.at(first, r, hs)
         member = first < stop
         members = start[member]
         wake = np.maximum(first[member] - 1, 0)
-        for r in range(stop):
-            self.plan.stay(r, members[wake == r])
-        jt = jj[ts]
-        self._memb = [(vs[jt == j], hh[ts[jt == j]]) for j in range(stop)]
+        for rnd in range(stop):
+            self.plan.stay(rnd, members[wake == rnd])
+        # the columns of S_h^j for h <= j start at j (j + 1) / 2
+        cut = np.searchsorted(c, np.arange(stop + 1) * np.arange(1, stop + 2) // 2)
+        self._memb = [(vs[cut[j]:cut[j + 1]], hs[cut[j]:cut[j + 1]])
+                      for j in range(stop)]
 
     def round(self, rnd, awake, hood):
         if rnd < self._stop:
@@ -536,47 +575,88 @@ class SampledMatchingProtocol(Protocol):
             return ()
         if rnd == self._stop:
             return self._stop_round(awake.tolist(), hood)
-        unf, mass = self._unfrozen, self._mass
+        ids, unf, jj = awake.tolist(), self._unfrozen, self._j
         # the tellers whose last tell is now
         done = self._ending.pop(rnd, [])
-        arriving = self._arrive.pop(rnd, None)
-        if arriving:
-            # their tellers are awake now
-            widest = self._widest.pop(rnd, 0)
-            if widest:
-                _check_message(hood, widest.bit_length(), "a tell message")
-            told_edges, told_mass = self._told_edges, self._told_mass
-            for v in arriving:
-                unf[v] -= told_edges[v]
-                mass[v] += told_mass[v]
-            done += [v for v in arriving if not unf[v]]
-        froze = self._is_tight(awake.tolist(), rnd)
+        # the awake nodes with an unfrozen edge (the others are tellers),
+        # among them the sleepers whose wake rung is now
+        live = [v for v in ids if unf[v]]
+        for v in live:
+            jj[v] = _AWAKE
+        widest = self._widest.pop(rnd, 0)
+        if widest:
+            # sleepers wake to their tells, and their tellers are awake now
+            _check_message(hood, widest.bit_length(), "a tell message")
+            done += self._read_tells(live, rnd)
+        froze = self._is_tight(live, rnd)
         if froze:
             _check_message(hood, max(1, rnd.bit_length()), "a freeze message")
             done += self._freeze(froze, rnd)
+        if widest or froze:
+            live = [v for v in live if unf[v]]
+        if live:
+            self._resleep(live, rnd, hood)
+        return done
+
+    def _read_tells(self, live: List[int], rnd: int) -> List[int]:
+        """The nodes of ``live`` told of freezes while they slept add those
+        edges now, at their wake rung ``rnd``, take a new threshold rung and
+        clear what they were told.  Returns those left with no unfrozen
+        edge.
+
+        An edge frozen at rung r carries W_r instead of W_j at every rung
+        j >= r, so a gain at r never brings a threshold rung above r
+        closer: the new one is found from the old one on."""
+        unf, mass, t, rungs, tight = (self._unfrozen, self._mass, self._t,
+                                      self._rungs, self._tight)
+        told_edges, told_mass = self._told_edges, self._told_mass
+        done = []
+        for v in live:
+            k = told_edges[v]
+            if k:
+                told_edges[v] = 0
+                k = unf[v] = unf[v] - k
+                c = mass[v] = mass[v] + told_mass[v]
+                told_mass[v] = 0
+                if k:
+                    # v slept until its wake rung rnd <= _t[v]
+                    j = t[v]
+                    if c + k * rungs[j] < tight:
+                        t[v] = bisect_left(rungs, (tight - c + k - 1) // k,
+                                           j + 1)
+                else:
+                    done.append(v)
         return done
 
     def _stop_round(self, ids: List[int], hood) -> List[int]:
         """The reconciliation, the wake rungs and the stop round's freezes,
         with every alive node awake.  Returns the nodes that terminate.
 
-        Node v's wake rung is the first rung j from the stop round on with
-        ``mass + unfrozen * W_j >= tight``."""
+        Node v's wake rung is its threshold rung ``_t[v]``, the first rung
+        j from the stop round on with ``mass + unfrozen * W_j >= tight``;
+        nodes with equal mass and unfrozen count share one bisection."""
         self._reconcile(hood)
-        stop, unf, mass = self._stop, self._unfrozen, self._mass
+        stop, unf, mass, t = self._stop, self._unfrozen, self._mass, self._t
         rungs, tight = self._rungs, self._tight
         # nodes already frozen, and those with no unfrozen edge, are done;
         # every node alive after the stop round has an unfrozen edge
         done: List[int] = []
         froze: List[int] = []
         sleepers: List[Tuple[int, int]] = []
+        rung_of: Dict[Tuple[int, int], int] = {}
         for v in ids:
             k = unf[v]
             if not k:
                 done.append(v)
                 continue
-            # W_j >= ceil((tight - mass) / unfrozen); the top rung exceeds tight
-            j = bisect_left(rungs, (tight - mass[v] + k - 1) // k, stop)
+            key = (mass[v], k)
+            j = rung_of.get(key)
+            if j is None:
+                # W_j >= ceil((tight - mass) / unfrozen); the top rung
+                # exceeds tight
+                need = (tight - key[0] + k - 1) // k
+                j = rung_of[key] = bisect_left(rungs, need, stop)
+            t[v] = j
             if j == stop:
                 froze.append(v)
             else:
@@ -588,81 +668,107 @@ class SampledMatchingProtocol(Protocol):
             _check_message(hood, max(1, stop.bit_length()), "a freeze message")
             # no node sleeps yet, so every neighbour hears these freezes now
             done += self._freeze(froze, stop)
-        jj, arrive = self._j, self._arrive
+        if self._memb:
+            # the sample members stay until now
+            self.plan.leave(ids)
+        jj = self._j
+        wake: DefaultDict[int, List[int]] = defaultdict(list)
         for v, j in sleepers:
             if unf[v]:
                 jj[v] = j
-                arrive[j].append(v)
-        if arrive:
-            if self._memb:
-                # the sample members stay until now
-                self.plan.leave([v for vs in arrive.values() for v in vs])
-            for j, vs in arrive.items():
-                self.plan.stay(j, vs)
+                wake[j].append(v)
+        for j, vs in wake.items():
+            self.plan.post(j, vs)
         return done
+
+    def _resleep(self, live: List[int], rnd: int, hood) -> None:
+        """Post the next wake of each node of ``live``, awake and unfrozen
+        after round ``rnd``'s gains.  A node whose threshold rung is the
+        next round stays awake into it.  Any other node sleeps until its
+        threshold rung, or until the least wake rung of its neighbours
+        asleep now if that is earlier, and broadcasts that rung; if that
+        rung is the next round, it stays awake instead."""
+        t, jj, adj = self._t, self._j, self.graph.adj
+        nxt = rnd + 1
+        stay: List[int] = []
+        wake: DefaultDict[int, List[int]] = defaultdict(list)
+        for v in live:
+            j = t[v]
+            if j != nxt:
+                # every node of live reads _AWAKE here, and a neighbour
+                # asleep now a rung above rnd
+                for u in adj[v]:
+                    if jj[u] < j:
+                        j = jj[u]
+                if j != nxt:
+                    wake[j].append(v)
+                    continue
+            stay.append(v)
+        self.plan.post(nxt, stay)
+        if wake:
+            _check_message(hood, max(wake).bit_length(), "a wake rung message")
+            for j, vs in wake.items():
+                for v in vs:
+                    jj[v] = j
+                self.plan.post(j, vs)
 
     def _freeze(self, froze: List[int], r: int) -> List[int]:
         """The nodes ``froze`` freeze at round ``r``: each adds its unfrozen
         edges to its mass at rung r, and each neighbour not frozen by round
-        r gains rung r once per such edge.  An awake neighbour gains now;
-        one asleep until its wake rung j > r is told at j.  A node with
-        tells to make leaves the staying nodes, posts its tell rounds and
-        terminates at the last.  Returns the nodes that terminate now: those
-        of ``froze`` with no tell to make, and the awake gainers left with
-        no unfrozen edge."""
+        r gains rung r once per such edge.  An awake neighbour gains now,
+        and from the stop round on takes a new threshold rung; one asleep
+        until its wake rung j > r is told at j.  A node with tells to make
+        posts its tell rounds and terminates at the last.  Returns the
+        nodes that terminate now: those of ``froze`` with no tell to make,
+        and the awake gainers left with no unfrozen edge."""
         f, unf, mass, w = self._f, self._unfrozen, self._mass, self._rungs[r]
         jj, adj = self._j, self.graph.adj
         for v in froze:
             f[v] = r
             mass[v] += unf[v] * w
             unf[v] = 0
-            jj[v] = -1
         gained: Dict[int, int] = {}
-        tellers: List[int] = []
-        if r <= self._stop:
-            # no node sleeps yet; in the reconciliation's replay, a node
-            # frozen in a later sampled round is still unfrozen at r
-            for v in froze:
-                for u in adj[v]:
-                    if not 0 <= f[u] <= r:
-                        gained[u] = gained.get(u, 0) + 1
-            done = list(froze)
-        else:
-            # every unfrozen neighbour has a wake rung; the frozen have -1
-            done = []
-            told_edges, told_mass, ending = (self._told_edges, self._told_mass,
-                                             self._ending)
-            # wake rung -> the tellers that wake there, each once
-            tells: DefaultDict[int, List[int]] = defaultdict(list)
-            for v in froze:
-                last = r
-                for u in adj[v]:
-                    j = jj[u]
-                    if j > r:
-                        told_edges[u] += 1
-                        told_mass[u] += w
-                        told = tells[j]
-                        if not told or told[-1] != v:
-                            told.append(v)
-                        if j > last:
-                            last = j
-                    elif j >= 0:
-                        gained[u] = gained.get(u, 0) + 1
-                if last > r:
-                    tellers.append(v)
-                    ending[last].append(v)
-                else:
-                    done.append(v)
-        for u, k in gained.items():
-            unf[u] -= k
-            mass[u] += k * w
-            if not unf[u]:
+        # wake rung -> the tellers that wake there, each once
+        tells: DefaultDict[int, List[int]] = defaultdict(list)
+        # a neighbour asleep reads its wake rung, and gains at its wake rung;
+        # one awake reads _AWAKE, and gains now if it is unfrozen (at the
+        # stop round no node sleeps yet)
+        done = []
+        told_edges, told_mass, ending = (self._told_edges, self._told_mass,
+                                         self._ending)
+        awake = _AWAKE
+        for v in froze:
+            last = r
+            for u in adj[v]:
+                j = jj[u]
+                if j != awake:
+                    told_edges[u] += 1
+                    told_mass[u] += w
+                    told = tells[j]
+                    if not told or told[-1] != v:
+                        told.append(v)
+                    if j > last:
+                        last = j
+                elif unf[u]:
+                    gained[u] = gained.get(u, 0) + 1
+            if last > r:
+                ending[last].append(v)
+            else:
+                done.append(v)
+        t, rungs, tight = self._t, self._rungs, self._tight
+        for u, g in gained.items():
+            k = unf[u] = unf[u] - g
+            c = mass[u] = mass[u] + g * w
+            if k:
+                # u was not tight at r, so _t[u] > r (:meth:`_read_tells`)
+                j = t[u]
+                if c + k * rungs[j] < tight:
+                    t[u] = bisect_left(rungs, (tight - c + k - 1) // k, j + 1)
+            else:
                 done.append(u)
-        if tellers:
-            self.plan.leave(tellers)
-            for j, vs in tells.items():
-                self._widest[j] = r  # freezes come in round order
-                self.plan.post(j, vs)
+        for j, vs in tells.items():
+            self._widest[j] = r  # freezes come in round order
+            self.plan.post(j, vs)
         return done
 
     def _sampled_round(self, rnd, awake, hood):
@@ -692,28 +798,33 @@ class SampledMatchingProtocol(Protocol):
             self._f[v] = rnd
 
     def _reconcile(self, hood):
-        """Stop round: every start node broadcasts its freeze round, and the
-        sampled rounds' freezes are replayed through :meth:`_freeze` in
-        round order into ``_unfrozen`` and ``_mass``, which ``bind`` built.
-        A node frozen before now gets its load: each of its edges at the
-        rung of the edge's first-frozen endpoint."""
-        f = self._f
+        """Stop round: every start node broadcasts its freeze round, and
+        each node rebuilds ``_unfrozen`` and ``_mass`` from its neighbours'.
+        An edge with a frozen endpoint froze at the rung of its first-frozen
+        endpoint (:func:`_slot_rungs`): a node frozen before now gets its
+        whole load, and an unfrozen one the load of its frozen edges and
+        the count of the others."""
+        f, stop, n = self._f, self._stop, self.n
         _check_message(hood, max(1, max(f).bit_length()),
                        "a reconciliation message")
-        if not self._stop:
+        if not stop:
             return  # no sampled round, so no node froze yet
-        froze_at: Dict[int, List[int]] = {}
-        for v, fv in enumerate(f):
-            if fv >= 0:
-                froze_at.setdefault(fv, []).append(v)
-        for r in sorted(froze_at):
-            self._freeze(froze_at[r], r)
+        indptr = self.graph.csr()[0]
+        owner = np.repeat(np.arange(n), indptr[1:] - indptr[:-1])
+        slot = _slot_rungs(self.graph, f)
+        frozen = slot < stop
+        self._unfrozen = np.bincount(owner[~frozen], minlength=n).tolist()
+        # at[v, r]: the edges of v frozen at rung r
+        at = np.bincount(owner[frozen] * stop + slot[frozen].astype(np.int64),
+                         minlength=n * stop).reshape(n, stop)
+        self._mass = (at.astype(object) @ np.array(self._rungs[:stop], dtype=object)
+                      ).tolist()
 
     def _is_tight(self, cands, rnd) -> List[int]:
         """The nodes of ``cands`` with an unfrozen edge and c_v >= 1-eps at
-        rung ``rnd``."""
-        w, tight, mass, unf = self._rungs[rnd], self._tight, self._mass, self._unfrozen
-        return [v for v in cands if unf[v] and mass[v] + unf[v] * w >= tight]
+        rung ``rnd``, read from their threshold rungs."""
+        t, unf = self._t, self._unfrozen
+        return [v for v in cands if unf[v] and t[v] <= rnd]
 
 
 def sampled_fractional(g: Graph, eps, seed: int, *, estimator_constant: int = 64,
@@ -728,11 +839,13 @@ def sampled_fractional(g: Graph, eps, seed: int, *, estimator_constant: int = 64
     The analytic stop rule fires at round 0 for any practical n, and then
     this is the run vanilla_fractional makes, so its assignment is
     vanilla's by construction.  From the stop round on, each node sleeps
-    until its wake rung and wakes at its neighbours' wake rungs to tell
-    them of its freeze (see :class:`SampledMatchingProtocol`), so it is
-    awake in far fewer rounds than the run takes.  A node without an edge
-    never wakes and is never charged, and a run on a graph without an
-    edge has 0 rounds.
+    until its wake rung, goes back to sleep after any round in which it
+    could not be tight in the next, until the rung at which it could or
+    the wake rung of a sleeping neighbour, and wakes at its neighbours'
+    wake rungs to tell them of its freeze (see
+    :class:`SampledMatchingProtocol`), so it is awake in far fewer rounds
+    than the run takes.  A node without an edge never wakes and is never
+    charged, and a run on a graph without an edge has 0 rounds.
 
     For eps >= 1/10 the estimator cut 1-10eps is at most 0, so on the forced
     path every node that hears a report freezes in its first sampled round.
@@ -751,8 +864,10 @@ def vanilla_fractional(g: Graph, eps) -> FractionalAssignment:
     This is the sampled matcher's run with stop round 0: no sample coin is
     drawn, so no seed is read, and the tight rule c_v >= 1-eps runs from
     the first rung on; each node sleeps after round 0 until the rung at
-    which its load could first make it tight, and a node without an edge
-    never wakes (a graph without an edge takes 0 rounds).  Exact integer
+    which its load could first make it tight, and again after any later
+    round in which it could not be tight in the next (see
+    :class:`SampledMatchingProtocol`); a node without an edge never wakes
+    (a graph without an edge takes 0 rounds).  Exact integer
     arithmetic on the ladder throughout.  Terminates within
     ceil(log_{1+eps} Delta) + 1 rounds with c_v <= 1 for every v.
     """

@@ -1,11 +1,11 @@
 """Shared fixtures: the MIS scaling sweep, the acceptance result table, the
-Fraction-arithmetic reference of the full-rate fractional matcher, the
-closed form of its awake rounds, the slot re-summation of the matcher's
-node loads, the no-reuse reference of the
-sleeping box and its delta-maximal loop, the per-node reference of the MIS
-marking stage, a sleeping-model check that wraps any protocol, a
-watcher of the rounds each node is awake in, and a locality check built
-on that watcher."""
+Fraction-arithmetic reference of the full-rate fractional matcher, a
+per-node reference of the rounds the sampled matcher's nodes are awake in,
+the slot re-summation of the matcher's node loads, the no-reuse reference
+of the sleeping box and its delta-maximal loop, the per-node reference of
+the MIS marking stage, a sleeping-model check that wraps any protocol, a
+watcher of the rounds each node is awake in, and a locality check built on
+that watcher."""
 
 import math
 from contextlib import contextmanager
@@ -33,14 +33,16 @@ SWEEP_SEEDS = 20
 CRITERION_RESULTS = []
 
 
-def ref_vanilla(g, eps):
-    """Independent reference: simultaneous freezing on the (1+eps) ladder."""
+def ref_vanilla(g, eps, first=0):
+    """Independent reference: simultaneous freezing on the (1+eps) ladder,
+    from rung ``first`` on (a sampled run whose forced stop round is
+    ``first`` and whose sampling probabilities are all 0 grows so)."""
     eps = Fraction(eps)
     delta = g.max_degree
     x = {e: Fraction(1, delta) for e in g.edges()}
     node_frozen = {}
     edge_frozen = {}
-    j = 0
+    j = first
     while len(edge_frozen) < g.m:
         w = Fraction(1, delta) * (1 + eps) ** j
         cv = {v: Fraction(0) for v in range(g.n)}
@@ -63,51 +65,93 @@ def ref_vanilla(g, eps):
     return x, edge_frozen, node_frozen
 
 
-def ref_vanilla_assignment(g, eps) -> FractionalAssignment:
+def ref_vanilla_assignment(g, eps, first=0) -> FractionalAssignment:
     """:func:`ref_vanilla` as an assignment, with ``None`` for every node
-    that never froze."""
-    x, edge_frozen, node_frozen = ref_vanilla(g, eps)
+    that never froze, after the sampled matcher's clean-up: every edge at a
+    node whose load exceeds 1 is set to 0 (from rung 0 on, no load does)."""
+    x, edge_frozen, node_frozen = ref_vanilla(g, eps, first)
+    load = {}
+    for (u, v), w in x.items():
+        load[u] = load.get(u, 0) + w
+        load[v] = load.get(v, 0) + w
+    x = {(u, v): 0 if load[u] > 1 or load[v] > 1 else w for (u, v), w in x.items()}
     return FractionalAssignment(g.n, x, edge_frozen,
                                 {v: node_frozen.get(v) for v in range(g.n)})
 
 
-def ref_gated_rounds(g, f, eps):
+def ref_resleep_rounds(g, f, eps):
     """The rounds each node is awake in a stop-round-0 run of the sampled
-    matcher, in closed form from the node freeze rounds ``f`` (``None``:
-    never froze).
+    matcher, node by node and round by round in ``Fraction`` arithmetic,
+    from the node freeze rounds ``f`` (``None``: never froze) of a run in
+    which every node stays awake.
 
-    A node without a neighbour is awake in no round.  Any other node v has
-    wake rung j_v, the first j with deg(v) (1+eps)^j / Delta >= 1 - eps.
-    It terminates in round t_v: f[v], or, if it never froze, the last
-    freeze round among its neighbours.  A node that terminates in round 0
-    is awake only then.  Any other node is awake in {0} and [j_v, max(t_v,
-    j_v)], and, if it froze, at each distinct j_w > f[v] of its neighbours
-    w still unfrozen at f[v], to tell them.
+    After round r, an unfrozen node v has the load L_v(r, j) = sum of
+    w_{f[u]} over its neighbours u with f[u] <= r, plus w_j for each other
+    neighbour, at rung j; it has an unfrozen edge while some neighbour has
+    no f[u] <= r.  A node without a neighbour is awake in no round.  Every
+    other node is awake in round 0.  One that freezes there, or has no
+    unfrozen edge after it, terminates; any other sleeps until its wake
+    rung, the first j with deg(v) w_j >= 1 - eps.  A node awake in round
+    r > 0:
+    * terminates if it has no unfrozen edge after the freezes before r;
+    * else, if f[v] = r, wakes once at each distinct wake rung after r of
+      its neighbours asleep in r, to tell them, and terminates at the last;
+    * else terminates if it has no unfrozen edge after round r;
+    * else stays awake into r+1 if L_v(r, r+1) >= 1 - eps;
+    * else sleeps until the first j > r+1 with L_v(r, j) >= 1 - eps, or
+      until the least wake rung of its neighbours asleep in r, if that is
+      earlier.
+    A node asleep in round f[v] would miss its own freeze: that raises.
     """
     eps = Fraction(eps)
     delta = g.max_degree
+    tight = 1 - eps
+    late = math.inf
+    fr = [late if fv is None else fv for fv in f]
 
-    def wake(v):
-        j = 0
-        while len(g.neighbors(v)) * (1 + eps) ** j < (1 - eps) * delta:
-            j += 1
-        return j
+    def w(j):
+        return (1 + eps) ** j / delta
 
-    out = []
+    def state(v, r):
+        """``(mass, unfrozen edges)`` of unfrozen ``v`` after round ``r``."""
+        frozen = [fr[u] for u in g.neighbors(v) if fr[u] <= r]
+        return sum(map(w, frozen), Fraction(0)), len(g.neighbors(v)) - len(frozen)
+
+    out = [[] for _ in range(g.n)]
+    wake = {}  # each unfrozen node alive after round 0 -> its next wake
     for v in range(g.n):
-        nb, fv = g.neighbors(v), f[v]
-        if not nb:
-            out.append([])
+        deg = len(g.neighbors(v))
+        if not deg:
             continue
-        t = fv if fv is not None else max(f[u] for u in nb)
-        if t == 0:
-            out.append([0])
-            continue
-        rounds = {0, *range(wake(v), max(t, wake(v)) + 1)}
-        if fv is not None:
-            rounds |= {wake(w) for w in nb
-                       if (f[w] is None or f[w] > fv) and wake(w) > fv}
-        out.append(sorted(rounds))
+        out[v].append(0)
+        if fr[v] > 0 and state(v, 0)[1]:
+            j = 0
+            while deg * w(j) < tight:
+                j += 1
+            wake[v] = j
+    r = 1
+    while wake:
+        asleep = {v: j for v, j in wake.items() if j > r}
+        for v in [v for v, j in wake.items() if j == r]:
+            out[v].append(r)
+            del wake[v]
+            if not state(v, r - 1)[1]:
+                continue
+            if fr[v] == r:
+                out[v] += sorted({asleep[u] for u in g.neighbors(v) if u in asleep})
+                continue
+            mass, unf = state(v, r)
+            if not unf:
+                continue
+            j = r + 1
+            while mass + unf * w(j) < tight:
+                j += 1
+            if j > r + 1:
+                j = min([j, *(asleep[u] for u in g.neighbors(v) if u in asleep)])
+            wake[v] = j
+        assert not any(fr[v] == r for v in asleep), f"a sleeper freezes in round {r}"
+        r += 1
+        assert r < 10_000
     return out
 
 

@@ -236,10 +236,11 @@ def test_amplification_golden_digest():
     computed when maximal boxes still extended paths through a single box
     call instead of delta_maximal (the outputs-only digest pins them); the
     sleeping box's ledgers changed on purpose when matcher nodes began to
-    sleep until their wake rung, and when nodes without an edge in a box
-    instance stopped waking."""
+    sleep until their wake rung, when nodes without an edge in a box
+    instance stopped waking, and when awake matcher nodes began to go back
+    to sleep until their load could make them tight."""
     assert _amplification_digest() == (
-        "9f9c1f5c8b9c1225c672145c49bb0b105bd5b0a8b65af5a4b03a0b1c7487208e")
+        "7fa086c29db9b8d7324791367e717f28655cce306656f9b46c920667e861bc2e")
 
 
 def _outputs_digest():
