@@ -383,8 +383,8 @@ def _assignment(g: Graph, f: List[int], load: List[int], rungs: List[int],
 # ---------------------------------------------------------------------------
 # Sampled low-awake variant, and vanilla as its stop-round-0 run
 
-# The most sample coins ``SampledMatchingProtocol`` unpacks at once, one
-# byte each.
+# The most sample coins ``SampledMatchingProtocol`` draws and unpacks at
+# once; unpacked, each takes a byte.
 _DECODE_BLOCK = 1 << 22
 
 # The wake rung entry of a matcher node that is not asleep: above every rung.
@@ -524,12 +524,13 @@ class SampledMatchingProtocol(Protocol):
         with L the lcm of the nonzero p_h numerators.  A p = 0 round is never
         sampled, so it is never reported and gets no coefficient.
 
-        Membership is one ``rng.coins`` matrix: each start node is a row,
-        the pair (j, h) is a column, and column (j, h) flips its coins with
+        Membership is one matrix of coins: each start node is a row, the
+        pair (j, h) is a column, and column (j, h) flips its coins with
         p_h.  A coin is keyed by the host id, so a node's membership does
-        not depend on which other nodes start.  The matrix stays packed, 8
-        coins a byte; its columns are unpacked in blocks of at most
-        ``_DECODE_BLOCK`` coins unless a block of 8 columns is larger.
+        not depend on which other nodes start.  The matrix is never built
+        whole: its columns are drawn by ``rng.coins`` and unpacked in
+        blocks of at most ``_DECODE_BLOCK`` coins unless a block of 8
+        columns is larger.
         """
         s, w = self.sched, self._rungs
         ps = [s.p_of_phase(s.phase(h)) for h in range(stop)]
@@ -542,14 +543,14 @@ class SampledMatchingProtocol(Protocol):
         # column c is the pair (jj[c], hh[c]), in order of j, then h; the
         # coin of (v, h, j) is node_rng(seed, v, "sample", h * stop + j)
         jj, hh = np.tril_indices(stop)
-        packed = coins(seed, start[:, None], "sample", hh * stop + jj,
-                       np.array(ps, dtype=object)[hh])
+        index, pcol = hh * stop + jj, np.array(ps, dtype=object)[hh]
         cols = hh.size
         step = 8 * max(1, _DECODE_BLOCK // (8 * start.size))
         cs, rows = [], []
         for lo in range(0, cols, step):
-            hit = np.unpackbits(packed[:, lo // 8:(lo + step) // 8], axis=1,
-                                count=min(step, cols - lo)).view(bool)
+            cut = slice(lo, lo + step)
+            packed = coins(seed, start[:, None], "sample", index[cut], pcol[cut])
+            hit = np.unpackbits(packed, axis=1, count=min(step, cols - lo)).view(bool)
             # by column, then by row
             c, r = np.nonzero(hit.T)
             cs.append(c + lo)

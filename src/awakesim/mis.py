@@ -4,14 +4,16 @@ Three composable stages:
 
 1. ``greedy_partial_mis``, a sampled partial run of randomized greedy MIS.
    Only a p-fraction of nodes participate; everyone else sleeps through the
-   competition and wakes once for a final announcement round.
+   competition and wakes once for a final announcement round, which a
+   participant dominated during the competition skips.
 2. ``part2_reduce``, iterated doubling-probability marking on the residual
    under the degree bound :func:`part2_degree_bound`, which every node
    computes from n and p alone.  An undecided node is awake only in the
    rounds it marks itself and in each iteration's cleanup round.  A node
    that joins the set wakes at each neighbour's first mark after its join,
    to tell that neighbour, which terminates; it reads those marks from its
-   neighbours' ids and the master seed.
+   neighbours' ids and the master seed, and it terminates at its last
+   tell unless it joined at the last marking offset.
 3. ``luby_mis``, the classic one-fresh-key-per-round protocol, used both as
    a standalone baseline and as the cleanup stage.
 
@@ -86,13 +88,16 @@ class MisParams:
       which makes d = 2 log2 n, leaves 2x headroom.  Stage 2 left no
       residual for Luby on any of them;
     * on the 24 graphs of the benchmark's ``mis_sparse`` workload (n =
-      2^11, seed 1), the mean awake cost was 1.790 / 1.790 / 1.792 at c =
+      2^11, seed 1), the mean awake cost was 1.573 / 1.572 / 1.574 at c =
       1 / 1/2 / 1/4, so a larger c buys nothing, while c = 1 ran 2116
       stage-2 rounds against 1256 and took 39% more host time (2-vCPU
       host);
-    * on the same graphs at c = 1/2, the mean awake cost was 2.14 / 1.96 /
-      1.79 / 1.74 / 1.80 at p = 1/8 / 1/6 / 1/4 / 1/3 / 1/2: p = 1/4 sits
-      in a flat region, not at a sharp optimum.
+    * on the same graphs at c = 1/2, the mean awake cost was 1.95 / 1.77 /
+      1.57 / 1.48 / 1.45 / 1.49 at p = 1/8 / 1/6 / 1/4 / 1/3 / 1/2 / 2/3.
+      p = 1/4 was chosen while it sat in a flat region (2.14 / 1.96 /
+      1.79 / 1.74 / 1.80 at p = 1/8..1/2, when dominated participants and
+      early stage-2 joiners still woke with nothing to do); now the flat
+      region is p = 1/3..2/3, and p = 1/4 is 8% above its best.
     """
 
     p: Fraction = PARTICIPATION           # participation fraction
@@ -244,11 +249,12 @@ class Part1Protocol(Protocol):
     Each node draws one 64-bit key; holders of the lowest p-fraction
     participate.  Participants rebroadcast their key while undecided, and
     post themselves for the next round until the window ends; the strict
-    (key, id) minimum of a neighborhood joins and announces, which puts its
-    competing neighbors to sleep as dominated.  At the fixed window end,
-    which ``bind`` posts for every node, every node wakes for one
-    announcement round and terminates; nodes that hear "I" there become
-    dominated too.  ``outputs`` is the status
+    (key, id) minimum of a neighborhood joins and announces, and its
+    competing neighbors terminate there as dominated: at the window end
+    they would neither speak nor learn anything.  At the fixed window end,
+    which ``bind`` posts for every node, every node still alive wakes for
+    one announcement round and terminates; nodes that hear "I" there
+    become dominated too.  ``outputs`` is the status
     array: joined nodes are "in", dominated ones "out", and the rest (never
     participated, or still competing) are the residual.
     """
@@ -284,10 +290,11 @@ class Part1Protocol(Protocol):
         # the awake nodes are the competitors
         join, decided = _compete(hood, self._keys[awake], self._csr, status,
                                  _P1_JOINED)
-        status[awake[decided & ~join]] = _P1_DOMINATED
+        dominated = awake[decided & ~join]
+        status[dominated] = _P1_DOMINATED
         if rnd + 1 < self.window:
             self.plan.post(rnd + 1, awake[~decided])
-        return ()
+        return dominated
 
 
 def greedy_partial_mis(g: Graph, seed: int, p, window: Optional[int] = None):
@@ -322,8 +329,10 @@ _P2_UNDECIDED, _P2_OUT, _P2_IN = 0, 1, 2
 class Part2Protocol(Protocol):
     """K iterations of phased marking under degree bound d.
 
-    Nodes outside the start set begin "out" and are no one's neighbour.
-    Phase i of an iteration marks each undecided node with a start
+    Nodes outside the start set begin "out" and are no one's neighbour, so
+    each start node must know which of its neighbours are start nodes; in
+    :func:`awake_mis` they learn it for free (see there).  Phase i of an
+    iteration marks each undecided node with a start
     neighbour per round with probability min(1, 2^i/d).  When an iteration
     begins (at ``bind``, and in each cleanup round for the next one), one
     pass of ``rng.coins`` draws its marks for those nodes and their start
@@ -335,25 +344,31 @@ class Part2Protocol(Protocol):
       round in which undecided nodes marked, the next round in which a
       still-undecided node marks.  No node joins or leaves in between, as
       only marking nodes compete or hear "S".
-    * a node that joins the set at offset r wakes at each neighbour's first
-      mark after r, plus the cleanup round.  It posts these rounds once, at
-      its join.  A neighbour that was awake there heard its "S" and left,
-      and one that slept there had already left through another in-set
-      node, so it needs no per-neighbour told flags.  A node knows its
+    * a node that joins the set at offset r wakes at each start
+      neighbour's first mark after r.  It posts these rounds once, at its
+      join.  A neighbour that was awake there heard its "S" and left, and
+      one that slept there had already left through another in-set node,
+      so it needs no per-neighbour told flags.  A node knows its
       neighbours' ids and the master seed, so it computes their
-      counter-based coins, dead neighbours' included.
+      counter-based coins, dead neighbours' included.  The last marking
+      offset marks with probability 1, so below it every start neighbour
+      has a mark after r: the joiner has told them all in the last of
+      these rounds and terminates there, skipping the cleanup.  A node
+      that joins at the last offset attends the cleanup instead.
 
     Subround 1: awake in-set nodes announce, and hearers terminate as "out".
     Subround 2: the surviving awake nodes, which all mark, announce their
     ids; the smallest id among adjacent announcers joins.  A sleeping
     undecided node would only have heard "S" and left; it still hears that
     "S" at its next mark or at the cleanup, before it competes, so no join
-    moves and the sets and round counts are those of a node that stays
-    awake from its first mark on.  The last round of each iteration is a
-    cleanup every alive node attends: nodes with no surviving competitor
-    join, so nodes isolated in the residual pay one awake round per
-    iteration.  ``outputs`` is the status array: the nodes still undecided
-    after the last cleanup are the residual.
+    moves and the sets are those of a node that stays awake from its first
+    mark on.  The last round of each iteration is a cleanup every alive
+    node attends: nodes with no surviving competitor join, so nodes
+    isolated in the residual pay one awake round per iteration.  The run
+    ends once no node is alive, which is before the last cleanup when no
+    undecided node and no joiner at the last offset is left for it.
+    ``outputs`` is the status array: the nodes still undecided after the
+    last cleanup are the residual.
     """
 
     state_fields = ("_status",)
@@ -363,6 +378,8 @@ class Part2Protocol(Protocol):
         self.K = int(iterations)
         self.C = int(phase_constant)
         phase_rounds, probabilities = part2_schedule(self.d, self.C)
+        # every drawn node marks at the last offset, which joiners rely on
+        assert probabilities[-1] == 1
         self._marking = sum(phase_rounds)
         self.t_iter = self._marking + 1
         self._ps = np.array(probabilities, dtype=object)
@@ -374,6 +391,7 @@ class Part2Protocol(Protocol):
         self.outputs = self._status = np.full(self.n, _P2_OUT, dtype=np.int8)
         self._status[start] = _P2_UNDECIDED
         self._in_start = self._status == _P2_UNDECIDED
+        self._leaving: Dict[int, list] = {}  # round -> the joiners whose last tell it is
         self._begin_iteration(0, start)
 
     def _begin_iteration(self, k: int, undecided: np.ndarray):
@@ -434,19 +452,24 @@ class Part2Protocol(Protocol):
 
     def _join(self, o: int, joiners: np.ndarray):
         """Joiners at marking offset ``o`` enter the set and post their
-        plan: a wake at each start neighbour's first mark after ``o``.  No
-        neighbour of a joiner is in the set, so every start neighbour's
-        marks are in ``_marks``."""
+        plan: a wake at each start neighbour's first mark after ``o``, and
+        their termination at the last of these.  No neighbour of a joiner
+        is in the set, so every start neighbour's marks are in ``_marks``;
+        each marks at the last offset, whose probability is 1, so below it
+        every start neighbour has a mark after ``o``.  A joiner at the last
+        offset has none left and attends the cleanup."""
         nbrs = _join_set(self._csr, self._status, _P2_IN, joiners)
         if o + 1 == self._marking:
             return
         mine = self._in_start[nbrs]
-        owner = np.repeat(joiners, self._deg[joiners])[mine]
+        slot = np.repeat(np.arange(joiners.size), self._deg[joiners])[mine]
         marks = np.unpackbits(self._marks[nbrs[mine]], axis=1, count=self._marking)
-        later = marks[:, o + 1:]
-        hit = later.any(axis=1)
-        first = o + 1 + later.argmax(axis=1)
-        self.plan.post_each(self._k * self.t_iter + first[hit], owner[hit])
+        first = self._k * self.t_iter + o + 1 + marks[:, o + 1:].argmax(axis=1)
+        self.plan.post_each(first, joiners[slot])
+        last = np.zeros(joiners.size, dtype=np.int64)
+        np.maximum.at(last, slot, first)
+        for rnd, v in zip(last.tolist(), joiners.tolist()):
+            self._leaving.setdefault(rnd, []).append(v)
 
     def round(self, rnd, awake, hood):
         k, o = divmod(rnd, self.t_iter)
@@ -479,6 +502,10 @@ class Part2Protocol(Protocol):
             self._join(o, joiners)
         if self._posted == o:
             self._post_marks(o)
+        # the joiners whose last tell this was terminate
+        told_all = self._leaving.pop(rnd, None)
+        if told_all:
+            return np.concatenate((out, told_all)) if len(out) else told_all
         return out
 
 
@@ -524,6 +551,14 @@ def awake_mis(g: Graph, seed: int, params: Optional[MisParams] = None):
     taken from ``g.n``.  Returns ``(mis_set, ledger, metrics)``; the ledger
     splits awake rounds into parts "part1", "part2", "luby".  Las Vegas: the
     output is verified and ``metrics.validity`` records the check.
+
+    Stage 2 runs from stage 1's residual, and a node there must know which
+    of its neighbours are in it (:class:`Part2Protocol`).  Every residual
+    node is awake at stage 1's window end.  There, after the joined nodes
+    say "I", each node that heard none can say in a second subround that
+    it is undecided, at no extra awake round, so each residual node learns
+    which of its neighbours are residual.  The run does not simulate this
+    word; it grants the knowledge the word would give.
     """
     params = params or MisParams()
     n = g.n

@@ -227,8 +227,9 @@ class RefPart2(Protocol):
     that neighbour is alive.  An undecided node wakes at its marks; a node in
     the set wakes when a neighbour it has not told marks.  It has told a
     neighbour once it was awake, in a round after its join round, where that
-    neighbour was awake or marked.  Every alive node attends each
-    iteration's cleanup.  Each node posts its own wakes, one at a time: at
+    neighbour was awake or marked, and it terminates in the round it has
+    told every neighbour.  Every other alive node attends each iteration's
+    cleanup.  Each node posts its own wakes, one at a time: at
     the start of an iteration its cleanup and its first wake, and after each
     marking round it is awake in, its next wake before the cleanup.  Its
     state changes only while it is awake, so that wake is the one a node
@@ -309,10 +310,11 @@ class RefPart2(Protocol):
             self._told[u].update(w for w in nbrs[u]
                                  if w in up or self._marks(w, rnd))
         if o < self._marking:
+            done = [u for u in tellers if self._told[u].issuperset(nbrs[u])]
             for v in awake:
-                if status[v] != self.OUT:
+                if status[v] != self.OUT and v not in done:
                     self._post_next(v, rnd)
-            return out
+            return out + done
         if k == self.K - 1:
             return awake
         self._begin_iteration(k + 1, [v for v in awake

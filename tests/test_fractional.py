@@ -656,6 +656,29 @@ def test_sample_sets_decoded_in_blocks(block, g, eps, seed, stop, p):
         assert _memberships(g, sched, seed) == whole
 
 
+def test_sample_coins_drawn_one_block_at_a_time(monkeypatch):
+    """The sample coins are drawn a decode block at a time, never as the
+    whole matrix: with ``_DECODE_BLOCK`` small, no ``coins`` call is wider
+    than one block, and the sets are those of a single block."""
+    g = gen_gnp(40, 0.2, seed=3)
+    sched = SampleSchedule(g.n, g.max_degree, Fraction(1, 10), force_stop_round=8,
+                           force_phase_probabilities=Fraction(1, 2))
+    whole = _memberships(g, sched, 5)
+    widths = []
+    draw = fractional.coins
+
+    def counted(seed, nodes, label, indices, ps):
+        widths.append(len(indices))
+        return draw(seed, nodes, label, indices, ps)
+
+    monkeypatch.setattr(fractional, "coins", counted)
+    monkeypatch.setattr(fractional, "_DECODE_BLOCK", 100)
+    step = 8 * max(1, 100 // (8 * sum(1 for v in range(g.n) if g.adj[v])))
+    assert _memberships(g, sched, 5) == whole
+    assert sum(widths) == 8 * 9 // 2 and len(widths) > 1
+    assert max(widths) <= step
+
+
 def _sleeps(rounds):
     """The gaps between the awake rounds ``rounds``: the sleeps among them."""
     return sum(1 for a, b in zip(rounds, rounds[1:]) if b > a + 1)

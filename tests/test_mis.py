@@ -16,7 +16,7 @@ from awakesim.graphs import (Graph, complete_graph, cycle_graph, gen_bipartite,
 from awakesim.engine import run
 from awakesim.mis import (PARTICIPATION, LubyProtocol, MisParams,
                           Part1Protocol, Part2Protocol, _join_set,
-                          awake_mis, default_iterations,
+                          awake_mis, default_iterations, default_part1_window,
                           greedy_partial_mis,
                           luby_mis, part2_degree, part2_degree_bound,
                           part2_reduce, part2_round_count, part2_schedule)
@@ -144,6 +144,47 @@ def test_part1_window_and_rounds():
     assert ledger.rounds == 21  # window rounds plus the global wake round
 
 
+def _domination_rounds(g, seed, p, window):
+    """Stage 1's competition node by node: each round, every competing
+    participant whose ``(key, id)`` is below that of each competing
+    neighbour joins, and their competing neighbours are dominated.  Returns
+    the round in which each participant dominated during the competition
+    was dominated."""
+    keys = [node_rng(seed, v, "p1key", 0) for v in range(g.n)]
+    competing = {v for v in range(g.n) if keys[v] < coin_threshold(p)}
+    dominated = {}
+    for r in range(window):
+        join = {v for v in competing
+                if all((keys[v], v) < (keys[w], w) for w in g.neighbors(v)
+                       if w in competing)}
+        hit = {w for v in join for w in g.neighbors(v) if w in competing} - join
+        dominated.update(dict.fromkeys(hit, r))
+        competing -= join | hit
+    return dominated
+
+
+@pytest.mark.parametrize("p, window", [(PARTICIPATION, None), (Fraction(1, 2), 3),
+                                       (1, None)])
+def test_part1_dominated_participants_stop_waking(p, window):
+    """A participant dominated during the competition terminates in the
+    round it is dominated: it is awake in every round up to that one and
+    never after, the window end included, where it would neither speak nor
+    learn anything.  Every other node is still awake at the window end,
+    which is its last round."""
+    for seed in range(3):
+        g = gen_gnp(300, 0.03, seed=seed)
+        w = default_part1_window(g.n) if window is None else window
+        with watched_wakes(mis_module) as runs:
+            greedy_partial_mis(g, seed, p, w)
+        dominated = _domination_rounds(g, seed, p, w)
+        assert dominated
+        for v, rounds in enumerate(runs[0][0]):
+            if v in dominated:
+                assert rounds == list(range(dominated[v] + 1)), (seed, v)
+            else:
+                assert rounds[-1] == w, (seed, v)
+
+
 def test_part1_residual_degree_drops():
     # partial greedy leaves only poly(log) degrees behind
     n = 4096
@@ -225,6 +266,52 @@ def test_part2_wakes_only_to_mark_or_to_tell(g, params):
         assert all(any(marks(w, r) for w in nbrs) for r in told), v
         assert len(told) <= len(nbrs), v
     assert resleeps > 0
+
+
+def test_part2_joiners_end_at_their_last_tell(monkeypatch):
+    """A node that joins below the last marking offset terminates in its
+    last tell round: every start neighbour marks after its join, since the
+    last offset marks with probability 1, and its last awake round is the
+    latest of their first marks after the join, from the scalar coins.  It
+    is never awake at its iteration's cleanup.  A joiner at the last offset
+    has no tell left before the cleanup, and attends it; the increasing-id
+    path has some."""
+    seed = 11
+    joins = {}
+    join = Part2Protocol._join
+
+    def recorded(self, o, joiners):
+        joins.update(dict.fromkeys(joiners.tolist(), self._k * self.t_iter + o))
+        return join(self, o, joiners)
+
+    monkeypatch.setattr(Part2Protocol, "_join", recorded)
+    below_last = at_last = 0
+    for g, params in ((gen_gnp(400, 0.02, seed=11), MisParams(K=3)),
+                      (_increasing_path(200), MisParams(K=3, C=1))):
+        joins.clear()
+        with watched_wakes(mis_module) as runs:
+            part2_reduce(g, seed, params)
+        d = part2_degree_bound(g.n, PARTICIPATION)
+        _, probabilities = part2_schedule(d, params.C)
+        marking = len(probabilities)
+        t_iter = marking + 1
+
+        def marks(v, r):
+            return node_rng(seed, v, "p2mark", r) < coin_threshold(
+                probabilities[r % t_iter])
+
+        for v, r in joins.items():
+            rounds = runs[0][0][v]
+            cleanup = r - r % t_iter + marking
+            if r + 1 < cleanup:
+                last = max(next(s for s in range(r + 1, cleanup) if marks(w, s))
+                           for w in g.neighbors(v))
+                assert rounds[-1] == last and cleanup not in rounds, v
+                below_last += 1
+            else:
+                assert rounds[-1] == cleanup, v
+                at_last += 1
+    assert below_last and at_last
 
 
 def test_part2_sleeps_until_its_first_mark_in_every_iteration():
@@ -443,9 +530,12 @@ def test_awake_mis_golden_digest():
     the stage-2 ledger parts are those of the wake rule that
     :class:`RefPart2` restates node by node.  Recomputed when p became 1/4
     and stage 2 took its degree bound from n and p, on the smooth
-    schedule."""
+    schedule, and when dominated stage-1 participants and stage-2 joiners
+    below the last offset began to terminate once they had nothing left to
+    do, which lowers ledger parts and, on runs whose stage-2 residual is
+    empty before the cleanup, rounds."""
     assert _awake_mis_digest() == (
-        "a71752b466b155490d8222328d08d2b1b554cc0015a06a21effe039eac41b4c3")
+        "d5313875998ca4cc242fa5e07693a7b92d36875abbeb9d421f10d557dd3b3e31")
 
 
 def _hash_ledger(h, ledger, rounds=None):
@@ -480,14 +570,16 @@ def _stage_schedule_digest():
 def test_stage_schedule_golden_digest():
     """Standalone Luby, stage 1 and stage 2 on the golden corpus: sets,
     residual ids, ledger parts, rounds and per-node awake rounds (as the
-    watcher sees them), as
-    computed by the per-node hook implementation of the three protocols,
-    with the empty graph's schedules recorded as ``[]`` and stage 2 under
-    the wake rule that :class:`RefPart2` restates node by node.  Recomputed
+    watcher sees them), first pinned on the per-node hook implementation
+    of the three protocols, with the empty graph's schedules recorded as
+    ``[]`` and stage 2 under the wake rule that :class:`RefPart2` restates
+    node by node.  Recomputed
     when p became 1/4 and stage 2 took its degree bound from n and p, on
-    the smooth schedule."""
+    the smooth schedule, and when dominated stage-1 participants and
+    stage-2 joiners below the last offset began to terminate once they had
+    nothing left to do."""
     assert _stage_schedule_digest() == (
-        "77bf88d9da56585c6ded0096b6fe58cc56749c08e70f4bc7e4f53547adee9ada")
+        "8f0e67687be892f18a7c05efc07e9a393c89060165b64b2c2eb036db366992f0")
 
 
 def _outputs_digest():
@@ -522,13 +614,16 @@ def _outputs_digest():
 
 def test_awake_mis_outputs_golden_digest():
     """What the three stages decide, apart from who is awake when: the
-    stage-2 wake rule moves ledgers, never sets, residuals or rounds.  The
-    stage runs here are pinned, schedules included, by the stage digest
-    above; the ``awake_mis`` runs draw stages 2 and 3 by host id.
-    Recomputed when p became 1/4 and stage 2 took its degree bound from n
-    and p, on the smooth schedule, which moves sets, residuals and rounds."""
+    stage-2 wake rule moves ledgers, never sets or residuals, and rounds
+    only where stage 2's residual is empty before a cleanup that no node
+    then attends.  The stage runs here are pinned, schedules included, by
+    the stage digest above; the ``awake_mis`` runs draw stages 2 and 3 by
+    host id.  Recomputed when p became 1/4 and stage 2 took its degree
+    bound from n and p, on the smooth schedule, which moves sets, residuals
+    and rounds, and when stage-2 joiners below the last offset began to
+    terminate at their last tell, which shortens such runs."""
     assert _outputs_digest() == (
-        "82b461d2b06f0f1f42773ad8418ea10a6af0197ef77cc7dfa9dd2aa0eb2d0178")
+        "8e6562b5f9b401063d46a91a9b91eb570c2532c597d7c83b387a27f6b32835d8")
 
 
 @st.composite
@@ -654,8 +749,10 @@ def test_mis_protocols_sleep_in_the_sleeping_model(case, seed, p):
 @pytest.mark.parametrize("n", [2 ** 10, 2 ** 12])
 def test_awake_mis_mean_awake_stays_low(n):
     """Stage 2 keeps nodes asleep between their marks, so the mean awake
-    count on G(n, 10/n) is a small constant (1.7-1.8 here), not the 10-11
-    of a node that stays awake from its first mark to the iteration end."""
+    count on G(n, 10/n) is a small constant (1.5-1.6 here; 1.7-1.8 while
+    dominated stage-1 participants and early stage-2 joiners still woke
+    with nothing to do), not the 10-11 of a node that stays awake from its
+    first mark to the iteration end."""
     for seed in range(3):
         _, _, metrics = awake_mis(gen_gnp(n, 10 / n, seed=seed), seed)
         assert metrics.avg_awake <= 3.0, (n, seed, metrics.avg_awake)
